@@ -46,7 +46,9 @@ from .evolution import (
     ContractionBound,
     InitialCondition,
     PicardError,
+    STEP_CONSTANTS,
     SimConfig,
+    StepConstants,
     Trajectory,
     contraction_time_bound,
     duhamel_step,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -186,13 +187,12 @@ def parse_config(path: str | Path) -> RunSettings:
         kind=init_kind, amplitude=init_amplitude, width=init_width,
         offset=init_offset, mode_k=mode_k, seed=init_seed, path=init_file,
     )
-    if init_kind == "file":
-        if not init_file:
-            fail("initial.file is required for kind = file")
-        try:
-            v0.build(grid)  # validate eagerly: existence, shape, finiteness
-        except (OSError, ValueError) as exc:
-            fail(f"initial.file: {exc}")
+    if init_kind == "file" and not init_file:
+        fail("initial.file is required for kind = file")
+    try:
+        v0.build(grid)  # validate eagerly: file, shape, mode range, finiteness
+    except (OSError, ValueError) as exc:
+        fail(f"initial: {exc}")
 
     if not dt > 0:
         fail("time.dt must be > 0")
@@ -211,9 +211,12 @@ def parse_config(path: str | Path) -> RunSettings:
             picard_tol=picard_tol, picard_max=picard_max, dealias=dealias,
             output_stride=stride, linear_only=linear_only,
         )
+    except ValueError as exc:
+        fail(f"time: {exc}")
+    try:
         quadrature = QuadratureSpec(z_max=z_max, z_min=z_min, panels=panels)
     except ValueError as exc:
-        fail(str(exc))
+        fail(f"quadrature: {exc}")
     if z_max > length / 2.0 + 1e-12:
         fail("quadrature.z_max must not exceed length/2 (periodic double-count)")
 
@@ -221,8 +224,8 @@ def parse_config(path: str | Path) -> RunSettings:
         kernel_times = tuple(float(s) for s in kt_raw.replace(",", " ").split())
     except ValueError:
         fail(f"output.kernel_times must be a list of times, got {kt_raw!r}")
-    if not kernel_times or any(t <= 0 for t in kernel_times):
-        fail("output.kernel_times must be positive")
+    if not kernel_times or not all(0 < t < math.inf for t in kernel_times):
+        fail("output.kernel_times must be positive and finite")
 
     return RunSettings(
         sim=sim, quadrature=quadrature, kernel_times=kernel_times,

@@ -19,6 +19,13 @@ steps beyond it are automatically split.
 Nonlinear products are formed in physical space and dealiased with the 2/3
 rule by default (state, profile, and products all masked), so quadratic
 aliasing cannot contaminate the energy-bound checks.
+
+The stepping state is the half spectrum k = 0..n/2 of the real field
+(grid.RealSpectrum): every transform is an rfft/irfft pair, every spectral
+array has n/2 + 1 entries, and norms use the half-spectrum Parseval sum.
+The kernel constants K0 and K1 that enter t_star are pinned in
+STEP_CONSTANTS rather than refitted per run; stepping_norm_fit() is the
+refit, and the test suite checks the two agree to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, EnergyBoundParams, c1b_norm, l2_norm
-from .grid import Grid, RealField, make_grid
+from .grid import Grid, RealField, RealSpectrum, make_grid, real_spectrum
 from .kernel import KernelNormFit, grad_kernel_norms
 from .operator import unstable_band
 from .profiles import WaveProfile
@@ -47,6 +54,8 @@ __all__ = [
     "nonlinear_flux",
     "duhamel_step",
     "contraction_time_bound",
+    "StepConstants",
+    "STEP_CONSTANTS",
     "stepping_norm_fit",
     "evolve",
     "evolve_full",
@@ -101,6 +110,10 @@ class InitialCondition:
             u = (x - self.offset) / self.width
             return RealField(grid, self.amplitude * np.exp(-(u**2)))
         if self.kind == "mode":
+            if abs(self.mode_k) >= grid.n // 2:
+                raise ValueError(
+                    f"mode_k = {self.mode_k} aliases on n = {grid.n}: need |mode_k| < {grid.n // 2}"
+                )
             xi = self.mode_k / grid.length
             return RealField(grid, self.amplitude * np.cos(2 * np.pi * xi * (x - self.offset)))
         if self.kind == "white-noise":
@@ -143,6 +156,8 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dt > 0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end must be at least dt, got {self.t_end} < {self.dt}")
         if not (0 < self.picard_tol <= 1e-2):
@@ -209,7 +224,24 @@ class ContractionBound:
         )
 
 
-def contraction_time_bound(M: float, fit: KernelNormFit, u_phi_norm: float) -> ContractionBound:
+@dataclass(frozen=True)
+class StepConstants:
+    """Kernel gradient constants of the contraction bound: K0 bounds
+    t^{3/4} ||dK/dx||_L2 and K1 bounds t^{1/2} ||dK/dx||_L1."""
+
+    K0: float
+    K1: float
+
+
+#: K0 and K1 of stepping_norm_fit(), pinned: they are constants of the
+#: continuous kernel over CONTROL_WINDOW, so step control never refits them.
+#: tests/test_evolution.py refits them and compares to 1e-12 relative.
+STEP_CONSTANTS = StepConstants(K0=0.34418969225222185, K1=0.808638649332362)
+
+
+def contraction_time_bound(
+    M: float, fit: KernelNormFit | StepConstants, u_phi_norm: float
+) -> ContractionBound:
     """Closed-form positive root of 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1."""
     K0, K1 = fit.K0, fit.K1
     if M < 0 or u_phi_norm < 0:
@@ -233,8 +265,9 @@ def contraction_time_bound(M: float, fit: KernelNormFit, u_phi_norm: float) -> C
 
 @functools.lru_cache(maxsize=1)
 def stepping_norm_fit() -> KernelNormFit:
-    """Kernel gradient constants over the small-t control window, fitted once
-    on a dedicated grid fine enough to resolve the smallest time."""
+    """Kernel gradient constants over the small-t control window, fitted on a
+    dedicated grid fine enough to resolve the smallest time: the reference
+    that STEP_CONSTANTS pins."""
     grid = make_grid(8192, 40.0)
     times = np.logspace(
         math.log10(CONTROL_WINDOW[0]), math.log10(CONTROL_WINDOW[1]), 9
@@ -268,13 +301,12 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _StepTables:
-    grid: Grid
+    spectrum: RealSpectrum
     dt: float
     E: np.ndarray
     A0: np.ndarray  # dt * D * (phi1 - phi2), weight of the s = 0 sample
     A1: np.ndarray  # dt * D * phi2, weight of the s = dt sample
     mask: np.ndarray | None
-    phase: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
@@ -282,50 +314,32 @@ def _step_tables(n: int, length: float, dt: float, dealias: bool) -> _StepTables
     from .operator import symbol_table
 
     grid = make_grid(n, length)
-    table = symbol_table(grid)
-    E = table.exponential(dt)
-    D = 2j * np.pi * grid.frequencies
-    D = D.copy()
-    D[grid.nyquist_index] = 0.0
-    phi1, phi2 = _phi_functions(-dt * table.psi)
-    A0 = dt * D * (phi1 - phi2)
-    A1 = dt * D * phi2
-    mask = None
-    if dealias:
-        k = np.rint(grid.frequencies * length).astype(int)
-        mask = (np.abs(k) <= n // 3).astype(np.float64)
-    phase = np.ones(n)
-    phase[1::2] = -1.0
-    for arr in (E, A0, A1, phase) + ((mask,) if mask is not None else ()):
+    spectrum = real_spectrum(grid)
+    psi = symbol_table(grid).psi[: spectrum.size]
+    E = np.exp(-dt * psi)
+    phi1, phi2 = _phi_functions(-dt * psi)
+    A0 = dt * spectrum.derivative * (phi1 - phi2)
+    A1 = dt * spectrum.derivative * phi2
+    for arr in (E, A0, A1):
         arr.setflags(write=False)
-    return _StepTables(grid=grid, dt=dt, E=E, A0=A0, A1=A1, mask=mask, phase=phase)
+    mask = spectrum.dealias_mask if dealias else None
+    return _StepTables(spectrum=spectrum, dt=dt, E=E, A0=A0, A1=A1, mask=mask)
 
 
-def _to_physical(coeffs: np.ndarray, tables: _StepTables) -> np.ndarray:
-    return np.fft.ifft(coeffs * tables.phase).real / tables.grid.spacing
+def _masked_coeffs(values: np.ndarray, spectrum: RealSpectrum,
+                   mask: np.ndarray | None) -> np.ndarray:
+    coeffs = spectrum.forward(values)
+    return coeffs if mask is None else coeffs * mask
 
 
-def _to_coeffs(values: np.ndarray, tables: _StepTables) -> np.ndarray:
-    return tables.grid.spacing * tables.phase * np.fft.fft(values)
-
-
-def _l2_of_coeffs(coeffs: np.ndarray, grid: Grid) -> float:
-    with np.errstate(over="ignore"):  # inf propagates to the blow-up guard
-        return float(np.sqrt(np.sum(np.abs(coeffs) ** 2) / grid.length))
-
-
-def _nonlinear_hat(
-    coeffs: np.ndarray, u_phi_values: np.ndarray | None, tables: _StepTables
-) -> np.ndarray:
+def _nonlinear_hat(coeffs: np.ndarray, u_phi_values: np.ndarray | None,
+                   spectrum: RealSpectrum, mask: np.ndarray | None) -> np.ndarray:
     """F(w^2/2 [+ u_phi w]) with the product formed in physical space."""
-    w = _to_physical(coeffs, tables)
+    w = spectrum.inverse(coeffs)
     N = 0.5 * w * w
     if u_phi_values is not None:
         N += u_phi_values * w
-    N_hat = _to_coeffs(N, tables)
-    if tables.mask is not None:
-        N_hat = N_hat * tables.mask
-    return N_hat
+    return _masked_coeffs(N, spectrum, mask)
 
 
 def nonlinear_flux(v: RealField, u_phi: RealField, dealias: bool) -> RealField:
@@ -336,25 +350,13 @@ def nonlinear_flux(v: RealField, u_phi: RealField, dealias: bool) -> RealField:
     """
     if v.grid != u_phi.grid:
         raise ValueError("fields must share a grid")
-    grid = v.grid
-    phase = np.ones(grid.n)
-    phase[1::2] = -1.0
-    to_hat = lambda vals: grid.spacing * phase * np.fft.fft(vals)
-    to_phys = lambda hat: np.fft.ifft(hat * phase).real / grid.spacing
-    v_vals, u_vals = v.values, u_phi.values
-    mask = None
-    if dealias:
-        k = np.rint(grid.frequencies * grid.length).astype(int)
-        mask = (np.abs(k) <= grid.n // 3).astype(np.float64)
-        v_vals = to_phys(mask * to_hat(v_vals))
-        u_vals = to_phys(mask * to_hat(u_vals))
-    N_hat = to_hat(0.5 * v_vals**2 + u_vals * v_vals)
+    spectrum = real_spectrum(v.grid)
+    mask = spectrum.dealias_mask if dealias else None
+    u_vals = u_phi.values
     if mask is not None:
-        N_hat = mask * N_hat
-    D = 2j * np.pi * grid.frequencies
-    D = D.copy()
-    D[grid.nyquist_index] = 0.0
-    return RealField(grid, to_phys(D * N_hat))
+        u_vals = spectrum.inverse(_masked_coeffs(u_vals, spectrum, mask))
+    N_hat = _nonlinear_hat(_masked_coeffs(v.values, spectrum, mask), u_vals, spectrum, mask)
+    return RealField(v.grid, spectrum.inverse(spectrum.derivative * N_hat))
 
 
 def _single_step(
@@ -366,18 +368,19 @@ def _single_step(
 ) -> tuple[np.ndarray, int, float]:
     """One Duhamel step of size tables.dt starting at t_now."""
     E, A0, A1 = tables.E, tables.A0, tables.A1
+    spectrum, mask = tables.spectrum, tables.mask
     linear = E * vhat
     if cfg.linear_only:
         return linear, 0, 0.0
-    N0 = _nonlinear_hat(vhat, u_of_t(t_now), tables)
+    N0 = _nonlinear_hat(vhat, u_of_t(t_now), spectrum, mask)
     base = linear - A0 * N0
     w = linear  # Picard seed: the linear prediction
     prev_delta = None
     ratio = 0.0
     for iteration in range(1, cfg.picard_max + 1):
-        N1 = _nonlinear_hat(w, u_of_t(t_now + tables.dt), tables)
+        N1 = _nonlinear_hat(w, u_of_t(t_now + tables.dt), spectrum, mask)
         w_new = base - A1 * N1
-        delta = _l2_of_coeffs(w_new - w, tables.grid)
+        delta = spectrum.l2_norm(w_new - w)
         if not math.isfinite(delta):
             raise BlowUpError(f"non-finite Picard iterate at t = {t_now + tables.dt}")
         if prev_delta is not None and prev_delta > 0.0:
@@ -419,9 +422,7 @@ def duhamel_step(
     dt_sub = dt / substeps
     tables = _step_tables(cfg.grid.n, cfg.grid.length, dt_sub, cfg.dealias)
     u_of_t = _profile_sampler(cfg, tables, profile_coupling)
-    vhat = _to_coeffs(v.values, tables)
-    if tables.mask is not None:
-        vhat = vhat * tables.mask
+    vhat = _masked_coeffs(v.values, tables.spectrum, tables.mask)
     iters = 0
     ratio = 0.0
     for j in range(substeps):
@@ -429,7 +430,7 @@ def duhamel_step(
         iters = max(iters, it)
         ratio = max(ratio, r)
     return StepResult(
-        field=RealField(cfg.grid, _to_physical(vhat, tables)),
+        field=RealField(cfg.grid, tables.spectrum.inverse(vhat)),
         iterations=iters,
         ratio=ratio,
         substeps=substeps,
@@ -451,8 +452,9 @@ def _profile_sampler(cfg: SimConfig, tables: _StepTables, profile_coupling: bool
             return hit
         values = cfg.profile.evaluate(key, cfg.grid).values
         if tables.mask is not None:
-            coeffs = _to_coeffs(values, tables) * tables.mask
-            values = _to_physical(coeffs, tables)
+            values = tables.spectrum.inverse(
+                _masked_coeffs(values, tables.spectrum, tables.mask)
+            )
         if not static and len(cache) > 8:
             cache.clear()
         cache[key] = values
@@ -471,20 +473,19 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     c_phi = 0.5 * c1b_norm(cfg.profile, grid)
 
     tables = _step_tables(grid.n, grid.length, cfg.dt, cfg.dealias)
+    spectrum = tables.spectrum
     u_of_t = _profile_sampler(cfg, tables, profile_coupling)
-    fit = None if cfg.linear_only else stepping_norm_fit()
     u_norm = c1b_norm(cfg.profile, grid) if profile_coupling else 0.0
 
-    vhat = _to_coeffs(initial.values, tables)
-    if tables.mask is not None:
-        vhat = vhat * tables.mask
+    vhat = _masked_coeffs(initial.values, spectrum, tables.mask)
     mass0 = vhat[0].real
+    tail_modes = np.arange(spectrum.size) > grid.n / 3
 
     def perturbation_norm(t: float) -> float:
         if not full_mode:
-            return _l2_of_coeffs(vhat, grid)
+            return spectrum.l2_norm(vhat)
         u_phi = cfg.profile.evaluate(t, grid).values
-        return l2_norm(RealField(grid, _to_physical(vhat, tables) - u_phi))
+        return l2_norm(RealField(grid, spectrum.inverse(vhat) - u_phi))
 
     v0_norm = perturbation_norm(t_offset)
     if not math.isfinite(v0_norm):
@@ -493,11 +494,10 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     traj = Trajectory(params=params)
 
     def record(t, iters, ratio):
-        coeffs = np.abs(vhat) ** 2
-        total = float(coeffs.sum())
-        k = np.rint(grid.frequencies * grid.length).astype(int)
-        tail = float(coeffs[np.abs(k) > grid.n / 3].sum() / total) if total > 0 else 0.0
-        f = RealField(grid, _to_physical(vhat, tables))
+        energy = spectrum.mode_energy(vhat)
+        total = float(energy.sum())
+        tail = float(energy[tail_modes].sum() / total) if total > 0 else 0.0
+        f = RealField(grid, spectrum.inverse(vhat))
         rec = DiagnosticsRecord(
             t=t,
             l2=perturbation_norm(t),
@@ -519,19 +519,17 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
         # u^2/2 splits into w^2/2 + mean*w around it), so it is priced like
         # a constant profile rather than inflating M by mean * sqrt(L).
         substeps = 1
-        if fit is not None:
+        if not cfg.linear_only:
             if full_mode:
                 mean = vhat[0].real / grid.length
-                fluct_sq = max(
-                    float(np.sum(np.abs(vhat) ** 2)) - abs(vhat[0]) ** 2, 0.0
-                )
+                fluct_sq = float(spectrum.mode_energy(vhat)[1:].sum())
                 M = 2.0 * math.sqrt(fluct_sq / grid.length)
                 u_ctrl = abs(mean)
             else:
-                M = 2.0 * _l2_of_coeffs(vhat, grid)
+                M = 2.0 * spectrum.l2_norm(vhat)
                 u_ctrl = u_norm
             if M > 0.0 or u_ctrl > 0.0:
-                t_star = contraction_time_bound(M, fit, u_ctrl).t_star
+                t_star = contraction_time_bound(M, STEP_CONSTANTS, u_ctrl).t_star
                 if cfg.dt > t_star:
                     demand = cfg.dt / (0.5 * t_star)
                     if not math.isfinite(demand) or demand > MAX_SUBSTEPS:

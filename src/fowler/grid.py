@@ -10,10 +10,19 @@ directly, with frequencies xi_k = k/L in cycles per unit length (k an
 integer in [-n/2, n/2), FFT storage order).  Every symbol formula downstream
 is written in these continuous-frequency units and evaluated verbatim on
 the grid frequencies.
+
+Real fields have Hermitian spectra, coeffs(-k) = conj(coeffs(k)), so the
+time-stepping core stores only the half spectrum k = 0..n/2 (RealSpectrum,
+built on rfft/irfft).  The Nyquist entry k = n/2 is unpaired: it is real,
+contributes through its cosine only, and first derivatives zero it.  The
+full-spectrum SpectralField remains the reference representation for the
+kernel and operator routes.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +38,8 @@ __all__ = [
     "circular_convolve",
     "evaluate_spectral",
     "oversample",
+    "RealSpectrum",
+    "real_spectrum",
 ]
 
 # Relative tolerance on the Hermitian-symmetry check; violations beyond this
@@ -71,14 +82,14 @@ def make_grid(n: int, length: float) -> Grid:
     """Build a Grid, validating the point count and box length.
 
     n must be even (the FFT layout pairs +k with -k and keeps a single
-    Nyquist slot) and at least 8; length must be positive.
+    Nyquist slot) and at least 8; length must be positive and finite.
     """
     if n != int(n) or n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
     if n < 8:
         raise ValueError(f"n must be at least 8, got {n}")
-    if not (length > 0):
-        raise ValueError(f"length must be positive, got {length}")
+    if not (0 < length < math.inf):
+        raise ValueError(f"length must be positive and finite, got {length}")
     return Grid(n=int(n), length=float(length))
 
 
@@ -210,16 +221,18 @@ def circular_convolve(f: RealField, g: RealField) -> RealField:
 def evaluate_spectral(F: SpectralField, x) -> np.ndarray:
     """Evaluate the trigonometric interpolant of F at arbitrary points x.
 
-    The unpaired Nyquist mode contributes through its cosine only, matching
-    the real interpolant the oversampling routine produces.
+    The sum runs over the half spectrum of the (real) field: the DC term,
+    twice the real part of the interior modes, and the unpaired Nyquist mode
+    through its cosine only, matching the real interpolant the oversampling
+    routine produces.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     grid = F.grid
-    xi = grid.frequencies
-    ny = grid.nyquist_index
-    weights = np.exp(2j * np.pi * np.outer(x, xi))
-    weights[:, ny] = np.cos(2 * np.pi * x * xi[ny])
-    return (weights @ F.coeffs).real / grid.length
+    half = F.coeffs[: grid.n // 2 + 1]
+    xi = real_spectrum(grid).frequencies
+    interior = (np.exp(2j * np.pi * np.outer(x, xi[1:-1])) @ half[1:-1]).real
+    nyquist = np.cos(2 * np.pi * x * xi[-1]) * half[-1].real
+    return (half[0].real + 2.0 * interior + nyquist) / grid.length
 
 
 def oversample(f: RealField, factor: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,3 +257,57 @@ def oversample(f: RealField, factor: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.fft.ifft(padded).real * (m / grid.length)
     x_fine = -0.5 * grid.length + (grid.length / m) * np.arange(m)
     return x_fine, values
+
+
+class RealSpectrum:
+    """Half-spectrum (rfft) transforms of real fields on one grid.
+
+    Entry k = 0..n/2 of a coefficient array is coeffs(k) of forward_transform
+    (the k < 0 half is its conjugate and is never stored).  The Nyquist entry
+    is real for real fields, and `derivative` zeroes it.  Arrays are
+    read-only; build instances through real_spectrum, which caches them.
+    """
+
+    def __init__(self, grid: Grid):
+        n = grid.n
+        self.grid = grid
+        self.size = n // 2 + 1
+        self.frequencies = np.fft.rfftfreq(n, d=grid.spacing)
+        phase = _centering_phase(self.size)
+        self._to_coeffs = grid.spacing * phase
+        self._to_values = phase / grid.spacing
+        self.derivative = 2j * np.pi * self.frequencies
+        self.derivative[-1] = 0.0
+        # 2/3 rule: keep |k| <= n/3, so quadratic products alias only into
+        # modes the mask removes again
+        self.dealias_mask = (np.arange(self.size) <= n // 3).astype(np.float64)
+        # Parseval weights: each interior entry also stands for its -k partner
+        self._weights = np.full(self.size, 2.0)
+        self._weights[[0, -1]] = 1.0
+        for arr in (self.frequencies, self._to_coeffs, self._to_values,
+                    self.derivative, self.dealias_mask, self._weights):
+            arr.setflags(write=False)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients dx * sum_j e^{-2 i pi x_j xi_k} f(x_j)."""
+        return self._to_coeffs * np.fft.rfft(values)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real samples of the field with half-spectrum coefficients coeffs."""
+        return np.fft.irfft(coeffs * self._to_values, self.grid.n)
+
+    def mode_energy(self, coeffs: np.ndarray) -> np.ndarray:
+        """|coeffs|^2 per stored entry, interior entries counted twice (once
+        for their -k partner); sums to the full-spectrum sum of |coeffs|^2."""
+        with np.errstate(over="ignore"):  # inf propagates to the blow-up guard
+            return self._weights * (coeffs.real**2 + coeffs.imag**2)
+
+    def l2_norm(self, coeffs: np.ndarray) -> float:
+        """L2 norm of the field by Parseval: sqrt(sum_k |coeffs(k)|^2 / L)."""
+        return float(np.sqrt(self.mode_energy(coeffs).sum() / self.grid.length))
+
+
+@functools.lru_cache(maxsize=16)
+def real_spectrum(grid: Grid) -> RealSpectrum:
+    """Shared RealSpectrum for a grid."""
+    return RealSpectrum(grid)

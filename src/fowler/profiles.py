@@ -8,6 +8,7 @@ constructs travelling waves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,11 @@ class WaveProfile:
             raise ValueError(f"unknown profile kind {self.kind!r}; expected one of {PROFILE_KINDS}")
         if self.kind == "sampled" and self.samples is None:
             raise ValueError("sampled profile requires samples")
+        params = (self.amplitude, self.width, self.offset, self.speed)
+        if not all(math.isfinite(v) for v in params):
+            raise ValueError(
+                f"amplitude, width, offset and speed must be finite, got {params}"
+            )
         if self.kind in ("tanh-front", "gaussian-bump") and not (self.width > 0):
             raise ValueError(f"profile width must be positive, got {self.width}")
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .config import RunSettings
 from .diagnostics import c1b_norm, l2_norm
-from .evolution import contraction_time_bound, stepping_norm_fit
+from .evolution import STEP_CONSTANTS, contraction_time_bound
 from .operator import symbol_coefficients, unstable_band
 
 __all__ = ["CsvTable", "RunManifest", "format_float", "derived_constants"]
@@ -116,13 +116,12 @@ def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
     """Compute and record every constant derivable from the config alone."""
     coeffs = symbol_coefficients()
     xi_c, xi_star, alpha0 = unstable_band()
-    fit = stepping_norm_fit()
     sim = settings.sim
     c_phi = 0.5 * c1b_norm(sim.profile, sim.grid)
     v0_norm = l2_norm(sim.v0.build(sim.grid))
     u_norm = c1b_norm(sim.profile, sim.grid)
     if v0_norm > 0.0 or u_norm > 0.0:
-        t_star = contraction_time_bound(2.0 * v0_norm, fit, u_norm).t_star
+        t_star = contraction_time_bound(2.0 * v0_norm, STEP_CONSTANTS, u_norm).t_star
     else:
         t_star = np.inf
     values = {
@@ -132,8 +131,8 @@ def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
         "alpha0": alpha0,
         "xi_c": xi_c,
         "xi_star": xi_star,
-        "K0": fit.K0,
-        "K1": fit.K1,
+        "K0": STEP_CONSTANTS.K0,
+        "K1": STEP_CONSTANTS.K1,
         "C_phi": c_phi,
         "t_star": t_star,
     }

@@ -141,6 +141,26 @@ def test_config_error_exits_1(tmp_path, capsys):
     assert "time.dt" in err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[time]\nt_end = inf\n", "t_end must be finite"),
+        ("[grid]\nlength = inf\n", "length must be positive and finite"),
+        ("[initial]\namplitude = nan\n", "initial: field values must be finite"),
+        ("[grid]\nn = 64\n\n[initial]\nkind = mode\nmode_k = -32\n", "mode_k = -32 aliases"),
+        ("[profile]\nkind = tanh-front\nspeed = inf\n", "speed must be finite"),
+        ("[output]\nkernel_times = 0.1, inf\n", "kernel_times must be positive and finite"),
+    ],
+)
+def test_non_finite_or_aliased_config_exits_1(tmp_path, capsys, text, reason):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert reason in err
+    assert "Traceback" not in err
+
+
 def test_numerical_fault_exits_3(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

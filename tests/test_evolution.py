@@ -8,6 +8,8 @@ from scipy import optimize
 
 from fowler.diagnostics import energy_bound_check, l2_norm
 from fowler.evolution import (
+    CONTROL_WINDOW,
+    STEP_CONSTANTS,
     BlowUpError,
     InitialCondition,
     PicardError,
@@ -20,7 +22,7 @@ from fowler.evolution import (
     stepping_norm_fit,
 )
 from fowler.grid import RealField, forward_transform, make_grid
-from fowler.kernel import KernelNormFit
+from fowler.kernel import KernelNormFit, grad_kernel_norms
 from fowler.operator import psi_symbol, unstable_band
 from fowler.profiles import WaveProfile
 
@@ -170,6 +172,15 @@ def test_contraction_bound_monotone_in_M():
 def test_contraction_bound_rejects_all_zero():
     with pytest.raises(ValueError, match="all-zero"):
         contraction_time_bound(0.0, synthetic_fit(), 0.0)
+
+
+def test_pinned_step_constants_match_refit():
+    # 9 log-spaced times over the control window on n = 8192, L = 40
+    times = np.logspace(math.log10(CONTROL_WINDOW[0]), math.log10(CONTROL_WINDOW[1]), 9)
+    fit = grad_kernel_norms(times, make_grid(8192, 40.0))
+    assert fit.K0 == pytest.approx(STEP_CONSTANTS.K0, rel=1e-12)
+    assert fit.K1 == pytest.approx(STEP_CONSTANTS.K1, rel=1e-12)
+    assert stepping_norm_fit().K0 == fit.K0 and stepping_norm_fit().K1 == fit.K1
 
 
 # --- evolve -----------------------------------------------------------------

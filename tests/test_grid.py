@@ -7,12 +7,15 @@ from fowler.grid import (
     RealField,
     SpectralField,
     circular_convolve,
+    evaluate_spectral,
     forward_transform,
     inverse_transform,
     make_grid,
     oversample,
+    real_spectrum,
     spectral_derivative,
 )
+from fowler.diagnostics import l2_norm
 
 
 def test_make_grid_basic():
@@ -34,6 +37,8 @@ def test_make_grid_spacing():
         (4, 1.0, "at least 8"),
         (16, 0.0, "positive"),
         (16, -2.0, "positive"),
+        (16, np.inf, "finite"),
+        (16, np.nan, "finite"),
     ],
 )
 def test_make_grid_rejects(n, length, match):
@@ -193,3 +198,48 @@ def test_oversample_reproduces_band_limited_field():
     x_fine, vals = oversample(RealField(g, func(g.points)), 16)
     assert len(x_fine) == 32 * 16
     assert np.abs(vals - func(x_fine)).max() < 1e-12
+
+
+# --- half-spectrum (real) transforms against the full-spectrum reference ----
+
+def full_spectrum_evaluation(F, x):
+    """Interpolant summed over every stored mode, Nyquist through its cosine."""
+    xi = F.grid.frequencies
+    ny = F.grid.nyquist_index
+    weights = np.exp(2j * np.pi * np.outer(x, xi))
+    weights[:, ny] = np.cos(2 * np.pi * x * xi[ny])
+    return (weights @ F.coeffs).real / F.grid.length
+
+
+@pytest.mark.parametrize("n", [8, 1024])
+def test_real_spectrum_matches_full_transform(n):
+    rng = np.random.default_rng(n)
+    g = make_grid(n, 13.0)
+    spectrum = real_spectrum(g)
+    for _ in range(3):
+        f = RealField(g, rng.standard_normal(n))
+        F = forward_transform(f)
+        half = spectrum.forward(f.values)
+        assert half.shape == (n // 2 + 1,)
+        scale = np.abs(F.coeffs).max()
+        assert np.abs(half - F.coeffs[: n // 2 + 1]).max() <= 1e-13 * scale
+        assert np.array_equal(spectrum.frequencies[:-1], g.frequencies[: n // 2])
+        back = spectrum.inverse(half)
+        assert np.linalg.norm(back - f.values) <= 1e-13 * np.linalg.norm(f.values)
+        assert spectrum.l2_norm(half) == pytest.approx(l2_norm(f), rel=1e-13)
+        x = rng.uniform(-0.5 * g.length, 0.5 * g.length, 37)
+        ref = full_spectrum_evaluation(F, x)
+        assert np.abs(evaluate_spectral(F, x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_real_spectrum_derivative_and_mask():
+    rng = np.random.default_rng(5)
+    g = make_grid(64, 11.0)
+    spectrum = real_spectrum(g)
+    F = forward_transform(RealField(g, rng.standard_normal(64)))
+    dF = spectral_derivative(F, 1)
+    assert spectrum.derivative[-1] == 0.0
+    assert np.array_equal(spectrum.derivative * F.coeffs[:33], dF.coeffs[:33])
+    k = np.arange(33)
+    assert np.array_equal(spectrum.dealias_mask, (k <= 64 // 3).astype(float))
+    assert real_spectrum(make_grid(64, 11.0)) is spectrum
