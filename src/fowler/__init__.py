@@ -61,10 +61,7 @@ from .diagnostics import (
     DiagnosticsRecord,
     EnergyBoundParams,
     c1b_norm,
-    c2b_norm,
     energy_bound_check,
     l2_norm,
-    linear_growth_report,
-    spectral_decay_report,
 )
 from .config import ConfigError, RunSettings, parse_config

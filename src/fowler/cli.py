@@ -5,8 +5,9 @@
 
 Exit codes are never conflated: 0 all checks pass, 1 usage or config error,
 2 a property or tolerance check failed, 3 a numerical fault (blow-up guard,
-Picard non-convergence).  Every command writes its CSV tables plus a
-manifest of the resolved config, derived constants, and per-check results.
+Picard non-convergence, non-finite integral route).  Every command writes
+its CSV tables plus a manifest of the resolved config, derived constants,
+and per-check results.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def _finish(manifest: RunManifest, out: Path, passed: bool) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+def _fault(manifest: RunManifest, out: Path, exc: Exception) -> int:
+    manifest.add("error", str(exc))
+    manifest.add("result", "numerical-fault")
+    manifest.write(out / "manifest.txt")
+    print(f"numerical fault: {exc}", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 def _check_line(name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
     print(f"[{status}] {name}" + (f": {detail}" if detail else ""))
@@ -68,9 +77,13 @@ def _check_line(name: str, passed: bool, detail: str = "") -> None:
 def cmd_operator_check(settings: RunSettings, out: Path) -> int:
     """Cross-validate the Fourier and integral routes on the configured field."""
     sim = settings.sim
+    manifest = _start_manifest(settings)
     f = sim.v0.build(sim.grid)
     by_fourier = apply_nonlocal_fourier(f)
-    by_integral = apply_nonlocal_integral(f, settings.quadrature)
+    try:
+        by_integral = apply_nonlocal_integral(f, settings.quadrature)
+    except FloatingPointError as exc:
+        return _fault(manifest, out, exc)
     diff = np.abs(by_fourier.values - by_integral.values)
     scale = max(float(np.abs(by_fourier.values).max()), 1e-12 * (1.0 + float(np.abs(f.values).max())))
     rel = float(diff.max()) / scale
@@ -80,7 +93,6 @@ def cmd_operator_check(settings: RunSettings, out: Path) -> int:
         table.add_row(x, a, b, d)
     table.write(out / "operator_check.csv")
 
-    manifest = _start_manifest(settings)
     manifest.add("operator.max_abs_diff", float(diff.max()))
     manifest.add("operator.max_rel_diff", rel)
     ok = rel <= OPERATOR_TOLERANCE
@@ -180,11 +192,7 @@ def _run_evolution(settings: RunSettings, out: Path, full: bool) -> int:
     try:
         traj = (evolve_full if full else evolve)(sim)
     except (BlowUpError, PicardError) as exc:
-        manifest.add("error", str(exc))
-        manifest.add("result", "numerical-fault")
-        manifest.write(out / "manifest.txt")
-        print(f"numerical fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fault(manifest, out, exc)
     _trajectory_tables(traj, out, settings.snapshots)
 
     report = energy_bound_check(traj, traj.params)
@@ -230,20 +238,13 @@ def cmd_convergence(settings: RunSettings, out: Path) -> int:
             sim, dt=dt, t_end=horizon,
             output_stride=max(1, int(round(horizon / dt))),
         )
-        try:
-            return evolve(cfg).fields[-1]
-        except (BlowUpError, PicardError) as exc:
-            raise _NumericalFault(str(exc))
+        return evolve(cfg).fields[-1]
 
     try:
         reference = final_field(sim.dt / 8.0)
         finals = [final_field(dt) for dt in dts]
-    except _NumericalFault as exc:
-        manifest.add("error", str(exc))
-        manifest.add("result", "numerical-fault")
-        manifest.write(out / "manifest.txt")
-        print(f"numerical fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (BlowUpError, PicardError) as exc:
+        return _fault(manifest, out, exc)
 
     ref_norm = math.sqrt(
         reference.grid.spacing * float(np.sum(reference.values**2))
@@ -270,10 +271,6 @@ def cmd_convergence(settings: RunSettings, out: Path) -> int:
     detail = "errors at roundoff floor" if at_floor else f"terminal order {orders[-1]:.3f}"
     _check_line("integrator order", ok, detail)
     return _finish(manifest, out, ok)
-
-
-class _NumericalFault(RuntimeError):
-    pass
 
 
 COMMANDS = {

@@ -194,17 +194,6 @@ def parse_config(path: str | Path) -> RunSettings:
     except (OSError, ValueError) as exc:
         fail(f"initial: {exc}")
 
-    if not dt > 0:
-        fail("time.dt must be > 0")
-    if t_end < dt:
-        fail("time.t_end must be at least time.dt")
-    if not (0 < picard_tol <= 1e-2):
-        fail("time.picard_tol must lie in (0, 1e-2]")
-    if picard_max < 1:
-        fail("time.picard_max must be >= 1")
-    if stride < 1:
-        fail("output.stride must be >= 1")
-
     try:
         sim = SimConfig(
             grid=grid, profile=profile, v0=v0, t_end=t_end, dt=dt,
@@ -212,7 +201,10 @@ def parse_config(path: str | Path) -> RunSettings:
             output_stride=stride, linear_only=linear_only,
         )
     except ValueError as exc:
-        fail(f"time: {exc}")
+        # SimConfig messages start with the field name; report the config key
+        name, _, rest = str(exc).partition(" ")
+        key = "output.stride" if name == "output_stride" else f"time.{name}"
+        fail(f"{key} {rest}")
     try:
         quadrature = QuadratureSpec(z_max=z_max, z_min=z_min, panels=panels)
     except ValueError as exc:

@@ -17,21 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, RealField, forward_transform
-from .operator import psi_symbol
+from .grid import Grid, RealField
 from .profiles import WaveProfile
 
 __all__ = [
     "DiagnosticsRecord",
     "EnergyBoundParams",
     "EnergyBoundReport",
-    "SpectralThirds",
     "l2_norm",
     "energy_bound_check",
     "c1b_norm",
-    "c2b_norm",
-    "linear_growth_report",
-    "spectral_decay_report",
 ]
 
 # violations beyond this fraction of the bound are hard failures
@@ -97,40 +92,3 @@ def c1b_norm(p: WaveProfile, grid: Grid) -> float:
     """sup|phi| + sup|phi'|, sups over a 16x oversampled evaluation."""
     s0, s1, _ = p.sup_values(grid)
     return s0 + s1
-
-
-def c2b_norm(p: WaveProfile, grid: Grid) -> float:
-    """sup|phi| + sup|phi'| + sup|phi''|."""
-    s0, s1, s2 = p.sup_values(grid)
-    return s0 + s1 + s2
-
-
-def linear_growth_report(xi: float) -> float:
-    """Growth rate -Re psi(xi) of the mode at frequency xi under the linear
-    flow; positive exactly inside the unstable band."""
-    return -psi_symbol(xi).real
-
-
-@dataclass(frozen=True)
-class SpectralThirds:
-    low: float
-    mid: float
-    tail: float
-
-
-def spectral_decay_report(f: RealField) -> SpectralThirds:
-    """L2 energy fractions per third of the wavenumber range.
-
-    Smoothing shows up as a shrinking tail fraction; this is reported, never
-    asserted (regularity is not directly observable on a grid).
-    """
-    F = forward_transform(f)
-    n = f.grid.n
-    k = np.abs(np.rint(F.grid.frequencies * f.grid.length).astype(int))
-    energy = np.abs(F.coeffs) ** 2
-    total = float(energy.sum())
-    if total == 0.0:
-        return SpectralThirds(low=0.0, mid=0.0, tail=0.0)
-    low = float(energy[k <= n / 6].sum() / total)
-    tail = float(energy[k > n / 3].sum() / total)
-    return SpectralThirds(low=low, mid=max(0.0, 1.0 - low - tail), tail=tail)

@@ -163,9 +163,9 @@ class SimConfig:
         if not (0 < self.picard_tol <= 1e-2):
             raise ValueError(f"picard_tol must lie in (0, 1e-2], got {self.picard_tol}")
         if self.picard_max < 1:
-            raise ValueError("picard_max must be positive")
+            raise ValueError(f"picard_max must be >= 1, got {self.picard_max}")
         if self.output_stride < 1:
-            raise ValueError("output_stride must be positive")
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,6 @@ class StepResult:
     field: RealField
     iterations: int
     ratio: float
-    substeps: int
 
 
 @dataclass
@@ -315,7 +314,7 @@ def _step_tables(n: int, length: float, dt: float, dealias: bool) -> _StepTables
 
     grid = make_grid(n, length)
     spectrum = real_spectrum(grid)
-    psi = symbol_table(grid).psi[: spectrum.size]
+    psi = symbol_table(grid).psi
     E = np.exp(-dt * psi)
     phi1, phi2 = _phi_functions(-dt * psi)
     A0 = dt * spectrum.derivative * (phi1 - phi2)
@@ -402,38 +401,21 @@ def duhamel_step(
     dt: float,
     cfg: SimConfig,
     *,
-    t_star: float | None = None,
     profile_coupling: bool = True,
 ) -> StepResult:
-    """Advance the field by dt with the exponential-trapezoid Duhamel rule.
+    """Advance the field by one exponential-trapezoid Duhamel step of size dt.
 
-    If t_star is given and dt exceeds it, the step is split into equal
-    sub-steps no longer than t_star / 2 (with a warning): beyond t_star the
-    Picard map is no longer a guaranteed contraction.
+    The step is taken as given: splitting dt below the contraction bound
+    t_star is the job of the stepping loop in evolve/evolve_full.
     """
-    substeps = 1
-    if t_star is not None and dt > t_star:
-        substeps = int(math.ceil(dt / (0.5 * t_star)))
-        warnings.warn(
-            f"dt = {dt:g} exceeds the contraction bound t_star = {t_star:g}; "
-            f"splitting into {substeps} sub-steps",
-            stacklevel=2,
-        )
-    dt_sub = dt / substeps
-    tables = _step_tables(cfg.grid.n, cfg.grid.length, dt_sub, cfg.dealias)
+    tables = _step_tables(cfg.grid.n, cfg.grid.length, dt, cfg.dealias)
     u_of_t = _profile_sampler(cfg, tables, profile_coupling)
     vhat = _masked_coeffs(v.values, tables.spectrum, tables.mask)
-    iters = 0
-    ratio = 0.0
-    for j in range(substeps):
-        vhat, it, r = _single_step(vhat, t_now + j * dt_sub, cfg, tables, u_of_t)
-        iters = max(iters, it)
-        ratio = max(ratio, r)
+    vhat, iters, ratio = _single_step(vhat, t_now, cfg, tables, u_of_t)
     return StepResult(
         field=RealField(cfg.grid, tables.spectrum.inverse(vhat)),
         iterations=iters,
         ratio=ratio,
-        substeps=substeps,
     )
 
 

@@ -6,17 +6,17 @@ factors so that discrete coefficients approximate the continuous transform
 
     F f (xi) = int e^{-2 i pi x xi} f(x) dx
 
-directly, with frequencies xi_k = k/L in cycles per unit length (k an
-integer in [-n/2, n/2), FFT storage order).  Every symbol formula downstream
-is written in these continuous-frequency units and evaluated verbatim on
-the grid frequencies.
+directly, with frequencies xi_k = k/L in cycles per unit length.  Every
+symbol formula downstream is written in these continuous-frequency units and
+evaluated verbatim on the grid frequencies.
 
-Real fields have Hermitian spectra, coeffs(-k) = conj(coeffs(k)), so the
-time-stepping core stores only the half spectrum k = 0..n/2 (RealSpectrum,
-built on rfft/irfft).  The Nyquist entry k = n/2 is unpaired: it is real,
-contributes through its cosine only, and first derivatives zero it.  The
-full-spectrum SpectralField remains the reference representation for the
-kernel and operator routes.
+Real fields have Hermitian spectra, coeffs(-k) = conj(coeffs(k)), so every
+spectral computation in the package stores only the half spectrum
+k = 0..n/2 (RealSpectrum, built on rfft/irfft), and only this module calls
+numpy.fft.  The Nyquist entry k = n/2 is unpaired: it is real, contributes
+through its cosine only, and first derivatives zero it.  The full-spectrum
+SpectralField and its transforms (FFT storage order) are a test reference
+only: no other module of the package calls them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "inverse_transform",
     "spectral_derivative",
     "circular_convolve",
-    "evaluate_spectral",
     "oversample",
     "RealSpectrum",
     "real_spectrum",
@@ -207,56 +206,35 @@ def spectral_derivative(F: SpectralField, order: int) -> SpectralField:
 def circular_convolve(f: RealField, g: RealField) -> RealField:
     """Periodic physical-space convolution (f * g)(x_i) = dx * sum_j f(x_i - x_j) g(x_j).
 
-    The roll realigns sample index with physical offset: sample arrays start
-    at x = -L/2, while convolution offsets start at 0.
+    In the continuous-coefficient convention this is the product of the
+    coefficients; the centring phases account for samples starting at
+    x = -L/2 while convolution offsets start at 0.
     """
     if f.grid != g.grid:
         raise ValueError("fields must share a grid")
-    n = f.grid.n
-    a = np.roll(f.values, -(n // 2))
-    conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(g.values)).real
-    return RealField(grid=f.grid, values=f.grid.spacing * conv)
-
-
-def evaluate_spectral(F: SpectralField, x) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of F at arbitrary points x.
-
-    The sum runs over the half spectrum of the (real) field: the DC term,
-    twice the real part of the interior modes, and the unpaired Nyquist mode
-    through its cosine only, matching the real interpolant the oversampling
-    routine produces.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    grid = F.grid
-    half = F.coeffs[: grid.n // 2 + 1]
-    xi = real_spectrum(grid).frequencies
-    interior = (np.exp(2j * np.pi * np.outer(x, xi[1:-1])) @ half[1:-1]).real
-    nyquist = np.cos(2 * np.pi * x * xi[-1]) * half[-1].real
-    return (half[0].real + 2.0 * interior + nyquist) / grid.length
+    spectrum = real_spectrum(f.grid)
+    coeffs = spectrum.forward(f.values) * spectrum.forward(g.values)
+    return RealField(grid=f.grid, values=spectrum.inverse(coeffs))
 
 
 def oversample(f: RealField, factor: int) -> tuple[np.ndarray, np.ndarray]:
     """Trigonometric interpolation of f onto a factor-times finer grid.
 
     Returns (x_fine, values_fine).  The Nyquist coefficient is split evenly
-    over +n/2 and -n/2 in the padded spectrum, the standard choice for real
-    fields.
+    over +n/2 and -n/2 (irfft supplies the -n/2 half), the standard choice
+    for real fields.
     """
     if factor < 1 or factor != int(factor):
         raise ValueError(f"oversampling factor must be a positive integer, got {factor}")
     grid = f.grid
-    n, m = grid.n, grid.n * int(factor)
     if factor == 1:
         return grid.points.copy(), f.values.copy()
-    C = forward_transform(f).coeffs * _centering_phase(n)
-    padded = np.zeros(m, dtype=np.complex128)
-    padded[: n // 2] = C[: n // 2]
-    padded[m - n // 2 + 1 :] = C[n // 2 + 1 :]
-    padded[n // 2] = 0.5 * C[n // 2]
-    padded[m - n // 2] = 0.5 * C[n // 2]
-    values = np.fft.ifft(padded).real * (m / grid.length)
-    x_fine = -0.5 * grid.length + (grid.length / m) * np.arange(m)
-    return x_fine, values
+    fine = make_grid(grid.n * int(factor), grid.length)
+    coeffs = real_spectrum(grid).forward(f.values)
+    padded = np.zeros(fine.n // 2 + 1, dtype=np.complex128)
+    padded[: grid.n // 2] = coeffs[:-1]
+    padded[grid.n // 2] = 0.5 * coeffs[-1]
+    return fine.points.copy(), real_spectrum(fine).inverse(padded)
 
 
 class RealSpectrum:
@@ -264,8 +242,9 @@ class RealSpectrum:
 
     Entry k = 0..n/2 of a coefficient array is coeffs(k) of forward_transform
     (the k < 0 half is its conjugate and is never stored).  The Nyquist entry
-    is real for real fields, and `derivative` zeroes it.  Arrays are
-    read-only; build instances through real_spectrum, which caches them.
+    is real for real fields; `derivative` zeroes it, `laplacian` keeps it.
+    Arrays are read-only; build instances through real_spectrum, which
+    caches them.
     """
 
     def __init__(self, grid: Grid):
@@ -278,6 +257,7 @@ class RealSpectrum:
         self._to_values = phase / grid.spacing
         self.derivative = 2j * np.pi * self.frequencies
         self.derivative[-1] = 0.0
+        self.laplacian = -((2.0 * np.pi * self.frequencies) ** 2)
         # 2/3 rule: keep |k| <= n/3, so quadratic products alias only into
         # modes the mask removes again
         self.dealias_mask = (np.arange(self.size) <= n // 3).astype(np.float64)
@@ -285,7 +265,8 @@ class RealSpectrum:
         self._weights = np.full(self.size, 2.0)
         self._weights[[0, -1]] = 1.0
         for arr in (self.frequencies, self._to_coeffs, self._to_values,
-                    self.derivative, self.dealias_mask, self._weights):
+                    self.derivative, self.laplacian, self.dealias_mask,
+                    self._weights):
             arr.setflags(write=False)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -295,6 +276,20 @@ class RealSpectrum:
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Real samples of the field with half-spectrum coefficients coeffs."""
         return np.fft.irfft(coeffs * self._to_values, self.grid.n)
+
+    def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:
+        """Evaluate the trigonometric interpolant with half-spectrum
+        coefficients coeffs at arbitrary points x.
+
+        The sum is the DC term, twice the real part of the interior modes,
+        and the unpaired Nyquist mode through its cosine only, matching the
+        real interpolant that oversample produces.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        xi = self.frequencies
+        interior = (np.exp(2j * np.pi * np.outer(x, xi[1:-1])) @ coeffs[1:-1]).real
+        nyquist = np.cos(2 * np.pi * x * xi[-1]) * coeffs[-1].real
+        return (coeffs[0].real + 2.0 * interior + nyquist) / self.grid.length
 
     def mode_energy(self, coeffs: np.ndarray) -> np.ndarray:
         """|coeffs|^2 per stored entry, interior entries counted twice (once

@@ -21,13 +21,10 @@ import numpy as np
 from .grid import (
     Grid,
     RealField,
-    SpectralField,
+    RealSpectrum,
     circular_convolve,
-    evaluate_spectral,
-    forward_transform,
-    inverse_transform,
     oversample,
-    spectral_derivative,
+    real_spectrum,
 )
 from .operator import symbol_table
 
@@ -77,7 +74,7 @@ def nyquist_resolution_defect(t: float, grid: Grid) -> float:
     """|e^{-t psi}| at the Nyquist frequency; above RESOLUTION_LIMIT the
     kernel spectrum is truncated and sampled kernels cannot be trusted."""
     table = symbol_table(grid)
-    return float(np.exp(-t * table.psi[grid.nyquist_index].real))
+    return float(np.exp(-t * table.psi[-1].real))
 
 
 def kernel_field(t: float, grid: Grid) -> KernelSnapshot:
@@ -85,7 +82,7 @@ def kernel_field(t: float, grid: Grid) -> KernelSnapshot:
     if not (t > 0):
         raise ValueError(f"kernel time must be positive, got {t}")
     coeffs = symbol_table(grid).exponential(float(t))
-    f = inverse_transform(SpectralField(grid, coeffs))
+    f = RealField(grid, real_spectrum(grid).inverse(coeffs))
     mass = float(grid.spacing * np.sum(f.values))
     return KernelSnapshot(t=float(t), field=f, mass=mass)
 
@@ -94,9 +91,9 @@ def convolve_kernel(t: float, f: RealField) -> RealField:
     """K(t) * f through the spectral product e^{-t psi} F(f)."""
     if not (t > 0):
         raise ValueError(f"kernel time must be positive, got {t}")
-    F = forward_transform(f)
-    coeffs = symbol_table(f.grid).exponential(float(t)) * F.coeffs
-    return inverse_transform(SpectralField(f.grid, coeffs))
+    spectrum = real_spectrum(f.grid)
+    coeffs = symbol_table(f.grid).exponential(float(t)) * spectrum.forward(f.values)
+    return RealField(f.grid, spectrum.inverse(coeffs))
 
 
 def semigroup_residual(s: float, t: float, grid: Grid) -> float:
@@ -115,7 +112,7 @@ def semigroup_residual(s: float, t: float, grid: Grid) -> float:
     return float(num / den)
 
 
-def _gradient_l1(F: SpectralField, dF: SpectralField) -> float:
+def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float:
     """||f'||_{L1} of the trig interpolant, as the total variation of f.
 
     Between consecutive extrema f is monotone, so int |f'| = sum |delta f|
@@ -125,26 +122,24 @@ def _gradient_l1(F: SpectralField, dF: SpectralField) -> float:
     crossings, which for sharply peaked kernels never reaches the 1e-8
     self-convergence target.
     """
-    grid = F.grid
-    _, dvals = oversample(inverse_transform(dF), 8)
-    m = len(dvals)
-    dx_fine = grid.length / m
-    x_fine = -0.5 * grid.length + dx_fine * np.arange(m)
+    grid = spectrum.grid
+    x_fine, dvals = oversample(RealField(grid, spectrum.inverse(dF)), 8)
+    dx_fine = grid.length / len(dvals)
     sign_flip = np.sign(dvals) * np.sign(np.roll(dvals, -1)) < 0
     lo = x_fine[sign_flip]
     hi = lo + dx_fine
     if len(lo) == 0:
         return 0.0
-    flo = evaluate_spectral(dF, lo)
+    flo = spectrum.evaluate(dF, lo)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fmid = evaluate_spectral(dF, mid)
+        fmid = spectrum.evaluate(dF, mid)
         take_lo = flo * fmid <= 0
         hi = np.where(take_lo, mid, hi)
         lo = np.where(take_lo, lo, mid)
         flo = np.where(take_lo, flo, fmid)
     extrema = np.sort(0.5 * (lo + hi))
-    vals = evaluate_spectral(F, extrema)
+    vals = spectrum.evaluate(F, extrema)
     return float(np.sum(np.abs(np.diff(vals))) + abs(vals[0] - vals[-1]))
 
 
@@ -161,14 +156,15 @@ def grad_kernel_norms(t_samples, grid: Grid) -> KernelNormFit:
             f"kernel at t={times[0]} is under-resolved on n={grid.n}: "
             f"Nyquist weight {defect:.2e} > {RESOLUTION_LIMIT}"
         )
+    spectrum = real_spectrum(grid)
+    table = symbol_table(grid)
     l1 = np.empty_like(times)
     l2 = np.empty_like(times)
     for i, t in enumerate(times):
-        snap = kernel_field(t, grid)
-        F = forward_transform(snap.field)
-        dF = spectral_derivative(F, 1)
-        grad = inverse_transform(dF).values
-        l1[i] = _gradient_l1(F, dF)
+        F = table.exponential(float(t))
+        dF = spectrum.derivative * F
+        grad = spectrum.inverse(dF)
+        l1[i] = _gradient_l1(F, dF, spectrum)
         l2[i] = np.sqrt(grid.spacing * np.sum(grad**2))
     K0 = float(np.max(times**0.75 * l2))
     K1 = float(np.max(times**0.5 * l1))

@@ -36,15 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    RealField,
-    SpectralField,
-    forward_transform,
-    hermitian_defect,
-    inverse_transform,
-    spectral_derivative,
-)
+from .grid import Grid, RealField, real_spectrum
 
 __all__ = [
     "GAMMA_TWO_THIRDS",
@@ -131,19 +123,19 @@ def unstable_band() -> tuple[float, float, float]:
 
 
 class SymbolTable:
-    """Per-grid table of psi(xi_k) with memoized time exponentials e^{-tau psi}.
+    """Half-spectrum (k = 0..n/2) table of psi(xi_k) with memoized e^{-tau psi}.
 
     The unpaired Nyquist mode carries the real part of psi only: the odd
-    imaginary term has no -k partner at k = -n/2, and projecting it out keeps
-    every exponential Hermitian-symmetric, hence every kernel exactly real.
+    imaginary term has no -k partner at k = n/2, and projecting it out keeps
+    every exponential the Nyquist entry of a real kernel.
     The exponential cache is guarded by a lock so tables can be shared across
     threads; entries are keyed by the exact bits of tau.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        psi = np.asarray(psi_symbol(grid.frequencies), dtype=np.complex128)
-        psi[grid.nyquist_index] = psi[grid.nyquist_index].real
+        psi = psi_symbol(real_spectrum(grid).frequencies)
+        psi[-1] = psi[-1].real
         psi.setflags(write=False)
         self.psi = psi
         self._exp_cache: dict[float, np.ndarray] = {}
@@ -177,35 +169,27 @@ def symbol_table(grid: Grid) -> SymbolTable:
     return table
 
 
-def _check_band_limited(F: SpectralField, where: str) -> None:
-    n = F.grid.n
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))  # integer |k|
-    peak = np.abs(F.coeffs).max()
-    if peak == 0.0:
-        return
-    top = np.abs(F.coeffs[k > n / 3]).max()
-    if top > BAND_LIMIT_WARN * peak:
-        warnings.warn(
-            f"{where}: top third of the spectrum is {top / peak:.2e} of the peak; "
-            "the field is not band-limited enough for a trustworthy evaluation",
-            stacklevel=3,
-        )
-
-
 def apply_nonlocal_fourier(f: RealField) -> RealField:
     """Apply the nonlocal operator through its Fourier multiplier.
 
-    The multiplied spectrum must stay Hermitian-symmetric and the output real
-    to 1e-10 relative; a violation signals a symmetry bug and raises.
+    Warns when the top third of the spectrum (the modes the dealias mask
+    drops) exceeds BAND_LIMIT_WARN of the spectral peak.  The odd imaginary
+    part of the multiplier drops out at the Nyquist entry: irfft keeps only
+    the real part of that (real) coefficient times the multiplier.
     """
-    F = forward_transform(f)
-    _check_band_limited(F, "apply_nonlocal_fourier")
-    mult = np.asarray(nonlocal_multiplier(f.grid.frequencies), dtype=np.complex128)
-    mult[f.grid.nyquist_index] = mult[f.grid.nyquist_index].real
-    product = SpectralField(f.grid, F.coeffs * mult)
-    if hermitian_defect(product.coeffs) > 1e-10:
-        raise ValueError("multiplied spectrum lost Hermitian symmetry")
-    return inverse_transform(product)
+    spectrum = real_spectrum(f.grid)
+    coeffs = spectrum.forward(f.values)
+    peak = np.abs(coeffs).max()
+    top = np.abs(coeffs[spectrum.dealias_mask == 0.0]).max()
+    if top > BAND_LIMIT_WARN * peak:
+        warnings.warn(
+            f"apply_nonlocal_fourier: top third of the spectrum is {top / peak:.2e} "
+            "of the peak; the field is not band-limited enough for a trustworthy "
+            "evaluation",
+            stacklevel=2,
+        )
+    mult = nonlocal_multiplier(spectrum.frequencies)
+    return RealField(f.grid, spectrum.inverse(coeffs * mult))
 
 
 @dataclass(frozen=True)
@@ -268,6 +252,9 @@ def apply_nonlocal_integral(f: RealField, q: QuadratureSpec) -> RealField:
     The mean of phi is removed first: the operator annihilates it exactly,
     and keeping it would unbalance the closed-form tail terms against the
     dropped far-field samples (a constant field must map to zero).
+
+    Raises FloatingPointError when the quadrature yields non-finite values,
+    e.g. a z_min so small that |z|^{-7/3} overflows.
     """
     grid = f.grid
     if q.z_max > grid.length / 2.0 + 1e-12:
@@ -275,34 +262,37 @@ def apply_nonlocal_integral(f: RealField, q: QuadratureSpec) -> RealField:
             f"z_max={q.z_max} exceeds half the box ({grid.length / 2.0}); "
             "the periodic wrap would double-count"
         )
-    F = forward_transform(f)
+    spectrum = real_spectrum(grid)
+    F = spectrum.forward(f.values)
     phi = f.values
-    dphi = inverse_transform(spectral_derivative(F, 1)).values
-    d2phi = inverse_transform(spectral_derivative(F, 2)).values
+    dphi = spectrum.inverse(spectrum.derivative * F)
+    d2phi = spectrum.inverse(spectrum.laplacian * F)
 
     z, w = q.nodes_weights()
-    xi = grid.frequencies
-    # periodic spectral interpolation of phi(x + z) for every node at once;
-    # cos at the unpaired Nyquist mode keeps the shifts real-representable
-    shift = np.exp(2j * np.pi * np.outer(z, xi))
-    shift[:, grid.nyquist_index] = np.cos(2.0 * np.pi * z * xi[grid.nyquist_index])
-    phase = np.ones(grid.n)
-    phase[1::2] = -1.0
-    shifted = np.fft.ifft(F.coeffs[None, :] * shift * phase[None, :], axis=1).real
-    shifted /= grid.spacing
+    # periodic spectral interpolation of phi(x + z) for every node at once, a
+    # phase per node; irfft keeps only the real part of the (real) Nyquist
+    # coefficient times its phase, which is the cosine of the real interpolant
+    shifted = spectrum.inverse(F * np.exp(2j * np.pi * np.outer(z, spectrum.frequencies)))
 
     prefactor = (4.0 / 9.0) * (2.0 * math.pi) ** (2.0 / 3.0)
-    kernel_w = w * np.abs(z) ** (-7.0 / 3.0)
     integrand = shifted - phi[None, :] - np.outer(z, dphi)
-    body = prefactor * (kernel_w @ integrand)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        kernel_w = w * np.abs(z) ** (-7.0 / 3.0)
+        body = prefactor * (kernel_w @ integrand)
 
     # leading Taylor behaviour (1/2) phi'' z^2 of the integrand on (-delta, 0)
     inner = prefactor * 0.75 * d2phi * q.z_min ** (2.0 / 3.0)
-    centered = phi - F.coeffs[0].real / grid.length
+    centered = phi - F[0].real / grid.length
     outer = prefactor * (
         -0.75 * q.z_max ** (-4.0 / 3.0) * centered + 3.0 * q.z_max ** (-1.0 / 3.0) * dphi
     )
-    return RealField(grid, body + inner + outer)
+    values = body + inner + outer
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(
+            f"integral route produced non-finite values (z_min = {q.z_min:g}, "
+            f"z_max = {q.z_max:g})"
+        )
+    return RealField(grid, values)
 
 
 def sobolev_norm(f: RealField, s: float) -> float:
@@ -310,6 +300,7 @@ def sobolev_norm(f: RealField, s: float) -> float:
 
     At s = 0 this is the L^2 norm by the Parseval identity.
     """
-    F = forward_transform(f)
-    weight = (1.0 + f.grid.frequencies**2) ** s
-    return float(np.sqrt(np.sum(weight * np.abs(F.coeffs) ** 2) / f.grid.length))
+    spectrum = real_spectrum(f.grid)
+    energy = spectrum.mode_energy(spectrum.forward(f.values))
+    weight = (1.0 + spectrum.frequencies**2) ** s
+    return float(np.sqrt(np.sum(weight * energy) / f.grid.length))

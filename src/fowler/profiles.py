@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    RealField,
-    forward_transform,
-    inverse_transform,
-    oversample,
-    spectral_derivative,
-    SpectralField,
-)
+from .grid import Grid, RealField, oversample, real_spectrum
 
 __all__ = ["WaveProfile", "PROFILE_KINDS"]
 
@@ -83,13 +75,13 @@ class WaveProfile:
                 raise ValueError("sampled profile lives on a different grid")
             if self.speed * t == 0.0:
                 return self.samples
-            # translation is a phase in the spectrum (periodic by nature)
-            F = forward_transform(self.samples)
-            shift = np.exp(-2j * np.pi * grid.frequencies * (self.speed * t))
-            shift[grid.nyquist_index] = np.cos(
-                2 * np.pi * grid.frequencies[grid.nyquist_index] * self.speed * t
-            )
-            return inverse_transform(SpectralField(grid, F.coeffs * shift))
+            # translation is a phase in the spectrum (periodic by nature);
+            # irfft keeps only the real part of the (real) Nyquist coefficient
+            # times its phase, which is the cosine of the real interpolant
+            spectrum = real_spectrum(grid)
+            shift = np.exp(-2j * np.pi * spectrum.frequencies * (self.speed * t))
+            coeffs = spectrum.forward(self.samples.values)
+            return RealField(grid, spectrum.inverse(coeffs * shift))
         y = grid.points - self.speed * t
         half = 0.5 * grid.length
         y = (y + half) % grid.length - half
@@ -98,12 +90,12 @@ class WaveProfile:
     def sup_values(self, grid: Grid, oversampling: int = 16) -> tuple[float, float, float]:
         """(sup|phi|, sup|phi'|, sup|phi''|) over a 16x oversampled box."""
         if self.kind == "sampled":
-            F = forward_transform(self.samples)
+            spectrum = real_spectrum(grid)
+            F = spectrum.forward(self.samples.values)
             sups = []
-            for order in (0, 1, 2):
-                G = F if order == 0 else spectral_derivative(F, order)
-                _, fine = oversample(inverse_transform(G), oversampling)
-                sups.append(float(np.abs(fine).max()))
+            for multiplier in (1.0, spectrum.derivative, spectrum.laplacian):
+                field = RealField(grid, spectrum.inverse(multiplier * F))
+                sups.append(float(np.abs(oversample(field, oversampling)[1]).max()))
             return tuple(sups)
         m = grid.n * oversampling
         x = -0.5 * grid.length + (grid.length / m) * np.arange(m)

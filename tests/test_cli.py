@@ -150,6 +150,9 @@ def test_config_error_exits_1(tmp_path, capsys):
         ("[grid]\nn = 64\n\n[initial]\nkind = mode\nmode_k = -32\n", "mode_k = -32 aliases"),
         ("[profile]\nkind = tanh-front\nspeed = inf\n", "speed must be finite"),
         ("[output]\nkernel_times = 0.1, inf\n", "kernel_times must be positive and finite"),
+        ("[time]\ndt = 0.1\nt_end = 0.05\n", "time.t_end must be at least dt"),
+        ("[time]\npicard_max = 0\n", "time.picard_max must be >= 1"),
+        ("[output]\nstride = 0\n", "output.stride must be >= 1"),
     ],
 )
 def test_non_finite_or_aliased_config_exits_1(tmp_path, capsys, text, reason):
@@ -184,6 +187,22 @@ def test_operator_check_coarse_quadrature_fails(tmp_path, capsys):
     assert main(["operator-check", cfg, "--out", str(tmp_path / "out")]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_operator_check_non_finite_integral_is_a_numerical_fault(tmp_path, capsys):
+    # |z|^{-7/3} overflows at z_min = 1e-300: a numerical fault with a
+    # manifest, not a traceback; at z_min = 1e-30 the route stays finite and
+    # the check fails on its tolerance instead
+    cfg = write_cfg(tmp_path, MINIMAL + "\n[quadrature]\nz_min = 1e-300\n")
+    out = tmp_path / "out"
+    assert main(["operator-check", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical fault: integral route produced non-finite values")
+    manifest = (out / "manifest.txt").read_text()
+    assert "error = integral route produced non-finite values" in manifest
+    assert manifest.endswith("result = numerical-fault\n")
+    cfg = write_cfg(tmp_path, MINIMAL + "\n[quadrature]\nz_min = 1e-30\n")
+    assert main(["operator-check", cfg, "--out", str(tmp_path / "finite")]) == 2
 
 
 def test_operator_check_constant_field(tmp_path):

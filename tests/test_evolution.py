@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from fowler.diagnostics import energy_bound_check, l2_norm
+from fowler.diagnostics import c1b_norm, energy_bound_check, l2_norm
 from fowler.evolution import (
     CONTROL_WINDOW,
     STEP_CONSTANTS,
@@ -118,11 +118,22 @@ def test_picard_contraction_at_quarter_t_star(grid_1024):
 
 
 def test_substepping_warns(grid_1024):
-    cfg = base_config(grid_1024, v0=InitialCondition(kind="gaussian", amplitude=0.1))
-    v = cfg.v0.build(grid_1024)
-    with pytest.warns(UserWarning, match="sub-steps"):
-        out = duhamel_step(v, 0.0, 0.1, cfg, t_star=0.01)
-    assert out.substeps == 20
+    # one step of dt = 0.3 against t_star ~ 0.08: split into
+    # N = ceil(dt / (t_star / 2)) sub-steps, priced on the initial data
+    profile = WaveProfile(kind="tanh-front", amplitude=1.0, width=1.0)
+    cfg = base_config(grid_1024, profile=profile,
+                      v0=InitialCondition(kind="gaussian", amplitude=0.1),
+                      t_end=0.3, dt=0.3)
+    v0 = cfg.v0.build(grid_1024)
+    t_star = contraction_time_bound(
+        2.0 * l2_norm(v0), STEP_CONSTANTS, c1b_norm(profile, grid_1024)
+    ).t_star
+    N = math.ceil(cfg.dt / (0.5 * t_star))
+    assert N == 8
+    with pytest.warns(UserWarning, match=rf"sub-stepping engaged \({N} per step\)"):
+        traj = evolve(cfg)
+    assert traj.substepping_engaged
+    assert energy_bound_check(traj, traj.params).ok
 
 
 def test_picard_failure_raises(grid_1024):

@@ -7,7 +7,6 @@ from fowler.grid import (
     RealField,
     SpectralField,
     circular_convolve,
-    evaluate_spectral,
     forward_transform,
     inverse_transform,
     make_grid,
@@ -229,7 +228,7 @@ def test_real_spectrum_matches_full_transform(n):
         assert spectrum.l2_norm(half) == pytest.approx(l2_norm(f), rel=1e-13)
         x = rng.uniform(-0.5 * g.length, 0.5 * g.length, 37)
         ref = full_spectrum_evaluation(F, x)
-        assert np.abs(evaluate_spectral(F, x) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(spectrum.evaluate(half, x) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_real_spectrum_derivative_and_mask():
@@ -240,6 +239,10 @@ def test_real_spectrum_derivative_and_mask():
     dF = spectral_derivative(F, 1)
     assert spectrum.derivative[-1] == 0.0
     assert np.array_equal(spectrum.derivative * F.coeffs[:33], dF.coeffs[:33])
+    d2F = spectral_derivative(F, 2)
+    assert spectrum.laplacian[-1] != 0.0
+    scale = np.abs(d2F.coeffs).max()
+    assert np.abs(spectrum.laplacian * F.coeffs[:33] - d2F.coeffs[:33]).max() <= 1e-14 * scale
     k = np.arange(33)
     assert np.array_equal(spectrum.dealias_mask, (k <= 64 // 3).astype(float))
     assert real_spectrum(make_grid(64, 11.0)) is spectrum

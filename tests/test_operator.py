@@ -88,11 +88,16 @@ def test_band_sign_structure():
 
 @pytest.mark.parametrize("n", [8, 64, 1024])
 def test_symbol_table_symmetry(n):
-    table = symbol_table(make_grid(n, 40.0))
-    psi = table.psi
+    # half spectrum k = 0..n/2: the k < 0 entries are the conjugates that
+    # test_psi_hermitian checks on the symbol; the unpaired Nyquist entry
+    # keeps the real part only
+    g = make_grid(n, 40.0)
+    psi = symbol_table(g).psi
+    assert psi.shape == (n // 2 + 1,)
     assert psi[0] == 0.0
     for k in range(1, n // 2):
-        assert psi[n - k] == pytest.approx(np.conj(psi[k]), rel=1e-14)
+        assert psi[k] == pytest.approx(psi_symbol(k / g.length), rel=1e-14)
+    assert psi[n // 2] == pytest.approx(psi_symbol(0.5 * n / g.length).real, rel=1e-14)
     assert psi[n // 2].imag == 0.0
 
 
