@@ -25,12 +25,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .evolution import InitialCondition, SimConfig
-from .grid import RealField, make_grid
+from .grid import load_samples, make_grid
 from .operator import QuadratureSpec
-from .profiles import PROFILE_KINDS, WaveProfile
+from .profiles import WaveProfile
 
 __all__ = ["ConfigError", "RunSettings", "parse_config", "CONFIG_SCHEMA"]
 
@@ -155,21 +153,14 @@ def parse_config(path: str | Path) -> RunSettings:
     except ValueError as exc:
         fail(f"grid: {exc}")
 
-    if profile_kind not in PROFILE_KINDS:
-        fail(f"profile.kind must be one of {PROFILE_KINDS}, got {profile_kind!r}")
     samples = None
     if profile_kind == "sampled":
         if not samples_file:
             fail("profile.samples_file is required for kind = sampled")
         try:
-            data = np.loadtxt(samples_file, delimiter=",", ndmin=2)
-        except OSError as exc:
+            samples = load_samples(samples_file, grid)
+        except (OSError, ValueError) as exc:
             fail(f"profile.samples_file: {exc}")
-        if data.shape[0] != grid.n:
-            fail(
-                f"profile.samples_file has {data.shape[0]} rows, grid.n is {grid.n}"
-            )
-        samples = RealField(grid, data[:, -1])
     try:
         profile = WaveProfile(
             kind=profile_kind, amplitude=amplitude, width=width,
@@ -178,21 +169,14 @@ def parse_config(path: str | Path) -> RunSettings:
     except ValueError as exc:
         fail(f"profile: {exc}")
 
-    if init_kind not in ("gaussian", "mode", "white-noise", "zero", "constant", "file"):
-        fail(
-            "initial.kind must be gaussian|mode|white-noise|zero|constant|file, "
-            f"got {init_kind!r}"
-        )
     v0 = InitialCondition(
         kind=init_kind, amplitude=init_amplitude, width=init_width,
         offset=init_offset, mode_k=mode_k, seed=init_seed, path=init_file,
     )
-    if init_kind == "file" and not init_file:
-        fail("initial.file is required for kind = file")
     try:
-        v0.build(grid)  # validate eagerly: file, shape, mode range, finiteness
+        v0.build(grid)  # validate eagerly: kind, file, shape, mode range, finiteness
     except (OSError, ValueError) as exc:
-        fail(f"initial: {exc}")
+        fail(f"{'initial.file' if init_kind == 'file' else 'initial'}: {exc}")
 
     try:
         sim = SimConfig(

@@ -89,6 +89,10 @@ def energy_bound_check(traj, params: EnergyBoundParams) -> EnergyBoundReport:
 
 
 def c1b_norm(p: WaveProfile, grid: Grid) -> float:
-    """sup|phi| + sup|phi'|, sups over a 16x oversampled evaluation."""
-    s0, s1, _ = p.sup_values(grid)
+    """sup|phi| + sup|phi'|, sups over a 16x oversampled evaluation.
+
+    Each call samples the profile on the oversampled box, so callers compute
+    it once per run (C_phi and the contraction bound's u both derive from it).
+    """
+    s0, s1 = p.sup_values(grid)
     return s0 + s1

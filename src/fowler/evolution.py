@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, EnergyBoundParams, c1b_norm, l2_norm
-from .grid import Grid, RealField, RealSpectrum, make_grid, real_spectrum
+from .grid import Grid, RealField, RealSpectrum, load_samples, make_grid, real_spectrum
 from .kernel import KernelNormFit, grad_kernel_norms
 from .operator import unstable_band
 from .profiles import WaveProfile
@@ -89,7 +89,7 @@ class PicardError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Initial perturbation: a preset shape, a file, or direct samples."""
+    """Initial perturbation: a preset shape or samples read from a file."""
 
     kind: str = "gaussian"
     amplitude: float = 0.1
@@ -98,7 +98,6 @@ class InitialCondition:
     mode_k: int = 12
     seed: int = 0
     path: str | None = None
-    samples: RealField | None = None
 
     def build(self, grid: Grid) -> RealField:
         x = grid.points
@@ -119,22 +118,10 @@ class InitialCondition:
         if self.kind == "white-noise":
             rng = np.random.default_rng(self.seed)
             return RealField(grid, self.amplitude * rng.standard_normal(grid.n))
-        if self.kind == "sampled":
-            if self.samples is None:
-                raise ValueError("sampled initial condition requires samples")
-            if self.samples.grid != grid:
-                raise ValueError("initial samples live on a different grid")
-            return self.samples
         if self.kind == "file":
             if not self.path:
                 raise ValueError("file initial condition requires a path")
-            data = np.loadtxt(self.path, delimiter=",", ndmin=2)
-            values = data[:, -1]
-            if len(values) != grid.n:
-                raise ValueError(
-                    f"initial file has {len(values)} samples, grid has {grid.n}"
-                )
-            return RealField(grid, values)
+            return load_samples(self.path, grid)
         raise ValueError(f"unknown initial condition kind {self.kind!r}")
 
 
@@ -197,9 +184,9 @@ class Trajectory:
 class ContractionBound:
     """Safe step size from the uniqueness lemma's contraction constant.
 
-    t_star solves 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1 in closed form, where
-    M is the norm budget of the two iterates being compared and u the C^1_b
-    norm of the profile.
+    t_star solves ratio_bound(t) = 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1 in
+    closed form, where M is the norm budget of the two iterates being
+    compared and u the C^1_b norm of the profile.
     """
 
     M: float
@@ -209,11 +196,7 @@ class ContractionBound:
     t_star: float
 
     def equation_residual(self) -> float:
-        return abs(
-            2.0 * self.M * self.K0 * self.t_star**0.25
-            + 2.0 * self.K1 * math.sqrt(self.t_star) * self.u_phi_norm
-            - 1.0
-        )
+        return abs(self.ratio_bound(self.t_star) - 1.0)
 
     def ratio_bound(self, dt: float) -> float:
         """Contraction factor the lemma guarantees for steps of size dt."""
@@ -241,7 +224,13 @@ STEP_CONSTANTS = StepConstants(K0=0.34418969225222185, K1=0.808638649332362)
 def contraction_time_bound(
     M: float, fit: KernelNormFit | StepConstants, u_phi_norm: float
 ) -> ContractionBound:
-    """Closed-form positive root of 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1."""
+    """Closed-form positive root of 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1.
+
+    In y = t^{1/4} this is a y^2 + b y - 1 = 0, whose positive root is taken
+    in the rationalized form y = 2 / (b + sqrt(b^2 + 4 a)): it covers a = 0
+    and never subtracts nearly equal numbers, which the textbook form
+    (-b + sqrt(b^2 + 4 a)) / (2 a) does whenever 4 a << b^2.
+    """
     K0, K1 = fit.K0, fit.K1
     if M < 0 or u_phi_norm < 0:
         raise ValueError("norm budgets cannot be negative")
@@ -249,11 +238,7 @@ def contraction_time_bound(
     b = 2.0 * M * K0
     if a == 0.0 and b == 0.0:
         raise ValueError("all-zero inputs: no contraction constraint to solve")
-    if a == 0.0:
-        t_star = b**-4.0
-    else:
-        y = (-b + math.sqrt(b * b + 4.0 * a)) / (2.0 * a)
-        t_star = y**4
+    t_star = (2.0 / (b + math.sqrt(b * b + 4.0 * a))) ** 4
     bound = ContractionBound(M=M, K0=K0, K1=K1, u_phi_norm=u_phi_norm, t_star=t_star)
     if bound.equation_residual() > 1e-10:
         raise ArithmeticError(
@@ -365,19 +350,24 @@ def _single_step(
     tables: _StepTables,
     u_of_t,
 ) -> tuple[np.ndarray, int, float]:
-    """One Duhamel step of size tables.dt starting at t_now."""
+    """One Duhamel step of size tables.dt starting at t_now; u_of_t samples
+    the profile coupling, or is None when the term is absent (full-equation
+    flux)."""
     E, A0, A1 = tables.E, tables.A0, tables.A1
     spectrum, mask = tables.spectrum, tables.mask
     linear = E * vhat
     if cfg.linear_only:
         return linear, 0, 0.0
-    N0 = _nonlinear_hat(vhat, u_of_t(t_now), spectrum, mask)
+    u0 = u1 = None
+    if u_of_t is not None:
+        u0, u1 = u_of_t(t_now), u_of_t(t_now + tables.dt)
+    N0 = _nonlinear_hat(vhat, u0, spectrum, mask)
     base = linear - A0 * N0
     w = linear  # Picard seed: the linear prediction
     prev_delta = None
     ratio = 0.0
     for iteration in range(1, cfg.picard_max + 1):
-        N1 = _nonlinear_hat(w, u_of_t(t_now + tables.dt), spectrum, mask)
+        N1 = _nonlinear_hat(w, u1, spectrum, mask)
         w_new = base - A1 * N1
         delta = spectrum.l2_norm(w_new - w)
         if not math.isfinite(delta):
@@ -395,21 +385,14 @@ def _single_step(
     )
 
 
-def duhamel_step(
-    v: RealField,
-    t_now: float,
-    dt: float,
-    cfg: SimConfig,
-    *,
-    profile_coupling: bool = True,
-) -> StepResult:
+def duhamel_step(v: RealField, t_now: float, dt: float, cfg: SimConfig) -> StepResult:
     """Advance the field by one exponential-trapezoid Duhamel step of size dt.
 
     The step is taken as given: splitting dt below the contraction bound
     t_star is the job of the stepping loop in evolve/evolve_full.
     """
     tables = _step_tables(cfg.grid.n, cfg.grid.length, dt, cfg.dealias)
-    u_of_t = _profile_sampler(cfg, tables, profile_coupling)
+    u_of_t = _profile_sampler(cfg, tables)
     vhat = _masked_coeffs(v.values, tables.spectrum, tables.mask)
     vhat, iters, ratio = _single_step(vhat, t_now, cfg, tables, u_of_t)
     return StepResult(
@@ -419,30 +402,22 @@ def duhamel_step(
     )
 
 
-def _profile_sampler(cfg: SimConfig, tables: _StepTables, profile_coupling: bool):
-    """Callable t -> physical profile samples (dealiased in step with the
-    state), or None when the coupling term is absent (full-equation flux)."""
-    if not profile_coupling:
-        return lambda t: None
+def _profile_sampler(cfg: SimConfig, tables: _StepTables):
+    """Callable t -> physical profile samples, dealiased in step with the state.
+
+    A static profile is sampled once; a moving one keeps its last sample, so
+    the sample at the end of one step serves the start of the next.
+    """
     static = cfg.profile.speed == 0.0
-    cache: dict[float, np.ndarray] = {}
 
-    def sample(t: float) -> np.ndarray:
-        key = 0.0 if static else float(t)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        values = cfg.profile.evaluate(key, cfg.grid).values
-        if tables.mask is not None:
-            values = tables.spectrum.inverse(
-                _masked_coeffs(values, tables.spectrum, tables.mask)
-            )
-        if not static and len(cache) > 8:
-            cache.clear()
-        cache[key] = values
-        return values
+    @functools.lru_cache(maxsize=1)
+    def sample_at(t: float) -> np.ndarray:
+        values = cfg.profile.evaluate(t, cfg.grid).values
+        if tables.mask is None:
+            return values
+        return tables.spectrum.inverse(_masked_coeffs(values, tables.spectrum, tables.mask))
 
-    return sample
+    return lambda t: sample_at(0.0 if static else float(t))
 
 
 def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
@@ -452,12 +427,12 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     grid = cfg.grid
     full_mode = not profile_coupling
     _, _, alpha0 = unstable_band()
-    c_phi = 0.5 * c1b_norm(cfg.profile, grid)
+    u_norm = c1b_norm(cfg.profile, grid)
+    c_phi = 0.5 * u_norm
 
     tables = _step_tables(grid.n, grid.length, cfg.dt, cfg.dealias)
     spectrum = tables.spectrum
-    u_of_t = _profile_sampler(cfg, tables, profile_coupling)
-    u_norm = c1b_norm(cfg.profile, grid) if profile_coupling else 0.0
+    u_of_t = _profile_sampler(cfg, tables) if profile_coupling else None
 
     vhat = _masked_coeffs(initial.values, spectrum, tables.mask)
     mass0 = vhat[0].real

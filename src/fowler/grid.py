@@ -32,6 +32,7 @@ __all__ = [
     "RealField",
     "SpectralField",
     "make_grid",
+    "load_samples",
     "forward_transform",
     "inverse_transform",
     "spectral_derivative",
@@ -90,6 +91,20 @@ def make_grid(n: int, length: float) -> Grid:
     if not (0 < length < math.inf):
         raise ValueError(f"length must be positive and finite, got {length}")
     return Grid(n=int(n), length=float(length))
+
+
+def load_samples(path, grid: Grid) -> RealField:
+    """Read a field on grid from a comma-separated text file.
+
+    One row per grid point; the last column holds the values (leading
+    columns, such as x, are ignored).  Raises OSError when the file cannot be
+    read and ValueError when it is not numeric, is ragged, has the wrong
+    number of rows, or holds non-finite values.
+    """
+    values = np.loadtxt(path, delimiter=",", ndmin=2)[:, -1]
+    if len(values) != grid.n:
+        raise ValueError(f"{path} has {len(values)} rows, grid has {grid.n} points")
+    return RealField(grid, values)
 
 
 def _as_locked_array(values, n: int, dtype) -> np.ndarray:

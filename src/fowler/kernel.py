@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import l2_norm
 from .grid import (
     Grid,
     RealField,
@@ -107,9 +108,7 @@ def semigroup_residual(s: float, t: float, grid: Grid) -> float:
     Kt = kernel_field(t, grid)
     Kst = kernel_field(s + t, grid)
     conv = circular_convolve(Ks.field, Kt.field)
-    num = np.sqrt(grid.spacing * np.sum((conv.values - Kst.field.values) ** 2))
-    den = np.sqrt(grid.spacing * np.sum(Kst.field.values**2))
-    return float(num / den)
+    return l2_norm(RealField(grid, conv.values - Kst.field.values)) / l2_norm(Kst.field)
 
 
 def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float:
@@ -163,9 +162,8 @@ def grad_kernel_norms(t_samples, grid: Grid) -> KernelNormFit:
     for i, t in enumerate(times):
         F = table.exponential(float(t))
         dF = spectrum.derivative * F
-        grad = spectrum.inverse(dF)
         l1[i] = _gradient_l1(F, dF, spectrum)
-        l2[i] = np.sqrt(grid.spacing * np.sum(grad**2))
+        l2[i] = l2_norm(RealField(grid, spectrum.inverse(dF)))
     K0 = float(np.max(times**0.75 * l2))
     K1 = float(np.max(times**0.5 * l1))
     decade = times <= 10.0 * times[0]

@@ -29,8 +29,8 @@ matching m(xi) = 4 pi^2 Gamma(2/3) (i xi)^{4/3} requires the extra
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -87,15 +87,7 @@ def psi_symbol(xi):
     psi(-xi) = conj(psi(xi)).
     """
     xi = np.asarray(xi, dtype=np.float64)
-    mag = np.abs(xi)
-    out = (
-        4.0 * np.pi**2 * xi**2
-        - _COEFFS.a_I * mag ** (4.0 / 3.0)
-        + 1j * _COEFFS.b_I * xi * mag ** (1.0 / 3.0)
-    )
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return 4.0 * np.pi**2 * xi**2 + nonlocal_multiplier(xi)
 
 
 def nonlocal_multiplier(xi):
@@ -127,9 +119,8 @@ class SymbolTable:
 
     The unpaired Nyquist mode carries the real part of psi only: the odd
     imaginary term has no -k partner at k = n/2, and projecting it out keeps
-    every exponential the Nyquist entry of a real kernel.
-    The exponential cache is guarded by a lock so tables can be shared across
-    threads; entries are keyed by the exact bits of tau.
+    every exponential the Nyquist entry of a real kernel.  Build tables
+    through symbol_table, which shares one per grid.
     """
 
     def __init__(self, grid: Grid):
@@ -138,35 +129,19 @@ class SymbolTable:
         psi[-1] = psi[-1].real
         psi.setflags(write=False)
         self.psi = psi
-        self._exp_cache: dict[float, np.ndarray] = {}
-        self._lock = threading.Lock()
 
+    @functools.lru_cache(maxsize=None)
     def exponential(self, tau: float) -> np.ndarray:
         """e^{-tau psi(xi_k)} on the grid frequencies (cached, read-only)."""
-        key = float(tau)
-        with self._lock:
-            cached = self._exp_cache.get(key)
-        if cached is not None:
-            return cached
-        value = np.exp(-key * self.psi)
+        value = np.exp(-float(tau) * self.psi)
         value.setflags(write=False)
-        with self._lock:
-            return self._exp_cache.setdefault(key, value)
+        return value
 
 
-_TABLE_CACHE: dict[tuple[int, float], SymbolTable] = {}
-_TABLE_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def symbol_table(grid: Grid) -> SymbolTable:
     """Shared SymbolTable for a grid (one per (n, length))."""
-    key = (grid.n, grid.length)
-    with _TABLE_LOCK:
-        table = _TABLE_CACHE.get(key)
-        if table is None:
-            table = SymbolTable(grid)
-            _TABLE_CACHE[key] = table
-    return table
+    return SymbolTable(grid)
 
 
 def apply_nonlocal_fourier(f: RealField) -> RealField:

@@ -49,6 +49,7 @@ class WaveProfile:
             raise ValueError(f"profile width must be positive, got {self.width}")
 
     def _analytic(self, y: np.ndarray, derivative: int) -> np.ndarray:
+        """phi (derivative 0) or phi' (derivative 1) of an analytic kind."""
         A, w = self.amplitude, self.width
         if self.kind == "constant":
             return np.full_like(y, A) if derivative == 0 else np.zeros_like(y)
@@ -56,17 +57,12 @@ class WaveProfile:
         if self.kind == "tanh-front":
             if derivative == 0:
                 return A * np.tanh(u)
-            sech2 = 1.0 / np.cosh(u) ** 2
-            if derivative == 1:
-                return (A / w) * sech2
-            return (-2.0 * A / w**2) * sech2 * np.tanh(u)
+            return (A / w) * (1.0 / np.cosh(u) ** 2)
         # gaussian-bump
         bump = A * np.exp(-(u**2))
         if derivative == 0:
             return bump
-        if derivative == 1:
-            return bump * (-2.0 * u / w)
-        return bump * (4.0 * u**2 - 2.0) / w**2
+        return bump * (-2.0 * u / w)
 
     def evaluate(self, t: float, grid: Grid) -> RealField:
         """Samples of phi(x - c t) on the grid, argument wrapped into the box."""
@@ -87,18 +83,17 @@ class WaveProfile:
         y = (y + half) % grid.length - half
         return RealField(grid, self._analytic(y, 0))
 
-    def sup_values(self, grid: Grid, oversampling: int = 16) -> tuple[float, float, float]:
-        """(sup|phi|, sup|phi'|, sup|phi''|) over a 16x oversampled box."""
+    def sup_values(self, grid: Grid, oversampling: int = 16) -> tuple[float, float]:
+        """(sup|phi|, sup|phi'|) over a 16x oversampled box: the two terms of
+        the C^1_b norm."""
         if self.kind == "sampled":
             spectrum = real_spectrum(grid)
             F = spectrum.forward(self.samples.values)
             sups = []
-            for multiplier in (1.0, spectrum.derivative, spectrum.laplacian):
+            for multiplier in (1.0, spectrum.derivative):
                 field = RealField(grid, spectrum.inverse(multiplier * F))
                 sups.append(float(np.abs(oversample(field, oversampling)[1]).max()))
             return tuple(sups)
         m = grid.n * oversampling
         x = -0.5 * grid.length + (grid.length / m) * np.arange(m)
-        return tuple(
-            float(np.abs(self._analytic(x, order)).max()) for order in (0, 1, 2)
-        )
+        return tuple(float(np.abs(self._analytic(x, order)).max()) for order in (0, 1))

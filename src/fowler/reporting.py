@@ -67,9 +67,6 @@ class RunManifest:
     def add_check(self, name: str, passed: bool) -> None:
         self.add(f"check.{name}", "pass" if passed else "FAIL")
 
-    def all_passed(self) -> bool:
-        return all(v == "pass" for k, v in self.entries if k.startswith("check."))
-
     def write(self, path: str | Path) -> Path:
         path = Path(path)
         path.write_text(
@@ -117,9 +114,9 @@ def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
     coeffs = symbol_coefficients()
     xi_c, xi_star, alpha0 = unstable_band()
     sim = settings.sim
-    c_phi = 0.5 * c1b_norm(sim.profile, sim.grid)
-    v0_norm = l2_norm(sim.v0.build(sim.grid))
     u_norm = c1b_norm(sim.profile, sim.grid)
+    c_phi = 0.5 * u_norm
+    v0_norm = l2_norm(sim.v0.build(sim.grid))
     if v0_norm > 0.0 or u_norm > 0.0:
         t_star = contraction_time_bound(2.0 * v0_norm, STEP_CONSTANTS, u_norm).t_star
     else:

@@ -164,6 +164,97 @@ def test_non_finite_or_aliased_config_exits_1(tmp_path, capsys, text, reason):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["profile.samples_file", "initial.file"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        ("x,v\n0,1\n", "could not convert"),
+        ("0,1\n1\n", "number of columns changed"),
+        ("1\n" * 500 + "nan\n" + "1\n" * 523, "field values must be finite"),
+    ],
+    ids=["non-numeric", "ragged", "non-finite"],
+)
+def test_bad_samples_file_is_a_config_error(tmp_path, capsys, key, content, reason):
+    data = tmp_path / "samples.csv"
+    data.write_text(content)
+    section = key.split(".")[0]
+    kind = "sampled" if section == "profile" else "file"
+    cfg = write_cfg(tmp_path, f"[{section}]\nkind = {kind}\n{key.split('.')[1]} = {data}\n")
+    assert main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    assert reason in err
+    assert "Traceback" not in err
+
+
+def test_evolve_full_zero_mean_passes(tmp_path, capsys):
+    # a zero profile around a zero-mean mode: the contraction root's
+    # quadratic coefficient is roundoff-sized, where the textbook root
+    # cancelled and ended the run in an ArithmeticError
+    cfg = write_cfg(
+        tmp_path,
+        "[profile]\nkind = constant\namplitude = 0\n\n"
+        "[initial]\nkind = mode\nmode_k = 3\n\n[time]\nt_end = 0.01\n",
+    )
+    out = tmp_path / "out"
+    assert main(["evolve-full", cfg, "--out", str(out)]) == 0
+    assert (out / "manifest.txt").read_text().endswith("result = pass\n")
+
+
+def test_tiny_profile_large_data_has_a_contraction_root(tmp_path, capsys):
+    # 4 a << b^2 in the contraction quadratic: derived constants must still
+    # resolve, so operator-check passes and evolve reports the degenerate
+    # sub-step budget as a numerical fault with a manifest
+    cfg = write_cfg(
+        tmp_path,
+        "[grid]\nn = 256\n\n[profile]\namplitude = 1e-8\n\n"
+        "[initial]\namplitude = 1e4\n",
+    )
+    assert main(["operator-check", cfg, "--out", str(tmp_path / "op")]) == 0
+    out = tmp_path / "ev"
+    assert main(["evolve", cfg, "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text()
+    assert "derived.t_star = " in manifest
+    assert manifest.endswith("result = numerical-fault\n")
+
+
+def _count_calls(monkeypatch, name):
+    from fowler.profiles import WaveProfile
+
+    calls = []
+    original = getattr(WaveProfile, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WaveProfile, name, counted)
+    return calls
+
+
+def test_evolve_computes_c1b_norm_once_per_consumer(tmp_path, monkeypatch):
+    # one C^1_b norm for the derived constants, one for the stepping loop
+    calls = _count_calls(monkeypatch, "sup_values")
+    cfg = write_cfg(tmp_path, TANH_SHORT)
+    assert main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2
+
+
+def test_moving_profile_sampled_once_per_step_time(tmp_path, monkeypatch):
+    # 100 steps need 101 distinct times; the rest are float-rounding misses
+    # where t + dt of one step differs from the next step's start time
+    calls = _count_calls(monkeypatch, "evaluate")
+    cfg = write_cfg(
+        tmp_path,
+        "[grid]\nn = 512\n\n"
+        "[profile]\nkind = gaussian-bump\nspeed = 1.3\n\n"
+        "[time]\nt_end = 0.2\ndt = 2e-3\n",
+    )
+    assert main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert 101 <= len(calls) <= 113
+
+
 def test_numerical_fault_exits_3(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -180,6 +180,22 @@ def test_contraction_bound_monotone_in_M():
     assert t2 < t1
 
 
+def test_contraction_bound_random_inputs_solve_the_equation():
+    # log-uniform budgets across twelve decades, with and without a profile:
+    # the rationalized root must satisfy ratio_bound(t_star) = 1 to 1e-12
+    # even where 4 a << b^2 (the textbook root cancelled there, up to a
+    # residual of 3.5)
+    rng = np.random.default_rng(20111)
+    M = 10.0 ** rng.uniform(-6.0, 6.0, 2400)
+    u = 10.0 ** rng.uniform(-8.0, 4.0, 2400)
+    u[::4] = 0.0
+    worst = max(
+        contraction_time_bound(m, STEP_CONSTANTS, v).equation_residual()
+        for m, v in zip(M, u)
+    )
+    assert worst <= 1e-12
+
+
 def test_contraction_bound_rejects_all_zero():
     with pytest.raises(ValueError, match="all-zero"):
         contraction_time_bound(0.0, synthetic_fit(), 0.0)
