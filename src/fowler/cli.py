@@ -5,7 +5,8 @@
 
 Exit codes are never conflated: 0 all checks pass, 1 usage or config error,
 2 a property or tolerance check failed, 3 a numerical fault (blow-up guard,
-Picard non-convergence, non-finite integral route).  Every command writes
+a Picard fault in every piece size up to MAX_SUBSTEPS, non-finite integral
+route).  Every command writes
 its CSV tables plus a manifest of the resolved config, derived constants,
 and per-check results.
 """
@@ -78,7 +79,7 @@ def cmd_operator_check(settings: RunSettings, out: Path) -> int:
     """Cross-validate the Fourier and integral routes on the configured field."""
     sim = settings.sim
     manifest = _start_manifest(settings)
-    f = sim.v0.build(sim.grid)
+    f = settings.v0_field
     by_fourier = apply_nonlocal_fourier(f)
     try:
         by_integral = apply_nonlocal_integral(f, settings.quadrature)
@@ -190,7 +191,7 @@ def _run_evolution(settings: RunSettings, out: Path, full: bool) -> int:
     sim = settings.sim
     manifest = _start_manifest(settings)
     try:
-        traj = (evolve_full if full else evolve)(sim)
+        traj = (evolve_full if full else evolve)(sim, v0_override=settings.v0_field)
     except (BlowUpError, PicardError) as exc:
         return _fault(manifest, out, exc)
     _trajectory_tables(traj, out, settings.snapshots)
@@ -200,6 +201,7 @@ def _run_evolution(settings: RunSettings, out: Path, full: bool) -> int:
     mass_tol = MASS_TOLERANCE * max(1.0, sim.t_end) * (1.0 + abs(traj.records[0].mass))
     mass_ok = max(r.mass_drift for r in traj.records) <= mass_tol
     manifest.add("run.substepping_engaged", traj.substepping_engaged)
+    manifest.add("run.max_substeps", traj.max_substeps)
     manifest.add("run.records", len(traj.records))
     manifest.add("run.final_l2", traj.records[-1].l2)
     manifest.add("run.max_mass_drift", max(r.mass_drift for r in traj.records))
@@ -238,7 +240,7 @@ def cmd_convergence(settings: RunSettings, out: Path) -> int:
             sim, dt=dt, t_end=horizon,
             output_stride=max(1, int(round(horizon / dt))),
         )
-        return evolve(cfg).fields[-1]
+        return evolve(cfg, v0_override=settings.v0_field).fields[-1]
 
     try:
         reference = final_field(sim.dt / 8.0)

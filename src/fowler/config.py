@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .evolution import InitialCondition, SimConfig
-from .grid import load_samples, make_grid
+from .grid import RealField, load_samples, make_grid
 from .operator import QuadratureSpec
 from .profiles import WaveProfile
 
@@ -49,9 +49,11 @@ CONFIG_SCHEMA = {
 
 @dataclass(frozen=True)
 class RunSettings:
-    """A SimConfig plus the I/O options that do not affect the dynamics."""
+    """A SimConfig plus the I/O options that do not affect the dynamics, and
+    the initial field built once from sim.v0 for every consumer."""
 
     sim: SimConfig
+    v0_field: RealField
     quadrature: QuadratureSpec
     kernel_times: tuple[float, ...]
     snapshots: bool
@@ -174,7 +176,7 @@ def parse_config(path: str | Path) -> RunSettings:
         offset=init_offset, mode_k=mode_k, seed=init_seed, path=init_file,
     )
     try:
-        v0.build(grid)  # validate eagerly: kind, file, shape, mode range, finiteness
+        v0_field = v0.build(grid)  # validates kind, file, shape, mode range, finiteness
     except (OSError, ValueError) as exc:
         fail(f"{'initial.file' if init_kind == 'file' else 'initial'}: {exc}")
 
@@ -204,6 +206,6 @@ def parse_config(path: str | Path) -> RunSettings:
         fail("output.kernel_times must be positive and finite")
 
     return RunSettings(
-        sim=sim, quadrature=quadrature, kernel_times=kernel_times,
+        sim=sim, v0_field=v0_field, quadrature=quadrature, kernel_times=kernel_times,
         snapshots=snapshots, seed=seed,
     )

@@ -12,9 +12,13 @@ for the full equation.  Per spectral mode the map reads
 where E = e^{-psi dt}, D = 2 i pi xi, and phi1, phi2 are the exponential
 integrals of the two-point (endpoint) product rule in s - a second-order
 exponential-trapezoid.  The implicit N1_hat is resolved by Picard iteration
-seeded with the linear prediction E v_hat; the contraction argument that
-makes this converge also yields a closed-form safe step size t_star, and
-steps beyond it are automatically split.
+seeded with the linear prediction E v_hat.
+
+Step control works on evidence: each dt step is first tried whole and, when
+Picard contracts by a ratio above RHO_MAX, misses picard_tol or goes
+non-finite, retried from the same state in 2, 4, 8, ... equal pieces, up to
+MAX_SUBSTEPS.  The lemma's closed-form step t_star (contraction_time_bound)
+is a worst case: it is reported and is a test oracle, but does not steer.
 
 Nonlinear products are formed in physical space and dealiased with the 2/3
 rule by default (state, profile, and products all masked), so quadratic
@@ -70,8 +74,12 @@ BLOWUP_FACTOR = 1e6
 #: the dt scale, not at T = O(1)
 CONTROL_WINDOW = (1e-4, 1e-2)
 
-#: a contraction bound demanding more sub-steps than this means the norm
-#: budget has degenerated: treat as a numerical fault rather than grind on
+#: an unconverged Picard iterate contracting by a ratio above this aborts
+#: the step, which is then retried in smaller pieces
+RHO_MAX = 0.5
+
+#: a dt step that still fails when cut into this many pieces is a numerical
+#: fault
 MAX_SUBSTEPS = 1024
 
 
@@ -170,7 +178,11 @@ class Trajectory:
     fields: list[RealField] = field(default_factory=list)
     records: list[DiagnosticsRecord] = field(default_factory=list)
     params: EnergyBoundParams | None = None
-    substepping_engaged: bool = False
+    max_substeps: int = 1  # most pieces any dt step was cut into
+
+    @property
+    def substepping_engaged(self) -> bool:
+        return self.max_substeps > 1
 
     def append(self, t: float, f: RealField, record: DiagnosticsRecord) -> None:
         if self.times and t <= self.times[-1]:
@@ -345,14 +357,16 @@ def nonlinear_flux(v: RealField, u_phi: RealField, dealias: bool) -> RealField:
 
 def _single_step(
     vhat: np.ndarray,
-    t_now: float,
+    t0: float,
+    t1: float,
     cfg: SimConfig,
     tables: _StepTables,
     u_of_t,
 ) -> tuple[np.ndarray, int, float]:
-    """One Duhamel step of size tables.dt starting at t_now; u_of_t samples
-    the profile coupling, or is None when the term is absent (full-equation
-    flux)."""
+    """One Duhamel step of size tables.dt from t0 to t1; u_of_t samples the
+    profile coupling, or is None when the term is absent (full-equation
+    flux).  An unconverged iterate contracting by a ratio above RHO_MAX
+    aborts the loop with a PicardError."""
     E, A0, A1 = tables.E, tables.A0, tables.A1
     spectrum, mask = tables.spectrum, tables.mask
     linear = E * vhat
@@ -360,7 +374,7 @@ def _single_step(
         return linear, 0, 0.0
     u0 = u1 = None
     if u_of_t is not None:
-        u0, u1 = u_of_t(t_now), u_of_t(t_now + tables.dt)
+        u0, u1 = u_of_t(t0), u_of_t(t1)
     N0 = _nonlinear_hat(vhat, u0, spectrum, mask)
     base = linear - A0 * N0
     w = linear  # Picard seed: the linear prediction
@@ -371,16 +385,23 @@ def _single_step(
         w_new = base - A1 * N1
         delta = spectrum.l2_norm(w_new - w)
         if not math.isfinite(delta):
-            raise BlowUpError(f"non-finite Picard iterate at t = {t_now + tables.dt}")
+            raise BlowUpError(f"non-finite Picard iterate at t = {t1} (step {tables.dt:g})")
         if prev_delta is not None and prev_delta > 0.0:
             ratio = delta / prev_delta
         w = w_new
         if delta <= cfg.picard_tol:
             return w, iteration, ratio
+        if ratio > RHO_MAX:
+            raise PicardError(
+                f"Picard contraction ratio {ratio:.3f} above {RHO_MAX} at "
+                f"t = {t0} (step {tables.dt:g})",
+                last_ratio=ratio,
+            )
         prev_delta = delta
     raise PicardError(
         f"Picard loop did not reach {cfg.picard_tol} within {cfg.picard_max} "
-        f"iterations at t = {t_now} (last contraction ratio {ratio:.3f})",
+        f"iterations at t = {t0} (step {tables.dt:g}, last contraction ratio "
+        f"{ratio:.3f})",
         last_ratio=ratio,
     )
 
@@ -388,13 +409,14 @@ def _single_step(
 def duhamel_step(v: RealField, t_now: float, dt: float, cfg: SimConfig) -> StepResult:
     """Advance the field by one exponential-trapezoid Duhamel step of size dt.
 
-    The step is taken as given: splitting dt below the contraction bound
-    t_star is the job of the stepping loop in evolve/evolve_full.
+    The step is taken as given: a Picard fault raises PicardError or
+    BlowUpError, and splitting the step is the job of the stepping loop in
+    evolve/evolve_full.
     """
     tables = _step_tables(cfg.grid.n, cfg.grid.length, dt, cfg.dealias)
     u_of_t = _profile_sampler(cfg, tables)
     vhat = _masked_coeffs(v.values, tables.spectrum, tables.mask)
-    vhat, iters, ratio = _single_step(vhat, t_now, cfg, tables, u_of_t)
+    vhat, iters, ratio = _single_step(vhat, t_now, t_now + dt, cfg, tables, u_of_t)
     return StepResult(
         field=RealField(cfg.grid, tables.spectrum.inverse(vhat)),
         iterations=iters,
@@ -467,53 +489,46 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
         )
         traj.append(t, f, rec)
 
+    def grid_time(step_index: int, j: int, pieces: int) -> float:
+        # the last piece of a step ends on the same float the next step
+        # starts on, so a moving profile's sample is reused across it
+        return t_offset + (step_index - 1 + j / pieces) * cfg.dt
+
+    def take_step(step_index: int) -> tuple[np.ndarray, int, float]:
+        """One dt step from vhat: whole first, then from the same state in
+        2, 4, 8, ... pieces while Picard reports a fault."""
+        pieces, first_fault = 1, None
+        while True:
+            piece_tables = _step_tables(grid.n, grid.length, cfg.dt / pieces, cfg.dealias)
+            w, iters, ratio = vhat, 0, 0.0
+            try:
+                for j in range(pieces):
+                    w, it, r = _single_step(
+                        w, grid_time(step_index, j, pieces),
+                        grid_time(step_index, j + 1, pieces),
+                        cfg, piece_tables, u_of_t,
+                    )
+                    iters, ratio = max(iters, it), max(ratio, r)
+            except (PicardError, BlowUpError) as exc:
+                if pieces >= MAX_SUBSTEPS:
+                    raise
+                first_fault = first_fault or exc
+                pieces *= 2
+                continue
+            if pieces > 1:
+                if not traj.substepping_engaged:
+                    warnings.warn(
+                        f"sub-stepping engaged ({pieces} pieces per dt = "
+                        f"{cfg.dt:g} step): {first_fault}",
+                        stacklevel=3,
+                    )
+                traj.max_substeps = max(traj.max_substeps, pieces)
+            return w, iters, ratio
+
     record(t_offset, 0, 0.0)
     n_steps = int(round(cfg.t_end / cfg.dt))
-    t = t_offset
     for step_index in range(1, n_steps + 1):
-        # contraction control: M budgets the two iterates being compared.
-        # In full mode the conserved mean acts as the background (the flux
-        # u^2/2 splits into w^2/2 + mean*w around it), so it is priced like
-        # a constant profile rather than inflating M by mean * sqrt(L).
-        substeps = 1
-        if not cfg.linear_only:
-            if full_mode:
-                mean = vhat[0].real / grid.length
-                fluct_sq = float(spectrum.mode_energy(vhat)[1:].sum())
-                M = 2.0 * math.sqrt(fluct_sq / grid.length)
-                u_ctrl = abs(mean)
-            else:
-                M = 2.0 * spectrum.l2_norm(vhat)
-                u_ctrl = u_norm
-            if M > 0.0 or u_ctrl > 0.0:
-                t_star = contraction_time_bound(M, STEP_CONSTANTS, u_ctrl).t_star
-                if cfg.dt > t_star:
-                    demand = cfg.dt / (0.5 * t_star)
-                    if not math.isfinite(demand) or demand > MAX_SUBSTEPS:
-                        raise BlowUpError(
-                            f"contraction bound t_star = {t_star:g} demands "
-                            f"{demand:g} sub-steps at t = {t:g}; norm budget "
-                            "has degenerated"
-                        )
-                    substeps = int(math.ceil(demand))
-                    if not traj.substepping_engaged:
-                        warnings.warn(
-                            f"dt = {cfg.dt:g} exceeds t_star = {t_star:g}; "
-                            f"sub-stepping engaged ({substeps} per step)",
-                            stacklevel=2,
-                        )
-                    traj.substepping_engaged = True
-        dt_sub = cfg.dt / substeps
-        sub_tables = tables if substeps == 1 else _step_tables(
-            grid.n, grid.length, dt_sub, cfg.dealias
-        )
-        iters, ratio = 0, 0.0
-        for j in range(substeps):
-            vhat, it, r = _single_step(
-                vhat, t + j * dt_sub, cfg, sub_tables, u_of_t
-            )
-            iters = max(iters, it)
-            ratio = max(ratio, r)
+        vhat, iters, ratio = take_step(step_index)
         t = t_offset + step_index * cfg.dt
         l2_now = perturbation_norm(t)
         if not math.isfinite(l2_now) or l2_now > BLOWUP_FACTOR * max(

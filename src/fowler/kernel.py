@@ -105,7 +105,7 @@ def semigroup_residual(s: float, t: float, grid: Grid) -> float:
     check exercises the whole transform pipeline.
     """
     Ks = kernel_field(s, grid)
-    Kt = kernel_field(t, grid)
+    Kt = Ks if t == s else kernel_field(t, grid)
     Kst = kernel_field(s + t, grid)
     conv = circular_convolve(Ks.field, Kt.field)
     return l2_norm(RealField(grid, conv.values - Kst.field.values)) / l2_norm(Kst.field)

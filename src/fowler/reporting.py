@@ -116,7 +116,7 @@ def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
     sim = settings.sim
     u_norm = c1b_norm(sim.profile, sim.grid)
     c_phi = 0.5 * u_norm
-    v0_norm = l2_norm(sim.v0.build(sim.grid))
+    v0_norm = l2_norm(settings.v0_field)
     if v0_norm > 0.0 or u_norm > 0.0:
         t_star = contraction_time_bound(2.0 * v0_norm, STEP_CONSTANTS, u_norm).t_star
     else:

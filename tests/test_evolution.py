@@ -1,6 +1,8 @@
 """Duhamel stepping: fixed points, linear exactness, contraction control."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from scipy import optimize
 from fowler.diagnostics import c1b_norm, energy_bound_check, l2_norm
 from fowler.evolution import (
     CONTROL_WINDOW,
+    MAX_SUBSTEPS,
+    RHO_MAX,
     STEP_CONSTANTS,
     BlowUpError,
     InitialCondition,
@@ -21,7 +25,7 @@ from fowler.evolution import (
     nonlinear_flux,
     stepping_norm_fit,
 )
-from fowler.grid import RealField, forward_transform, make_grid
+from fowler.grid import RealField, RealSpectrum, forward_transform, make_grid
 from fowler.kernel import KernelNormFit, grad_kernel_norms
 from fowler.operator import psi_symbol, unstable_band
 from fowler.profiles import WaveProfile
@@ -117,23 +121,90 @@ def test_picard_contraction_at_quarter_t_star(grid_1024):
     assert out.iterations <= 20
 
 
+def large_gaussian_config(grid, **kw):
+    # amplitude 100, zero profile: the lemma's t_star is 1.8e-9, about 1e-7
+    # of dt, yet Picard contracts on pieces of dt / 64 and coarser
+    return base_config(grid, v0=InitialCondition(kind="gaussian", amplitude=100.0),
+                       dt=1e-2, **kw)
+
+
 def test_substepping_warns(grid_1024):
-    # one step of dt = 0.3 against t_star ~ 0.08: split into
-    # N = ceil(dt / (t_star / 2)) sub-steps, priced on the initial data
+    cfg = large_gaussian_config(grid_1024, t_end=0.05, output_stride=1)
+    v0 = cfg.v0.build(grid_1024)
+    t_star = contraction_time_bound(2.0 * l2_norm(v0), STEP_CONSTANTS, 0.0).t_star
+    assert cfg.dt / t_star > 1e6
+    with pytest.warns(UserWarning) as caught:
+        traj = evolve(cfg)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    match = re.match(r"sub-stepping engaged \((\d+) pieces per dt = 0.01 step\): "
+                     r"Picard contraction ratio (\S+) above 0.5", message)
+    assert match, message
+    assert float(match.group(2)) > RHO_MAX
+    pieces = int(match.group(1))
+    assert traj.substepping_engaged
+    assert pieces <= traj.max_substeps <= 128
+    assert traj.max_substeps & (traj.max_substeps - 1) == 0  # a power of two
+    assert energy_bound_check(traj, traj.params).ok
+    # record times stay on the dt grid
+    assert traj.times == [k * 1e-2 for k in range(6)]
+
+
+def test_whole_step_when_picard_contracts(grid_1024):
+    # one dt = 0.3 step is far beyond t_star ~ 0.08 of the tanh config, but
+    # Picard contracts on it, so it is taken whole
     profile = WaveProfile(kind="tanh-front", amplitude=1.0, width=1.0)
     cfg = base_config(grid_1024, profile=profile,
                       v0=InitialCondition(kind="gaussian", amplitude=0.1),
                       t_end=0.3, dt=0.3)
-    v0 = cfg.v0.build(grid_1024)
     t_star = contraction_time_bound(
-        2.0 * l2_norm(v0), STEP_CONSTANTS, c1b_norm(profile, grid_1024)
+        2.0 * l2_norm(cfg.v0.build(grid_1024)), STEP_CONSTANTS, c1b_norm(profile, grid_1024)
     ).t_star
-    N = math.ceil(cfg.dt / (0.5 * t_star))
-    assert N == 8
-    with pytest.warns(UserWarning, match=rf"sub-stepping engaged \({N} per step\)"):
+    assert cfg.dt > 2.0 * t_star
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         traj = evolve(cfg)
-    assert traj.substepping_engaged
+    assert traj.max_substeps == 1 and not traj.substepping_engaged
+    assert traj.records[-1].picard_ratio <= RHO_MAX
     assert energy_bound_check(traj, traj.params).ok
+
+
+def test_split_restart_matches_direct_run():
+    # no state carries between dt steps: each starts again from one piece
+    grid = make_grid(256, 40.0)
+    cfg = lambda t_end: large_gaussian_config(grid, t_end=t_end, output_stride=1)
+    with pytest.warns(UserWarning, match="sub-stepping engaged"):
+        direct = evolve(cfg(0.04))
+        first = evolve(cfg(0.02))
+        second = evolve(cfg(0.02), v0_override=first.fields[-1], t_offset=0.02)
+    assert first.substepping_engaged and second.substepping_engaged
+    diff = l2_norm(RealField(grid, second.fields[-1].values - direct.fields[-1].values))
+    assert diff / l2_norm(direct.fields[-1]) < 1e-12
+    assert second.times[-1] == direct.times[-1]
+
+
+def test_max_substeps_exhausted_raises_last_fault():
+    # one Picard iteration cannot reach 1e-10 on any piece size
+    cfg = base_config(make_grid(256, 40.0), v0=InitialCondition(kind="gaussian", amplitude=1.0),
+                      picard_max=1, t_end=1e-3, dt=1e-3)
+    with pytest.raises(PicardError, match=rf"step {1e-3 / MAX_SUBSTEPS:g}"):
+        evolve(cfg)
+
+
+def test_full_run_transforms_per_step(grid_1024, monkeypatch):
+    # constant profile, amplitude-5 Gaussian: 170 transforms per step when
+    # every step was split below t_star, about 17 when taken whole
+    calls = []
+    for name in ("forward", "inverse"):
+        original = getattr(RealSpectrum, name)
+        monkeypatch.setattr(RealSpectrum, name,
+                            lambda self, a, _f=original: calls.append(1) or _f(self, a))
+    cfg = base_config(grid_1024, profile=WaveProfile(kind="constant", amplitude=1.0),
+                      v0=InitialCondition(kind="gaussian", amplitude=5.0),
+                      t_end=0.05, dt=1e-3)
+    traj = evolve_full(cfg)
+    assert len(calls) <= 20 * 50
+    assert traj.max_substeps == 1
 
 
 def test_picard_failure_raises(grid_1024):
