@@ -7,8 +7,9 @@ Schema (all keys optional unless noted; defaults in parentheses):
                  speed (0.0), samples_file (for kind = sampled)
     [initial]    kind (gaussian), amplitude (0.1), width (1.0), offset (0.0),
                  mode_k (12), seed (0), file (for kind = file)
-    [time]       dt (1e-3), t_end (1.0), picard_tol (1e-10), picard_max (25),
-                 dealias (true), linear_only (false)
+    [time]       dt (1e-3), t_end (1.0), picard_tol (1e-10; relative to the
+                 step's linear prediction, absolute below norm 1),
+                 picard_max (25), dealias (true), linear_only (false)
     [quadrature] z_max (length/2), z_min (1e-4), panels (48)
     [output]     stride (10), snapshots (false), kernel_times (0.1, 0.5),
                  seed (0)
@@ -20,7 +21,6 @@ never silently pass), with the nearest valid key suggested.
 from __future__ import annotations
 
 import configparser
-import difflib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +61,8 @@ class RunSettings:
 
 
 def _suggest(name: str, candidates) -> str:
+    import difflib  # only on the error path: keeps it out of every start-up
+
     close = difflib.get_close_matches(name, list(candidates), n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
 

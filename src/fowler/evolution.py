@@ -378,6 +378,8 @@ def _single_step(
     N0 = _nonlinear_hat(vhat, u0, spectrum, mask)
     base = linear - A0 * N0
     w = linear  # Picard seed: the linear prediction
+    # relative to the field's size, absolute for fields of norm <= 1
+    tol = cfg.picard_tol * max(spectrum.l2_norm(linear), 1.0)
     prev_delta = None
     ratio = 0.0
     for iteration in range(1, cfg.picard_max + 1):
@@ -389,7 +391,7 @@ def _single_step(
         if prev_delta is not None and prev_delta > 0.0:
             ratio = delta / prev_delta
         w = w_new
-        if delta <= cfg.picard_tol:
+        if delta <= tol:
             return w, iteration, ratio
         if ratio > RHO_MAX:
             raise PicardError(
@@ -399,7 +401,7 @@ def _single_step(
             )
         prev_delta = delta
     raise PicardError(
-        f"Picard loop did not reach {cfg.picard_tol} within {cfg.picard_max} "
+        f"Picard loop did not reach {tol:g} within {cfg.picard_max} "
         f"iterations at t = {t0} (step {tables.dt:g}, last contraction ratio "
         f"{ratio:.3f})",
         last_ratio=ratio,

@@ -244,12 +244,9 @@ def oversample(f: RealField, factor: int) -> tuple[np.ndarray, np.ndarray]:
     grid = f.grid
     if factor == 1:
         return grid.points.copy(), f.values.copy()
-    fine = make_grid(grid.n * int(factor), grid.length)
-    coeffs = real_spectrum(grid).forward(f.values)
-    padded = np.zeros(fine.n // 2 + 1, dtype=np.complex128)
-    padded[: grid.n // 2] = coeffs[:-1]
-    padded[grid.n // 2] = 0.5 * coeffs[-1]
-    return fine.points.copy(), real_spectrum(fine).inverse(padded)
+    x_fine = make_grid(grid.n * int(factor), grid.length).points.copy()
+    spectrum = real_spectrum(grid)
+    return x_fine, spectrum.oversampled(spectrum.forward(f.values), int(factor))
 
 
 class RealSpectrum:
@@ -298,13 +295,40 @@ class RealSpectrum:
 
         The sum is the DC term, twice the real part of the interior modes,
         and the unpaired Nyquist mode through its cosine only, matching the
-        real interpolant that oversample produces.
+        real interpolant that oversample produces.  A 2-D coeffs (one
+        spectrum per row) returns one row of values per spectrum.
+
+        Mode k = a*B + b is split into a coarse and a fine phase,
+        e^{2 i pi x xi_k} = e^{2 i pi x xi_{aB}} e^{2 i pi x xi_b} with
+        B ~ sqrt(n/2), so a point costs O(sqrt n) exponentials and one
+        O(n) matrix product instead of n/2 exponentials.
         """
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         xi = self.frequencies
-        interior = (np.exp(2j * np.pi * np.outer(x, xi[1:-1])) @ coeffs[1:-1]).real
-        nyquist = np.cos(2 * np.pi * x * xi[-1]) * coeffs[-1].real
-        return (coeffs[0].real + 2.0 * interior + nyquist) / self.grid.length
+        modes = self.size - 1  # k = 0..n/2-1; the Nyquist entry goes apart
+        block = math.isqrt(modes - 1) + 1
+        rows = -(-modes // block)
+        interior = np.zeros(coeffs.shape[:-1] + (rows * block,), dtype=np.complex128)
+        interior[..., 1:modes] = coeffs[..., 1:-1]
+        interior = interior.reshape(coeffs.shape[:-1] + (rows, block))
+        fine = np.exp(2j * np.pi * np.outer(x, xi[:block]))
+        coarse = np.exp(2j * np.pi * np.outer(x, xi[: modes : block]))
+        # sum_a coarse_a sum_b fine_b c_{aB+b}, per point, as two short sums
+        # (einsum's own loops: too small to be worth a BLAS call)
+        partial = np.einsum("pb,...ab->...pa", fine, interior)
+        sums = np.einsum("pa,...pa->...p", coarse, partial).real
+        nyquist = np.cos(2 * np.pi * x * xi[-1]) * coeffs[..., -1:].real
+        return (coeffs[..., :1].real + 2.0 * sums + nyquist) / self.grid.length
+
+    def oversampled(self, coeffs: np.ndarray, factor: int) -> np.ndarray:
+        """Samples of the interpolant with half-spectrum coefficients coeffs
+        on the factor-times finer grid (see oversample)."""
+        n = self.grid.n
+        fine = make_grid(n * factor, self.grid.length)
+        padded = np.zeros(fine.n // 2 + 1, dtype=np.complex128)
+        padded[: n // 2] = coeffs[:-1]
+        padded[n // 2] = 0.5 * coeffs[-1]
+        return real_spectrum(fine).inverse(padded)
 
     def mode_energy(self, coeffs: np.ndarray) -> np.ndarray:
         """|coeffs|^2 per stored entry, interior entries counted twice (once

@@ -61,6 +61,12 @@ GAMMA_TWO_THIRDS = math.gamma(2.0 / 3.0)
 # top third of the spectrum above this fraction of the spectral peak.
 BAND_LIMIT_WARN = 1e-8
 
+# Quadrature nodes per block when the integral route's multiplier is summed.
+NODE_CHUNK = 32
+
+# (2 pi)^{2/3} (4/9): the singular-integral form's prefactor (module docstring).
+LEVY_PREFACTOR = (4.0 / 9.0) * (2.0 * math.pi) ** (2.0 / 3.0)
+
 
 @dataclass(frozen=True)
 class SymbolCoefficients:
@@ -209,6 +215,37 @@ def default_quadrature(grid: Grid) -> QuadratureSpec:
     return QuadratureSpec(z_max=grid.length / 2.0, z_min=1e-4, panels=48)
 
 
+@functools.lru_cache(maxsize=16)
+def _quadrature_multiplier(grid: Grid, q: QuadratureSpec) -> np.ndarray:
+    """Half-spectrum multiplier of the graded-panel quadrature body,
+
+        M(xi) = sum_j c_j (e^{2 i pi z_j xi} - 1 - 2 i pi xi z_j),
+
+    with c_j the node weight times the kernel prefactor |z_j|^{-7/3}.  Built
+    from the quadrature nodes alone (never from nonlocal_multiplier, so the
+    integral route stays an independent check of the Levy prefactor), in
+    blocks of NODE_CHUNK nodes so memory stays O(n) however many panels the
+    rule has.  The real part is taken as -2 sin^2(theta/2), free of the
+    cancellation in cos(theta) - 1.  Cached per (grid, rule), read-only; may
+    be non-finite when |z|^{-7/3} overflows, which the caller reports.
+    """
+    z, w = q.nodes_weights()
+    omega = 2.0 * np.pi * real_spectrum(grid).frequencies
+    versine = np.zeros(len(omega))  # sum_j c_j sin^2(theta_j / 2)
+    odd = np.zeros(len(omega))  # sum_j c_j (sin theta_j - theta_j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = LEVY_PREFACTOR * w * np.abs(z) ** (-7.0 / 3.0)
+        for start in range(0, len(z), NODE_CHUNK):
+            block = slice(start, start + NODE_CHUNK)
+            theta = np.outer(z[block], omega)
+            half_sine = np.sin(0.5 * theta)
+            versine += weights[block] @ (half_sine * half_sine)
+            odd += weights[block] @ (np.sin(theta) - theta)
+        multiplier = -2.0 * versine + 1j * odd
+    multiplier.setflags(write=False)
+    return multiplier
+
+
 def apply_nonlocal_integral(f: RealField, q: QuadratureSpec) -> RealField:
     """Apply the nonlocal operator through its singular-integral form.
 
@@ -216,8 +253,10 @@ def apply_nonlocal_integral(f: RealField, q: QuadratureSpec) -> RealField:
     (see the module docstring for where the prefactor comes from), discretized
     as
 
-      * graded-panel quadrature on [-Z, -delta], with phi(x+z) evaluated by
-        periodic spectral interpolation (a phase shift per node);
+      * graded-panel quadrature on [-Z, -delta], with phi(x+z) the periodic
+        spectral interpolant; the weighted sum over nodes is one multiplier
+        on the spectrum of phi (_quadrature_multiplier), applied by a single
+        inverse transform;
       * the analytic inner correction (1/3) phi''(x) delta^{2/3} from the
         leading Taylor behaviour of the integrand on (-delta, 0);
       * closed-form integration of the -phi(x) - phi'(x) z terms over
@@ -243,22 +282,15 @@ def apply_nonlocal_integral(f: RealField, q: QuadratureSpec) -> RealField:
     dphi = spectrum.inverse(spectrum.derivative * F)
     d2phi = spectrum.inverse(spectrum.laplacian * F)
 
-    z, w = q.nodes_weights()
-    # periodic spectral interpolation of phi(x + z) for every node at once, a
-    # phase per node; irfft keeps only the real part of the (real) Nyquist
-    # coefficient times its phase, which is the cosine of the real interpolant
-    shifted = spectrum.inverse(F * np.exp(2j * np.pi * np.outer(z, spectrum.frequencies)))
-
-    prefactor = (4.0 / 9.0) * (2.0 * math.pi) ** (2.0 / 3.0)
-    integrand = shifted - phi[None, :] - np.outer(z, dphi)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        kernel_w = w * np.abs(z) ** (-7.0 / 3.0)
-        body = prefactor * (kernel_w @ integrand)
+    # irfft keeps only the real part of the (real) Nyquist coefficient times
+    # the multiplier, the cosine of the real interpolant's shift
+    with np.errstate(invalid="ignore"):  # checked below
+        body = spectrum.inverse(F * _quadrature_multiplier(grid, q))
 
     # leading Taylor behaviour (1/2) phi'' z^2 of the integrand on (-delta, 0)
-    inner = prefactor * 0.75 * d2phi * q.z_min ** (2.0 / 3.0)
+    inner = LEVY_PREFACTOR * 0.75 * d2phi * q.z_min ** (2.0 / 3.0)
     centered = phi - F[0].real / grid.length
-    outer = prefactor * (
+    outer = LEVY_PREFACTOR * (
         -0.75 * q.z_max ** (-4.0 / 3.0) * centered + 3.0 * q.z_max ** (-1.0 / 3.0) * dphi
     )
     values = body + inner + outer

@@ -89,12 +89,17 @@ def test_kernel_field_matches_full_spectrum(t, grid_1024):
 
 
 def test_integral_route_matches_full_spectrum(grid_1024):
-    rng = np.random.default_rng(8)
+    # the reference sums one shifted copy of the field per quadrature node;
+    # the route under test applies the summed multiplier once
     g = grid_1024
-    fields = [band_limited_field(g, rng), RealField(g, rng.standard_normal(g.n))]
-    for f, q in zip(fields, [default_quadrature(g), QuadratureSpec(20.0, 1e-3, 32)]):
-        ref = reference_integral(f, q)
-        assert rel_err(apply_nonlocal_integral(f, q).values, ref) <= 1e-10
+    rng = np.random.default_rng(42)
+    fields = [band_limited_field(g, rng) for _ in range(5)]
+    fields.append(RealField(g, rng.standard_normal(g.n)))
+    rules = [default_quadrature(g), QuadratureSpec(20.0, 1e-3, 32), QuadratureSpec(20.0, 0.256, 16)]
+    for q in rules:
+        for f in fields:
+            ref = reference_integral(f, q)
+            assert rel_err(apply_nonlocal_integral(f, q).values, ref) <= 1e-10
 
 
 @pytest.mark.parametrize("n, factor", [(8, 2), (64, 8), (1024, 16)])

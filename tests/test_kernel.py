@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from fowler.grid import RealField, forward_transform, hermitian_defect, make_grid
+from fowler.grid import (
+    RealField,
+    RealSpectrum,
+    forward_transform,
+    hermitian_defect,
+    make_grid,
+    real_spectrum,
+)
 from fowler.kernel import (
+    _gradient_l1,
     grad_kernel_norms,
     kernel_field,
     convolve_kernel,
@@ -140,3 +148,27 @@ def test_grad_norms_self_converged(fine_grid):
     b = grad_kernel_norms(t, finer)
     assert np.abs(a.l2_grad - b.l2_grad).max() / b.l2_grad.max() < 1e-8
     assert np.abs(a.l1_grad - b.l1_grad).max() / b.l1_grad.max() < 1e-8
+
+
+@pytest.mark.parametrize("kind", [np.cos, np.sin])
+def test_gradient_l1_of_pure_modes(kind):
+    # the zeros of f' sit on or within roundoff of the 8x fine-grid nodes,
+    # where the FFT samples and the dense sum may disagree in sign
+    g = make_grid(64, 40.0)
+    spectrum = real_spectrum(g)
+    for k in range(1, 22):
+        F = spectrum.forward(kind(2 * np.pi * k * g.points / g.length))
+        l1 = _gradient_l1(F, spectrum.derivative * F, spectrum)
+        assert l1 == pytest.approx(4.0 * k, rel=1e-12), (kind.__name__, k)
+
+
+def test_grad_norms_dense_evaluations(fine_grid, monkeypatch):
+    # the extrema polish costs a handful of dense trig sums per time, not a
+    # fixed number of bisection rounds
+    calls = []
+    original = RealSpectrum.evaluate
+    monkeypatch.setattr(
+        RealSpectrum, "evaluate", lambda self, *args: calls.append(1) or original(self, *args)
+    )
+    grad_kernel_norms(np.logspace(-4, 0, 17), fine_grid)
+    assert len(calls) <= 200

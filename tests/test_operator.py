@@ -288,3 +288,27 @@ def test_sobolev_bound_sharpness(grid_2048):
     )
     assert ratio >= 0.99
     assert ratio <= 1.0 + 1e-12
+
+
+def test_integral_route_memory_is_linear_in_n():
+    # the quadrature body is one multiplier summed in node blocks: no
+    # nodes x n matrix, so doubling the rule adds only its O(nodes) node
+    # arrays to the peak
+    import tracemalloc
+
+    from fowler.operator import _quadrature_multiplier
+
+    g = make_grid(8192, 40.0)
+    f = RealField(g, np.exp(-np.pi * g.points**2))
+    apply_nonlocal_integral(f, QuadratureSpec(z_max=20.0, z_min=1e-4, panels=16))
+    peaks = []
+    for panels in (48, 96):
+        _quadrature_multiplier.cache_clear()
+        tracemalloc.start()
+        try:
+            apply_nonlocal_integral(f, QuadratureSpec(z_max=20.0, z_min=1e-4, panels=panels))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8 * 2**20
+    assert peaks[1] - peaks[0] <= 64 * 2**10
