@@ -18,7 +18,7 @@ cfg = SimConfig(
     output_stride=10,
 )
 traj = evolve(cfg)
-report = energy_bound_check(traj, traj.params)
+report = energy_bound_check(traj)
 print(f"records: {len(traj.records)}, bound holds: {report.ok}")
 print(f"||v(0)|| = {traj.records[0].l2:.6f}  ->  ||v(1)|| = {traj.records[-1].l2:.6f}")
 print(f"bound at t=1: {traj.params.bound(1.0):.6f} "

@@ -12,13 +12,8 @@ __version__ = "0.1.0"
 from .grid import (
     Grid,
     RealField,
-    SpectralField,
     circular_convolve,
-    forward_transform,
-    inverse_transform,
     make_grid,
-    oversample,
-    spectral_derivative,
 )
 from .operator import (
     QuadratureSpec,
@@ -54,7 +49,6 @@ from .evolution import (
     duhamel_step,
     evolve,
     evolve_full,
-    nonlinear_flux,
     stepping_norm_fit,
 )
 from .diagnostics import (

@@ -196,7 +196,7 @@ def _run_evolution(settings: RunSettings, out: Path, full: bool) -> int:
         return _fault(manifest, out, exc)
     _trajectory_tables(traj, out, settings.snapshots)
 
-    report = energy_bound_check(traj, traj.params)
+    report = energy_bound_check(traj)
     bound_ok = report.ok
     mass_tol = MASS_TOLERANCE * max(1.0, sim.t_end) * (1.0 + abs(traj.records[0].mass))
     mass_ok = max(r.mass_drift for r in traj.records) <= mass_tol

@@ -76,13 +76,17 @@ def l2_norm(f: RealField) -> float:
         return float(np.sqrt(f.grid.spacing * np.sum(f.values**2)))
 
 
-def energy_bound_check(traj, params: EnergyBoundParams) -> EnergyBoundReport:
-    """Margin bound(t) - ||v(t)|| per record; fails on the first violation
-    beyond BOUND_TOLERANCE * bound."""
+def energy_bound_check(traj) -> EnergyBoundReport:
+    """Margin energy_bound - ||v(t)|| per record; fails on the first
+    violation beyond BOUND_TOLERANCE * energy_bound.
+
+    Each record carries the bound at its own time since the run's start, so
+    restarted trajectories (t_offset > 0) are checked on their own clock.
+    """
     if not traj.records:
         raise ValueError("empty trajectory")
-    margins = np.array([params.bound(r.t) - r.l2 for r in traj.records])
-    bounds = np.array([params.bound(r.t) for r in traj.records])
+    bounds = np.array([r.energy_bound for r in traj.records])
+    margins = bounds - np.array([r.l2 for r in traj.records])
     bad = margins < -BOUND_TOLERANCE * bounds
     first = int(np.argmax(bad)) if bad.any() else None
     return EnergyBoundReport(margins=margins, ok=not bad.any(), first_violation=first)

@@ -55,7 +55,6 @@ __all__ = [
     "StepResult",
     "BlowUpError",
     "PicardError",
-    "nonlinear_flux",
     "duhamel_step",
     "contraction_time_bound",
     "StepConstants",
@@ -325,34 +324,23 @@ def _step_tables(n: int, length: float, dt: float, dealias: bool) -> _StepTables
 def _masked_coeffs(values: np.ndarray, spectrum: RealSpectrum,
                    mask: np.ndarray | None) -> np.ndarray:
     coeffs = spectrum.forward(values)
-    return coeffs if mask is None else coeffs * mask
+    if mask is not None:
+        coeffs *= mask
+    return coeffs
 
 
 def _nonlinear_hat(coeffs: np.ndarray, u_phi_values: np.ndarray | None,
                    spectrum: RealSpectrum, mask: np.ndarray | None) -> np.ndarray:
     """F(w^2/2 [+ u_phi w]) with the product formed in physical space."""
     w = spectrum.inverse(coeffs)
-    N = 0.5 * w * w
+    # products in place on fresh arrays: the stepper's peak memory is its
+    # live temporaries, and these run several times per Picard iteration
+    N = 0.5 * w
+    N *= w
     if u_phi_values is not None:
-        N += u_phi_values * w
+        w *= u_phi_values
+        N += w
     return _masked_coeffs(N, spectrum, mask)
-
-
-def nonlinear_flux(v: RealField, u_phi: RealField, dealias: bool) -> RealField:
-    """Spatial derivative of v^2/2 + u_phi v (the conservative flux term).
-
-    With dealias set, both factors and the product are truncated by the 2/3
-    rule, so the quadratic term is free of aliasing.
-    """
-    if v.grid != u_phi.grid:
-        raise ValueError("fields must share a grid")
-    spectrum = real_spectrum(v.grid)
-    mask = spectrum.dealias_mask if dealias else None
-    u_vals = u_phi.values
-    if mask is not None:
-        u_vals = spectrum.inverse(_masked_coeffs(u_vals, spectrum, mask))
-    N_hat = _nonlinear_hat(_masked_coeffs(v.values, spectrum, mask), u_vals, spectrum, mask)
-    return RealField(v.grid, spectrum.inverse(spectrum.derivative * N_hat))
 
 
 def _single_step(

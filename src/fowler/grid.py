@@ -1,4 +1,4 @@
-"""Periodic grid, Fourier transform conventions, and spectral calculus.
+"""Periodic grid, the Fourier transform convention, and spectral calculus.
 
 The whole line is approximated by a periodic box of length L centered at 0,
 sampled at x_j = -L/2 + j*dx.  Transforms carry the physical dx and 1/L
@@ -10,13 +10,11 @@ directly, with frequencies xi_k = k/L in cycles per unit length.  Every
 symbol formula downstream is written in these continuous-frequency units and
 evaluated verbatim on the grid frequencies.
 
-Real fields have Hermitian spectra, coeffs(-k) = conj(coeffs(k)), so every
-spectral computation in the package stores only the half spectrum
-k = 0..n/2 (RealSpectrum, built on rfft/irfft), and only this module calls
+Real fields have Hermitian spectra, coeffs(-k) = conj(coeffs(k)), so the
+package stores only the half spectrum k = 0..n/2 (RealSpectrum, built on
+rfft/irfft); it is the one transform convention, and only this module calls
 numpy.fft.  The Nyquist entry k = n/2 is unpaired: it is real, contributes
-through its cosine only, and first derivatives zero it.  The full-spectrum
-SpectralField and its transforms (FFT storage order) are a test reference
-only: no other module of the package calls them.
+through its cosine only, and first derivatives zero it.
 """
 
 from __future__ import annotations
@@ -30,21 +28,12 @@ import numpy as np
 __all__ = [
     "Grid",
     "RealField",
-    "SpectralField",
     "make_grid",
     "load_samples",
-    "forward_transform",
-    "inverse_transform",
-    "spectral_derivative",
     "circular_convolve",
-    "oversample",
     "RealSpectrum",
     "real_spectrum",
 ]
-
-# Relative tolerance on the Hermitian-symmetry check; violations beyond this
-# signal a symbol or symmetry bug upstream, not roundoff.
-HERMITIAN_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,18 +53,6 @@ class Grid:
         x = -0.5 * self.length + self.spacing * np.arange(self.n)
         x.setflags(write=False)
         return x
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """Grid frequencies xi_k = k/L (cycles per unit), FFT order."""
-        xi = np.fft.fftfreq(self.n, d=self.spacing)
-        xi.setflags(write=False)
-        return xi
-
-    @property
-    def nyquist_index(self) -> int:
-        """Index of the unpaired k = -n/2 mode in FFT storage order."""
-        return self.n // 2
 
 
 def make_grid(n: int, length: float) -> Grid:
@@ -131,91 +108,11 @@ class RealField:
         )
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Discrete Fourier coefficients of a field, FFT storage order.
-
-    coeffs[m] approximates the continuous transform at xi_k = k/L where
-    k = m for m < n/2 and k = m - n otherwise.
-    """
-
-    grid: Grid
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", _as_locked_array(self.coeffs, self.grid.n, np.complex128)
-        )
-
-    def coefficient(self, k: int) -> complex:
-        """Coefficient of integer wavenumber k in [-n/2, n/2)."""
-        n = self.grid.n
-        if not (-n // 2 <= k < n // 2):
-            raise IndexError(f"wavenumber {k} outside [-{n // 2}, {n // 2})")
-        return complex(self.coeffs[k % n])
-
-
 def _centering_phase(n: int) -> np.ndarray:
     # e^{-2 i pi x_0 xi_k} = (-1)^k accounts for the grid starting at -L/2.
     phase = np.ones(n)
     phase[1::2] = -1.0
     return phase
-
-
-def forward_transform(f: RealField) -> SpectralField:
-    """Discrete approximation of the continuous transform of f.
-
-    coeffs(k) = dx * sum_j e^{-2 i pi x_j xi_k} f(x_j); in particular
-    coeffs(0) is the discrete mass dx * sum f.
-    """
-    grid = f.grid
-    phase = _centering_phase(grid.n)
-    coeffs = grid.spacing * phase * np.fft.fft(f.values)
-    return SpectralField(grid=grid, coeffs=coeffs)
-
-
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Max deviation from coeffs(-k) == conj(coeffs(k)), relative to the peak."""
-    n = len(coeffs)
-    mirrored = coeffs[(-np.arange(n)) % n]
-    scale = np.abs(coeffs).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(coeffs - np.conj(mirrored)).max() / scale)
-
-
-def inverse_transform(F: SpectralField) -> RealField:
-    """Invert forward_transform, requiring a real-valued result.
-
-    Rejects coefficient arrays without Hermitian symmetry: asking for a real
-    field from a non-symmetric spectrum signals a symbol or symmetry bug.
-    """
-    defect = hermitian_defect(F.coeffs)
-    if defect > HERMITIAN_RTOL:
-        raise ValueError(
-            f"coefficients are not Hermitian-symmetric (relative defect {defect:.3e}); "
-            "cannot produce a real field"
-        )
-    grid = F.grid
-    phase = _centering_phase(grid.n)
-    values = np.fft.ifft(F.coeffs * phase).real / grid.spacing
-    return RealField(grid=grid, values=values)
-
-
-def spectral_derivative(F: SpectralField, order: int) -> SpectralField:
-    """Multiply by (2 i pi xi_k)^order; order 1 or 2.
-
-    The unpaired Nyquist mode is zeroed for odd orders so that derivatives
-    of real fields stay real.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    grid = F.grid
-    multiplier = (2j * np.pi * grid.frequencies) ** order
-    if order % 2 == 1:
-        multiplier = multiplier.copy()
-        multiplier[grid.nyquist_index] = 0.0
-    return SpectralField(grid=grid, coeffs=F.coeffs * multiplier)
 
 
 def circular_convolve(f: RealField, g: RealField) -> RealField:
@@ -232,28 +129,12 @@ def circular_convolve(f: RealField, g: RealField) -> RealField:
     return RealField(grid=f.grid, values=spectrum.inverse(coeffs))
 
 
-def oversample(f: RealField, factor: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trigonometric interpolation of f onto a factor-times finer grid.
-
-    Returns (x_fine, values_fine).  The Nyquist coefficient is split evenly
-    over +n/2 and -n/2 (irfft supplies the -n/2 half), the standard choice
-    for real fields.
-    """
-    if factor < 1 or factor != int(factor):
-        raise ValueError(f"oversampling factor must be a positive integer, got {factor}")
-    grid = f.grid
-    if factor == 1:
-        return grid.points.copy(), f.values.copy()
-    x_fine = make_grid(grid.n * int(factor), grid.length).points.copy()
-    spectrum = real_spectrum(grid)
-    return x_fine, spectrum.oversampled(spectrum.forward(f.values), int(factor))
-
-
 class RealSpectrum:
     """Half-spectrum (rfft) transforms of real fields on one grid.
 
-    Entry k = 0..n/2 of a coefficient array is coeffs(k) of forward_transform
-    (the k < 0 half is its conjugate and is never stored).  The Nyquist entry
+    Entry k = 0..n/2 of a coefficient array approximates the continuous
+    transform at xi_k = k/L (the k < 0 half is its conjugate and is never
+    stored).  The Nyquist entry
     is real for real fields; `derivative` zeroes it, `laplacian` keeps it.
     Arrays are read-only; build instances through real_spectrum, which
     caches them.
@@ -283,7 +164,9 @@ class RealSpectrum:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients dx * sum_j e^{-2 i pi x_j xi_k} f(x_j)."""
-        return self._to_coeffs * np.fft.rfft(values)
+        coeffs = np.fft.rfft(values)
+        coeffs *= self._to_coeffs  # in place: no second n/2+1 temporary
+        return coeffs
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Real samples of the field with half-spectrum coefficients coeffs."""
@@ -295,7 +178,7 @@ class RealSpectrum:
 
         The sum is the DC term, twice the real part of the interior modes,
         and the unpaired Nyquist mode through its cosine only, matching the
-        real interpolant that oversample produces.  A 2-D coeffs (one
+        real interpolant that oversampled produces.  A 2-D coeffs (one
         spectrum per row) returns one row of values per spectrum.
 
         Mode k = a*B + b is split into a coarse and a fine phase,
@@ -322,13 +205,21 @@ class RealSpectrum:
 
     def oversampled(self, coeffs: np.ndarray, factor: int) -> np.ndarray:
         """Samples of the interpolant with half-spectrum coefficients coeffs
-        on the factor-times finer grid (see oversample)."""
-        n = self.grid.n
-        fine = make_grid(n * factor, self.grid.length)
-        padded = np.zeros(fine.n // 2 + 1, dtype=np.complex128)
+        on the factor-times finer grid of the same box.
+
+        The Nyquist coefficient is split evenly over +n/2 and -n/2 (irfft
+        supplies the -n/2 half), the standard choice for real fields.  Only
+        the first n/2 + 1 padded entries are nonzero, so only they take the
+        fine grid's centring phase and 1/dx.
+        """
+        if factor < 2 or factor != int(factor):
+            raise ValueError(f"oversampling factor must be an integer >= 2, got {factor}")
+        n, m = self.grid.n, self.grid.n * int(factor)
+        padded = np.zeros(m // 2 + 1, dtype=np.complex128)
         padded[: n // 2] = coeffs[:-1]
         padded[n // 2] = 0.5 * coeffs[-1]
-        return real_spectrum(fine).inverse(padded)
+        padded[: n // 2 + 1] *= _centering_phase(n // 2 + 1) / (self.grid.length / m)
+        return np.fft.irfft(padded, m)
 
     def mode_energy(self, coeffs: np.ndarray) -> np.ndarray:
         """|coeffs|^2 per stored entry, interior entries counted twice (once

@@ -182,6 +182,12 @@ def grad_kernel_norms(t_samples, grid: Grid) -> KernelNormFit:
         raise ValueError("need at least two sample times")
     if not np.all(times > 0):
         raise ValueError("all sample times must be positive")
+    decade = times <= 10.0 * times[0]
+    if decade.sum() < 2:
+        raise ValueError(
+            f"need at least two sample times in the fitting decade "
+            f"[{times[0]:g}, {10.0 * times[0]:g}]"
+        )
     defect = nyquist_resolution_defect(times[0], grid)
     if defect > RESOLUTION_LIMIT:
         raise ValueError(
@@ -199,7 +205,6 @@ def grad_kernel_norms(t_samples, grid: Grid) -> KernelNormFit:
         l2[i] = l2_norm(RealField(grid, spectrum.inverse(dF)))
     K0 = float(np.max(times**0.75 * l2))
     K1 = float(np.max(times**0.5 * l1))
-    decade = times <= 10.0 * times[0]
     slope_l2 = float(np.polyfit(np.log(times[decade]), np.log(l2[decade]), 1)[0])
     slope_l1 = float(np.polyfit(np.log(times[decade]), np.log(l1[decade]), 1)[0])
     return KernelNormFit(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, RealField, oversample, real_spectrum
+from .grid import Grid, RealField, real_spectrum
 
 __all__ = ["WaveProfile", "PROFILE_KINDS"]
 
@@ -89,11 +89,10 @@ class WaveProfile:
         if self.kind == "sampled":
             spectrum = real_spectrum(grid)
             F = spectrum.forward(self.samples.values)
-            sups = []
-            for multiplier in (1.0, spectrum.derivative):
-                field = RealField(grid, spectrum.inverse(multiplier * F))
-                sups.append(float(np.abs(oversample(field, oversampling)[1]).max()))
-            return tuple(sups)
+            return tuple(
+                float(np.abs(spectrum.oversampled(multiplier * F, oversampling)).max())
+                for multiplier in (1.0, spectrum.derivative)
+            )
         m = grid.n * oversampling
         x = -0.5 * grid.length + (grid.length / m) * np.arange(m)
         return tuple(float(np.abs(self._analytic(x, order)).max()) for order in (0, 1))

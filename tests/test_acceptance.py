@@ -22,7 +22,8 @@ from fowler.evolution import (
     evolve_full,
     stepping_norm_fit,
 )
-from fowler.grid import RealField, forward_transform, make_grid
+from fowler.grid import RealField, make_grid
+from reference_spectrum import forward_transform
 from fowler.kernel import (
     convolve_kernel,
     grad_kernel_norms,
@@ -190,7 +191,7 @@ def test_criterion_07_sobolev_bound(grid_2048):
 def test_criterion_08_energy_estimate(tanh_trajectory):
     traj, elapsed = tanh_trajectory
     assert elapsed < 60.0
-    check = energy_bound_check(traj, traj.params)
+    check = energy_bound_check(traj)
     assert check.ok
     bounds = np.array([traj.params.bound(r.t) for r in traj.records])
     assert np.all(check.margins >= -1e-8 * bounds)

@@ -1,11 +1,13 @@
 """Config parsing contract, CLI exit codes, and bit-stable outputs."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fowler
 from fowler.cli import main
 from fowler.config import ConfigError, parse_config
 
@@ -500,10 +502,16 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_console_entry_point_runs(tmp_path):
     cfg = write_cfg(tmp_path, "[initial]\nkind = zero\n\n[time]\nt_end = 0.01\ndt = 1e-2\n")
+    # the child imports the package from where this process did, so the
+    # test also runs from a checkout without an install
+    package_root = os.path.dirname(os.path.dirname(fowler.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "fowler", "evolve", cfg, "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "energy bound" in proc.stdout

@@ -1,6 +1,7 @@
 """Norms, bound checks, profile sup-norms, and the spectral-tail record."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,10 +57,10 @@ def _toy_trajectory(grid, scale=1.0):
 
 def test_energy_bound_check_passes_and_fails():
     g = make_grid(64, 8.0)
-    ok_traj, params = _toy_trajectory(g, scale=1.0)
-    assert energy_bound_check(ok_traj, params).ok
+    ok_traj, _ = _toy_trajectory(g, scale=1.0)
+    assert energy_bound_check(ok_traj).ok
     bad_traj, _ = _toy_trajectory(g, scale=10.0)
-    report = energy_bound_check(bad_traj, params)
+    report = energy_bound_check(bad_traj)
     assert not report.ok
     assert report.first_violation == 0
 
@@ -72,9 +73,29 @@ def test_energy_bound_zero_trajectory(grid_1024):
         t_end=0.02, dt=1e-2,
     )
     traj = evolve(cfg)
-    report = energy_bound_check(traj, traj.params)
+    report = energy_bound_check(traj)
     assert report.ok
     assert np.allclose(report.margins, [traj.params.bound(t) for t in traj.times])
+
+
+def test_energy_bound_check_on_restarted_run(grid_1024):
+    # a restart at t_offset = 5 records the bound on its own clock (0.118 at
+    # its last record, where the bound at absolute time 5.02 is 1.5e5): a
+    # norm pushed past the recorded bound must fail the check
+    cfg = SimConfig(
+        grid=grid_1024,
+        profile=WaveProfile(kind="tanh-front"),
+        v0=InitialCondition(kind="gaussian", amplitude=0.1),
+        t_end=0.02, dt=1e-2,
+    )
+    traj = evolve(cfg, t_offset=5.0)
+    assert energy_bound_check(traj).ok
+    last = traj.records[-1]
+    assert last.energy_bound < 1e-3 * traj.params.bound(last.t)
+    traj.records[-1] = replace(last, l2=1.01 * last.energy_bound)
+    report = energy_bound_check(traj)
+    assert not report.ok
+    assert report.first_violation == len(traj.records) - 1
 
 
 def test_energy_bound_monotone_in_t():

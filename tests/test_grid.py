@@ -1,20 +1,19 @@
-"""Transform conventions, spectral calculus, and their exactness properties."""
+"""The half-spectrum transform convention, spectral calculus, and exactness."""
 
 import numpy as np
 import pytest
 
-from fowler.grid import (
-    RealField,
+from fowler.grid import RealField, circular_convolve, make_grid, real_spectrum
+from fowler.diagnostics import l2_norm
+
+from reference_spectrum import (
     SpectralField,
-    circular_convolve,
     forward_transform,
+    frequencies,
     inverse_transform,
-    make_grid,
-    oversample,
-    real_spectrum,
+    nyquist_index,
     spectral_derivative,
 )
-from fowler.diagnostics import l2_norm
 
 
 def test_make_grid_basic():
@@ -48,10 +47,11 @@ def test_make_grid_rejects(n, length, match):
 def test_grid_points_and_frequencies():
     g = make_grid(16, 8.0)
     assert np.allclose(g.points, -4.0 + 0.5 * np.arange(16))
-    # integer wavenumbers over L, FFT order
-    assert g.frequencies[1] == pytest.approx(1.0 / 8.0)
-    assert g.frequencies[-1] == pytest.approx(-1.0 / 8.0)
-    assert g.frequencies[g.nyquist_index] == pytest.approx(-1.0)
+    # integer wavenumbers over L, k = 0..n/2; the last entry is the Nyquist
+    xi = real_spectrum(g).frequencies
+    assert len(xi) == 9
+    assert xi[1] == pytest.approx(1.0 / 8.0)
+    assert xi[-1] == pytest.approx(1.0)
 
 
 def test_field_validation():
@@ -67,118 +67,100 @@ def test_field_validation():
 
 def test_forward_constant():
     g = make_grid(64, 12.5)
-    F = forward_transform(RealField(g, np.ones(64)))
-    assert F.coefficient(0) == pytest.approx(12.5, abs=1e-12)
-    rest = np.delete(F.coeffs, 0)
-    assert np.abs(rest).max() < 1e-12
+    C = real_spectrum(g).forward(np.ones(64))
+    assert C[0] == pytest.approx(12.5, abs=1e-12)  # the mass dx * sum f
+    assert np.abs(C[1:]).max() < 1e-12
 
 
 def test_forward_single_cosine():
     g = make_grid(64, 20.0)
-    f = RealField(g, np.cos(2 * np.pi * g.points / g.length))
-    F = forward_transform(f)
-    assert F.coefficient(1) == pytest.approx(g.length / 2, abs=1e-10)
-    assert F.coefficient(-1) == pytest.approx(g.length / 2, abs=1e-10)
-    others = np.abs(F.coeffs) > 1e-10
-    assert others.sum() == 2
+    C = real_spectrum(g).forward(np.cos(2 * np.pi * g.points / g.length))
+    # the k = -1 partner is the conjugate of C[1] and is not stored
+    assert C[1] == pytest.approx(g.length / 2, abs=1e-10)
+    assert (np.abs(C) > 1e-10).sum() == 1
 
 
 def test_forward_gaussian_matches_continuous_transform():
     # F(e^{-pi x^2})(xi) = e^{-pi xi^2}; box large enough for 1e-12 accuracy
     g = make_grid(1024, 40.0)
-    F = forward_transform(RealField(g, np.exp(-np.pi * g.points**2)))
-    exact = np.exp(-np.pi * g.frequencies**2)
-    assert np.abs(F.coeffs - exact).max() < 1e-12
+    spectrum = real_spectrum(g)
+    C = spectrum.forward(np.exp(-np.pi * g.points**2))
+    exact = np.exp(-np.pi * spectrum.frequencies**2)
+    assert np.abs(C - exact).max() < 1e-12
 
 
 def test_roundtrip_random():
     rng = np.random.default_rng(7)
     g = make_grid(256, 17.0)
-    f = RealField(g, rng.standard_normal(256))
-    back = inverse_transform(forward_transform(f))
-    rel = np.linalg.norm(back.values - f.values) / np.linalg.norm(f.values)
-    assert rel < 1e-12
+    spectrum = real_spectrum(g)
+    f = rng.standard_normal(256)
+    back = spectrum.inverse(spectrum.forward(f))
+    assert np.linalg.norm(back - f) / np.linalg.norm(f) < 1e-12
 
 
 def test_inverse_constant():
     g = make_grid(32, 6.0)
-    coeffs = np.zeros(32, dtype=complex)
+    coeffs = np.zeros(17, dtype=complex)
     coeffs[0] = 6.0
-    f = inverse_transform(SpectralField(g, coeffs))
-    assert np.allclose(f.values, 1.0, atol=1e-13)
-
-
-def test_inverse_rejects_broken_hermitian_pairing():
-    g = make_grid(32, 6.0)
-    coeffs = np.zeros(32, dtype=complex)
-    coeffs[1] = 1j
-    coeffs[-1] = 1j  # conj(i) = -i, so this pairing is broken
-    with pytest.raises(ValueError, match="Hermitian"):
-        inverse_transform(SpectralField(g, coeffs))
+    assert np.allclose(real_spectrum(g).inverse(coeffs), 1.0, atol=1e-13)
 
 
 def test_derivative_of_constant_is_zero():
     g = make_grid(32, 9.0)
-    F = forward_transform(RealField(g, np.ones(32)))
-    for order in (1, 2):
-        d = inverse_transform(spectral_derivative(F, order))
-        assert np.abs(d.values).max() < 1e-13
+    spectrum = real_spectrum(g)
+    C = spectrum.forward(np.ones(32))
+    for multiplier in (spectrum.derivative, spectrum.laplacian):
+        assert np.abs(spectrum.inverse(multiplier * C)).max() < 1e-13
 
 
 def test_second_derivative_eigenfunction():
     g = make_grid(64, 11.0)
+    spectrum = real_spectrum(g)
     f = np.cos(2 * np.pi * g.points / g.length)
-    d2 = inverse_transform(spectral_derivative(forward_transform(RealField(g, f)), 2))
-    assert np.allclose(d2.values, -((2 * np.pi / g.length) ** 2) * f, atol=1e-12)
+    d2 = spectrum.inverse(spectrum.laplacian * spectrum.forward(f))
+    assert np.allclose(d2, -((2 * np.pi / g.length) ** 2) * f, atol=1e-12)
 
 
 def test_first_derivative_gaussian():
     g = make_grid(1024, 40.0)
+    spectrum = real_spectrum(g)
     x = g.points
-    f = RealField(g, np.exp(-np.pi * x**2))
-    d1 = inverse_transform(spectral_derivative(forward_transform(f), 1))
-    assert np.abs(d1.values - (-2 * np.pi * x) * np.exp(-np.pi * x**2)).max() < 1e-10
-
-
-def test_derivative_order_validation():
-    g = make_grid(16, 4.0)
-    F = forward_transform(RealField(g, np.zeros(16)))
-    with pytest.raises(ValueError, match="order"):
-        spectral_derivative(F, 3)
+    d1 = spectrum.inverse(spectrum.derivative * spectrum.forward(np.exp(-np.pi * x**2)))
+    assert np.abs(d1 - (-2 * np.pi * x) * np.exp(-np.pi * x**2)).max() < 1e-10
 
 
 def test_parseval():
     rng = np.random.default_rng(11)
     g = make_grid(128, 25.0)
-    f = RealField(g, rng.standard_normal(128))
-    F = forward_transform(f)
-    physical_side = g.spacing * np.sum(f.values**2)
-    spectral_side = np.sum(np.abs(F.coeffs) ** 2) / g.length
+    f = rng.standard_normal(128)
+    C = real_spectrum(g).forward(f)
+    physical_side = g.spacing * np.sum(f**2)
+    spectral_side = real_spectrum(g).mode_energy(C).sum() / g.length
     assert physical_side == pytest.approx(spectral_side, rel=1e-12)
 
 
 def test_linearity():
     rng = np.random.default_rng(13)
     g = make_grid(64, 10.0)
+    forward = real_spectrum(g).forward
     a, b = rng.standard_normal(2)
     f1 = rng.standard_normal(64)
     f2 = rng.standard_normal(64)
-    lhs = forward_transform(RealField(g, a * f1 + b * f2)).coeffs
-    rhs = a * forward_transform(RealField(g, f1)).coeffs + b * forward_transform(
-        RealField(g, f2)
-    ).coeffs
+    lhs = forward(a * f1 + b * f2)
+    rhs = a * forward(f1) + b * forward(f2)
     assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-12
 
 
 def test_translation_phase():
     rng = np.random.default_rng(17)
     g = make_grid(64, 16.0)
+    spectrum = real_spectrum(g)
     f = rng.standard_normal(64)
     shift_cells = 5
     a = shift_cells * g.spacing
     shifted = np.roll(f, shift_cells)  # f(x - a) on the periodic grid
-    lhs = forward_transform(RealField(g, shifted)).coeffs
-    rhs = np.exp(-2j * np.pi * g.frequencies * a) * forward_transform(RealField(g, f)).coeffs
+    lhs = spectrum.forward(shifted)
+    rhs = np.exp(-2j * np.pi * spectrum.frequencies * a) * spectrum.forward(f)
     assert np.abs(lhs - rhs).max() < 1e-11 * np.abs(rhs).max() + 1e-13
 
 
@@ -194,17 +176,40 @@ def test_circular_convolve_gaussians():
 def test_oversample_reproduces_band_limited_field():
     g = make_grid(32, 8.0)
     func = lambda x: 0.3 + np.cos(2 * np.pi * x / 8.0) - 0.5 * np.sin(3 * 2 * np.pi * x / 8.0)
-    x_fine, vals = oversample(RealField(g, func(g.points)), 16)
-    assert len(x_fine) == 32 * 16
+    spectrum = real_spectrum(g)
+    vals = spectrum.oversampled(spectrum.forward(func(g.points)), 16)
+    x_fine = make_grid(32 * 16, 8.0).points
+    assert len(vals) == 32 * 16
     assert np.abs(vals - func(x_fine)).max() < 1e-12
+    # factor 1 would halve the unpaired Nyquist entry instead of keeping it
+    for factor in (1, 2.5):
+        with pytest.raises(ValueError, match="factor"):
+            spectrum.oversampled(spectrum.forward(func(g.points)), factor)
 
 
-# --- half-spectrum (real) transforms against the full-spectrum reference ----
+# --- the full-spectrum reference: its own guards, then the half spectrum
+# --- against it
+
+def test_inverse_rejects_broken_hermitian_pairing():
+    g = make_grid(32, 6.0)
+    coeffs = np.zeros(32, dtype=complex)
+    coeffs[1] = 1j
+    coeffs[-1] = 1j  # conj(i) = -i, so this pairing is broken
+    with pytest.raises(ValueError, match="Hermitian"):
+        inverse_transform(SpectralField(g, coeffs))
+
+
+def test_derivative_order_validation():
+    g = make_grid(16, 4.0)
+    F = forward_transform(RealField(g, np.zeros(16)))
+    with pytest.raises(ValueError, match="order"):
+        spectral_derivative(F, 3)
+
 
 def full_spectrum_evaluation(F, x):
     """Interpolant summed over every stored mode, Nyquist through its cosine."""
-    xi = F.grid.frequencies
-    ny = F.grid.nyquist_index
+    xi = frequencies(F.grid)
+    ny = nyquist_index(F.grid)
     weights = np.exp(2j * np.pi * np.outer(x, xi))
     weights[:, ny] = np.cos(2 * np.pi * x * xi[ny])
     return (weights @ F.coeffs).real / F.grid.length
@@ -222,7 +227,7 @@ def test_real_spectrum_matches_full_transform(n):
         assert half.shape == (n // 2 + 1,)
         scale = np.abs(F.coeffs).max()
         assert np.abs(half - F.coeffs[: n // 2 + 1]).max() <= 1e-13 * scale
-        assert np.array_equal(spectrum.frequencies[:-1], g.frequencies[: n // 2])
+        assert np.array_equal(spectrum.frequencies[:-1], frequencies(g)[: n // 2])
         back = spectrum.inverse(half)
         assert np.linalg.norm(back - f.values) <= 1e-13 * np.linalg.norm(f.values)
         assert spectrum.l2_norm(half) == pytest.approx(l2_norm(f), rel=1e-13)

@@ -1,28 +1,29 @@
 """Half-spectrum routes against full-spectrum references.
 
-Each reference below is written on the full FFT spectrum (forward_transform,
-inverse_transform, spectral_derivative) and handles the unpaired Nyquist
-mode explicitly through its cosine, where the package relies on irfft
-dropping the imaginary part of that entry.
+Each reference below is written on the full FFT spectrum of
+reference_spectrum (forward_transform, inverse_transform,
+spectral_derivative) and handles the unpaired Nyquist mode explicitly
+through its cosine, where the package relies on irfft dropping the
+imaginary part of that entry.
 """
 
 import numpy as np
 import pytest
 
-from fowler.grid import (
-    RealField,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-    make_grid,
-    oversample,
-    spectral_derivative,
-)
+from fowler.grid import RealField, make_grid, real_spectrum
 from fowler.kernel import kernel_field
 from fowler.operator import QuadratureSpec, apply_nonlocal_integral, default_quadrature, psi_symbol
 from fowler.profiles import WaveProfile
 
 from conftest import band_limited_field
+from reference_spectrum import (
+    SpectralField,
+    forward_transform,
+    frequencies,
+    inverse_transform,
+    nyquist_index,
+    spectral_derivative,
+)
 
 
 def rel_err(a, b):
@@ -30,8 +31,8 @@ def rel_err(a, b):
 
 
 def reference_kernel(t, grid):
-    psi = psi_symbol(grid.frequencies)
-    ny = grid.nyquist_index
+    psi = psi_symbol(frequencies(grid))
+    ny = nyquist_index(grid)
     psi[ny] = psi[ny].real
     return inverse_transform(SpectralField(grid, np.exp(-t * psi))).values
 
@@ -43,7 +44,7 @@ def reference_integral(f, q):
     dphi = inverse_transform(spectral_derivative(F, 1)).values
     d2phi = inverse_transform(spectral_derivative(F, 2)).values
     z, w = q.nodes_weights()
-    xi, ny = grid.frequencies, grid.nyquist_index
+    xi, ny = frequencies(grid), nyquist_index(grid)
     shift = np.exp(2j * np.pi * np.outer(z, xi))
     shift[:, ny] = np.cos(2.0 * np.pi * z * xi[ny])
     shifted = np.array(
@@ -76,7 +77,7 @@ def reference_oversample(f, factor):
 def reference_shift(samples, a):
     """samples translated by a, Nyquist mode through its cosine."""
     grid = samples.grid
-    xi, ny = grid.frequencies, grid.nyquist_index
+    xi, ny = frequencies(grid), nyquist_index(grid)
     shift = np.exp(-2j * np.pi * xi * a)
     shift[ny] = np.cos(2.0 * np.pi * xi[ny] * a)
     return inverse_transform(SpectralField(grid, forward_transform(samples).coeffs * shift)).values
@@ -106,8 +107,8 @@ def test_integral_route_matches_full_spectrum(grid_1024):
 def test_oversample_matches_full_spectrum(n, factor):
     rng = np.random.default_rng(n)
     f = RealField(make_grid(n, 13.0), rng.standard_normal(n))
-    x_fine, values = oversample(f, factor)
-    assert np.array_equal(x_fine, make_grid(n * factor, 13.0).points)
+    spectrum = real_spectrum(f.grid)
+    values = spectrum.oversampled(spectrum.forward(f.values), factor)
     assert rel_err(values, reference_oversample(f, factor)) <= 1e-13
 
 

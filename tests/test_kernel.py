@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from fowler.grid import (
-    RealField,
-    RealSpectrum,
-    forward_transform,
-    hermitian_defect,
-    make_grid,
-    real_spectrum,
-)
+from fowler.grid import RealField, RealSpectrum, make_grid, real_spectrum
 from fowler.kernel import (
     _gradient_l1,
     grad_kernel_norms,
@@ -22,6 +15,7 @@ from fowler.kernel import (
 from fowler.operator import psi_symbol, unstable_band
 
 from conftest import band_limited_field
+from reference_spectrum import forward_transform, hermitian_defect
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +95,8 @@ def test_single_unstable_mode_growth(grid_1024):
     t = 0.2
     out = convolve_kernel(t, f)
     # mode magnitude grows by exactly e^{-Re psi(xi) t}
-    C = forward_transform(out).coefficient(k)
-    C0 = forward_transform(f).coefficient(k)
+    C = real_spectrum(g).forward(out.values)[k]
+    C0 = real_spectrum(g).forward(f.values)[k]
     assert abs(C / C0) == pytest.approx(np.exp(-psi_symbol(xi).real * t), rel=1e-12)
 
 
@@ -139,6 +133,21 @@ def test_grad_norms_resolution_guard():
     with pytest.raises(ValueError, match="under-resolved"):
         grad_kernel_norms([1e-4, 1e-3], coarse)
     assert nyquist_resolution_defect(1e-4, coarse) > 1e-12
+
+
+def test_grad_norms_need_two_times_in_fitting_decade(fine_grid):
+    # logspace(-4, 0, 3) puts only t = 1e-4 in [1e-4, 1e-3]: no slope to fit
+    with pytest.raises(ValueError, match="fitting decade"):
+        grad_kernel_norms(np.logspace(-4, 0, 3), fine_grid)
+
+
+def test_grad_norms_cache_no_fine_grid(fine_grid):
+    # the 8x oversampled extrema search must not leave a RealSpectrum of the
+    # fine grid in the cache: only the input grid's spectrum stays
+    real_spectrum.cache_clear()
+    grad_kernel_norms([1e-4, 3e-4], fine_grid)
+    real_spectrum(fine_grid)  # a hit: the one cached entry is the input grid
+    assert real_spectrum.cache_info().currsize == 1
 
 
 def test_grad_norms_self_converged(fine_grid):
