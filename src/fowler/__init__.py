@@ -21,7 +21,6 @@ from .operator import (
     SymbolTable,
     apply_nonlocal_fourier,
     apply_nonlocal_integral,
-    default_quadrature,
     psi_symbol,
     sobolev_norm,
     symbol_coefficients,

@@ -5,10 +5,11 @@
 
 Exit codes are never conflated: 0 all checks pass, 1 usage or config error,
 2 a property or tolerance check failed, 3 a numerical fault (blow-up guard,
-a Picard fault in every piece size up to MAX_SUBSTEPS, non-finite integral
-route).  Every command writes
-its CSV tables plus a manifest of the resolved config, derived constants,
-and per-check results.
+a Picard fault in every piece size up to MAX_SUBSTEPS, a non-finite integral
+route or kernel, a contraction root that lost precision).  Every command
+writes its CSV tables plus a manifest of the resolved config, derived
+constants, and per-check results; the run's result follows from the checks
+it recorded.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +50,14 @@ SLOPE_TOLERANCE = 0.05
 ORDER_THRESHOLD = 1.8
 
 
-def _start_manifest(settings: RunSettings) -> RunManifest:
-    manifest = RunManifest()
-    echo_config(manifest, settings)
-    derived_constants(manifest, settings)
-    return manifest
+#: errors that end a run as a numerical fault; ArithmeticError covers the
+#: FloatingPointError of a non-finite integral route or kernel, and a
+#: contraction root that lost its precision
+NUMERICAL_FAULTS = (ArithmeticError, BlowUpError, PicardError)
 
 
-def _finish(manifest: RunManifest, out: Path, passed: bool) -> int:
+def _finish(manifest: RunManifest, out: Path) -> int:
+    passed = all(v == "pass" for k, v in manifest.entries if k.startswith("check."))
     manifest.add("result", "pass" if passed else "FAIL")
     manifest.write(out / "manifest.txt")
     print(f"manifest: {out / 'manifest.txt'}")
@@ -70,36 +72,24 @@ def _fault(manifest: RunManifest, out: Path, exc: Exception) -> int:
     return EXIT_NUMERICAL
 
 
-def _check_line(name: str, passed: bool, detail: str = "") -> None:
-    status = "PASS" if passed else "FAIL"
-    print(f"[{status}] {name}" + (f": {detail}" if detail else ""))
-
-
-def cmd_operator_check(settings: RunSettings, out: Path) -> int:
+def cmd_operator_check(settings: RunSettings, manifest: RunManifest, out: Path) -> None:
     """Cross-validate the Fourier and integral routes on the configured field."""
-    sim = settings.sim
-    manifest = _start_manifest(settings)
     f = settings.v0_field
     by_fourier = apply_nonlocal_fourier(f)
-    try:
-        by_integral = apply_nonlocal_integral(f, settings.quadrature)
-    except FloatingPointError as exc:
-        return _fault(manifest, out, exc)
+    by_integral = apply_nonlocal_integral(f, settings.quadrature)
     diff = np.abs(by_fourier.values - by_integral.values)
     scale = max(float(np.abs(by_fourier.values).max()), 1e-12 * (1.0 + float(np.abs(f.values).max())))
     rel = float(diff.max()) / scale
 
-    table = CsvTable(header=["x", "I_fourier", "I_integral", "abs_diff"])
-    for x, a, b, d in zip(sim.grid.points, by_fourier.values, by_integral.values, diff):
-        table.add_row(x, a, b, d)
-    table.write(out / "operator_check.csv")
+    CsvTable(
+        ["x", "I_fourier", "I_integral", "abs_diff"],
+        [f.grid.points, by_fourier.values, by_integral.values, diff],
+    ).write(out / "operator_check.csv")
 
     manifest.add("operator.max_abs_diff", float(diff.max()))
     manifest.add("operator.max_rel_diff", rel)
-    ok = rel <= OPERATOR_TOLERANCE
-    manifest.add_check("operator_equivalence", ok)
-    _check_line("operator equivalence", ok, f"relative Linf {rel:.3e}")
-    return _finish(manifest, out, ok)
+    manifest.check("operator_equivalence", rel <= OPERATOR_TOLERANCE,
+                   "operator equivalence", f"relative Linf {rel:.3e}")
 
 
 def _resolved_grid(base: Grid, t_min: float) -> Grid:
@@ -113,127 +103,98 @@ def _resolved_grid(base: Grid, t_min: float) -> Grid:
     return make_grid(n, base.length)
 
 
-def cmd_kernel_report(settings: RunSettings, out: Path) -> int:
+def cmd_kernel_report(settings: RunSettings, manifest: RunManifest, out: Path) -> None:
     """Kernel snapshots, gradient-norm scalings, and the semigroup law."""
-    sim = settings.sim
     norm_times = np.logspace(-4, 0, 17)
     t_min = min(float(min(settings.kernel_times)), float(norm_times[0]))
-    grid = _resolved_grid(sim.grid, t_min)
+    grid = _resolved_grid(settings.sim.grid, t_min)
 
-    shape = CsvTable(
-        header=["x"] + [f"K_t{format(t, 'g')}" for t in settings.kernel_times]
-    )
     snapshots = [kernel_field(t, grid) for t in settings.kernel_times]
-    for i, x in enumerate(grid.points):
-        shape.add_row(x, *(s.field.values[i] for s in snapshots))
-    shape.write(out / "kernel_shape.csv")
+    CsvTable(
+        ["x"] + [f"K_t{format(t, 'g')}" for t in settings.kernel_times],
+        [grid.points] + [s.field.values for s in snapshots],
+    ).write(out / "kernel_shape.csv")
 
     fit = grad_kernel_norms(norm_times, grid)
-    norms = CsvTable(
-        header=["t", "l1_grad", "l2_grad", "t34_l2", "t12_l1", "semigroup_residual"]
-    )
-    residuals = []
-    for t, l1v, l2v in zip(fit.times, fit.l1_grad, fit.l2_grad):
-        r = semigroup_residual(t, t, grid)
-        residuals.append(r)
-        norms.add_row(t, l1v, l2v, t**0.75 * l2v, t**0.5 * l1v, r)
-    norms.write(out / "kernel_norms.csv")
+    residuals = [semigroup_residual(t, t, grid) for t in fit.times]
+    # scalar powers, element by element: the array power rounds differently
+    CsvTable(
+        ["t", "l1_grad", "l2_grad", "t34_l2", "t12_l1", "semigroup_residual"],
+        [fit.times, fit.l1_grad, fit.l2_grad,
+         [t**0.75 * v for t, v in zip(fit.times, fit.l2_grad)],
+         [t**0.5 * v for t, v in zip(fit.times, fit.l1_grad)], residuals],
+    ).write(out / "kernel_norms.csv")
 
-    manifest = _start_manifest(settings)
     manifest.add("kernel.grid_n", grid.n)
-
-    mass_ok = all(abs(s.mass - 1.0) <= 1e-10 for s in snapshots)
-    sign_ok = all(s.field.values.min() < 0.0 for s in snapshots)
-    slopes_ok = (
-        abs(fit.slope_l2 + 0.75) <= SLOPE_TOLERANCE
-        and abs(fit.slope_l1 + 0.5) <= SLOPE_TOLERANCE
-    )
-    semigroup_ok = max(residuals) <= SEMIGROUP_TOLERANCE
-
     manifest.add("kernel.slope_l2", fit.slope_l2)
     manifest.add("kernel.slope_l1", fit.slope_l1)
     manifest.add("kernel.K0", fit.K0)
     manifest.add("kernel.K1", fit.K1)
     manifest.add("kernel.max_semigroup_residual", max(residuals))
-    manifest.add_check("kernel_mass", mass_ok)
-    manifest.add_check("kernel_sign", sign_ok)
-    manifest.add_check("kernel_slopes", slopes_ok)
-    manifest.add_check("kernel_semigroup", semigroup_ok)
-    _check_line("kernel mass = 1", mass_ok)
-    _check_line("kernel takes negative values", sign_ok)
-    _check_line(
+    manifest.check("kernel_mass", all(abs(s.mass - 1.0) <= 1e-10 for s in snapshots),
+                   "kernel mass = 1")
+    manifest.check("kernel_sign", all(s.field.values.min() < 0.0 for s in snapshots),
+                   "kernel takes negative values")
+    manifest.check(
+        "kernel_slopes",
+        abs(fit.slope_l2 + 0.75) <= SLOPE_TOLERANCE and abs(fit.slope_l1 + 0.5) <= SLOPE_TOLERANCE,
         "gradient-norm slopes",
-        slopes_ok,
         f"l2 {fit.slope_l2:+.4f} vs -0.75, l1 {fit.slope_l1:+.4f} vs -0.50",
     )
-    _check_line("semigroup law", semigroup_ok, f"max residual {max(residuals):.3e}")
-    return _finish(manifest, out, mass_ok and sign_ok and slopes_ok and semigroup_ok)
+    manifest.check("kernel_semigroup", max(residuals) <= SEMIGROUP_TOLERANCE,
+                   "semigroup law", f"max residual {max(residuals):.3e}")
 
 
-def _trajectory_tables(traj, out: Path, snapshots: bool):
-    table = CsvTable(
-        header=["t", "l2", "energy_bound", "mass_drift", "picard_iters",
-                "picard_ratio", "spectral_tail"]
-    )
-    for rec in traj.records:
-        table.add_row(rec.t, rec.l2, rec.energy_bound, rec.mass_drift,
-                      rec.picard_iters, rec.picard_ratio, rec.spectral_tail)
-    table.write(out / "trajectory.csv")
-    if snapshots:
-        snap = CsvTable(header=["t", "x", "v"])
-        for t, f in zip(traj.times, traj.fields):
-            for x, v in zip(f.grid.points, f.values):
-                snap.add_row(t, x, v)
-        snap.write(out / "snapshots.csv")
-
-
-def _run_evolution(settings: RunSettings, out: Path, full: bool) -> int:
+def _run_evolution(settings: RunSettings, manifest: RunManifest, out: Path, full: bool) -> None:
     sim = settings.sim
-    manifest = _start_manifest(settings)
-    try:
-        traj = (evolve_full if full else evolve)(sim, v0_override=settings.v0_field)
-    except (BlowUpError, PicardError) as exc:
-        return _fault(manifest, out, exc)
-    _trajectory_tables(traj, out, settings.snapshots)
+    traj = (evolve_full if full else evolve)(sim, v0_override=settings.v0_field)
+    records = traj.records
+    header = ["t", "l2", "energy_bound", "mass_drift", "picard_iters", "picard_ratio",
+              "spectral_tail"]  # each a DiagnosticsRecord field
+    CsvTable(header, [[getattr(r, name) for r in records] for name in header]).write(
+        out / "trajectory.csv"
+    )
+    if settings.snapshots:
+        n = sim.grid.n
+        CsvTable(
+            ["t", "x", "v"],
+            [np.repeat(traj.times, n), np.tile(sim.grid.points, len(traj.fields)),
+             np.concatenate([f.values for f in traj.fields])],
+        ).write(out / "snapshots.csv")
 
     report = energy_bound_check(traj)
-    bound_ok = report.ok
-    mass_tol = MASS_TOLERANCE * max(1.0, sim.t_end) * (1.0 + abs(traj.records[0].mass))
-    mass_ok = max(r.mass_drift for r in traj.records) <= mass_tol
+    max_drift = max(r.mass_drift for r in records)
+    mass_tol = MASS_TOLERANCE * max(1.0, sim.t_end) * (1.0 + abs(records[0].mass))
     manifest.add("run.substepping_engaged", traj.substepping_engaged)
     manifest.add("run.max_substeps", traj.max_substeps)
-    manifest.add("run.records", len(traj.records))
-    manifest.add("run.final_l2", traj.records[-1].l2)
-    manifest.add("run.max_mass_drift", max(r.mass_drift for r in traj.records))
+    manifest.add("run.records", len(records))
+    manifest.add("run.final_l2", records[-1].l2)
+    manifest.add("run.max_mass_drift", max_drift)
     manifest.add("run.min_bound_margin", float(report.margins.min()))
-    manifest.add_check("energy_bound", bound_ok)
-    manifest.add_check("mass_conservation", mass_ok)
-    _check_line("energy bound", bound_ok, f"min margin {report.margins.min():.3e}")
-    _check_line("mass conservation", mass_ok)
-    return _finish(manifest, out, bound_ok and mass_ok)
+    manifest.check("energy_bound", report.ok, "energy bound",
+                   f"min margin {report.margins.min():.3e}")
+    manifest.check("mass_conservation", max_drift <= mass_tol, "mass conservation")
 
 
-def cmd_evolve(settings: RunSettings, out: Path) -> int:
+def cmd_evolve(settings: RunSettings, manifest: RunManifest, out: Path) -> None:
     """Advance the perturbation equation and verify its running bounds."""
-    return _run_evolution(settings, out, full=False)
+    _run_evolution(settings, manifest, out, full=False)
 
 
-def cmd_evolve_full(settings: RunSettings, out: Path) -> int:
+def cmd_evolve_full(settings: RunSettings, manifest: RunManifest, out: Path) -> None:
     """Advance the full equation and verify the same bounds on u - profile."""
-    return _run_evolution(settings, out, full=True)
+    _run_evolution(settings, manifest, out, full=True)
 
 
-def cmd_convergence(settings: RunSettings, out: Path) -> int:
+def cmd_convergence(settings: RunSettings, manifest: RunManifest, out: Path) -> None:
     """Self-convergence order of the integrator against a fine reference."""
     sim = settings.sim
-    manifest = _start_manifest(settings)
     dts = [4 * sim.dt, 2 * sim.dt, sim.dt]
     # all runs must land on a common final time: the largest multiple of the
     # coarsest step that fits in t_end
     blocks = max(1, int(math.floor(sim.t_end / dts[0])))
     horizon = blocks * dts[0]
     manifest.add("convergence.horizon", horizon)
-    from dataclasses import replace
 
     def final_field(dt):
         cfg = replace(
@@ -242,31 +203,24 @@ def cmd_convergence(settings: RunSettings, out: Path) -> int:
         )
         return evolve(cfg, v0_override=settings.v0_field).fields[-1]
 
-    try:
-        reference = final_field(sim.dt / 8.0)
-        finals = [final_field(dt) for dt in dts]
-    except (BlowUpError, PicardError) as exc:
-        return _fault(manifest, out, exc)
+    reference = final_field(sim.dt / 8.0)
+    finals = [final_field(dt) for dt in dts]
 
     floor = 1e-11 * max(l2_norm(reference), 1.0)
     errors = [l2_norm(RealField(f.grid, f.values - reference.values)) for f in finals]
     orders = [float("nan")]
     for a, b in zip(errors, errors[1:]):
         orders.append(math.log2(a / b) if b > 0 else float("nan"))
-
-    table = CsvTable(header=["dt", "error_vs_reference", "observed_order"])
-    for dt, err, order in zip(dts, errors, orders):
-        table.add_row(dt, err, order)
-    table.write(out / "convergence.csv")
+    CsvTable(["dt", "error_vs_reference", "observed_order"], [dts, errors, orders]).write(
+        out / "convergence.csv"
+    )
 
     at_floor = all(e <= floor for e in errors)
-    ok = at_floor or (orders[-1] >= ORDER_THRESHOLD)
     manifest.add("convergence.at_floor", at_floor)
     manifest.add("convergence.terminal_order", orders[-1])
-    manifest.add_check("integrator_order", ok)
     detail = "errors at roundoff floor" if at_floor else f"terminal order {orders[-1]:.3f}"
-    _check_line("integrator order", ok, detail)
-    return _finish(manifest, out, ok)
+    manifest.check("integrator_order", at_floor or (orders[-1] >= ORDER_THRESHOLD),
+                   "integrator order", detail)
 
 
 COMMANDS = {
@@ -306,12 +260,17 @@ def main(argv=None) -> int:
     try:
         settings = parse_config(args.config)
         if args.snapshots:
-            from dataclasses import replace
-
             settings = replace(settings, snapshots=True)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](settings, out)
+        manifest = RunManifest()
+        echo_config(manifest, settings)
+        try:
+            derived_constants(manifest, settings)
+            COMMANDS[args.command](settings, manifest, out)
+        except NUMERICAL_FAULTS as exc:
+            return _fault(manifest, out, exc)
+        return _finish(manifest, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -104,7 +104,7 @@ class InitialCondition:
     offset: float = 0.0
     mode_k: int = 12
     seed: int = 0
-    path: str | None = None
+    file: str | None = None
 
     def build(self, grid: Grid) -> RealField:
         x = grid.points
@@ -126,9 +126,9 @@ class InitialCondition:
             rng = np.random.default_rng(self.seed)
             return RealField(grid, self.amplitude * rng.standard_normal(grid.n))
         if self.kind == "file":
-            if not self.path:
+            if not self.file:
                 raise ValueError("file initial condition requires a path")
-            return load_samples(self.path, grid)
+            return load_samples(self.file, grid)
         raise ValueError(f"unknown initial condition kind {self.kind!r}")
 
 

@@ -82,11 +82,18 @@ def nyquist_resolution_defect(t: float, grid: Grid) -> float:
 
 
 def kernel_field(t: float, grid: Grid) -> KernelSnapshot:
-    """Sample K(t, .) on the grid by inverse transform of e^{-t psi}."""
+    """Sample K(t, .) on the grid by inverse transform of e^{-t psi}.
+
+    Raises FloatingPointError when the samples are not finite: e^{alpha0 t}
+    overflows a double once t is past about 391.
+    """
     if not (t > 0):
         raise ValueError(f"kernel time must be positive, got {t}")
-    coeffs = symbol_table(grid).exponential(float(t))
-    f = RealField(grid, real_spectrum(grid).inverse(coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        values = real_spectrum(grid).inverse(symbol_table(grid).exponential(float(t)))
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(f"kernel K(t = {t:g}) is not finite in double precision")
+    f = RealField(grid, values)
     mass = float(grid.spacing * np.sum(f.values))
     return KernelSnapshot(t=float(t), field=f, mass=mass)
 

@@ -50,7 +50,6 @@ __all__ = [
     "apply_nonlocal_fourier",
     "apply_nonlocal_integral",
     "sobolev_norm",
-    "default_quadrature",
 ]
 
 # Euler Gamma(2/3), evaluated at import; regression value 1.35411793943 (12
@@ -209,10 +208,6 @@ class QuadratureSpec:
         s = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
         w = (half[:, None] * ref_w[None, :]).ravel()
         return -s, w
-
-
-def default_quadrature(grid: Grid) -> QuadratureSpec:
-    return QuadratureSpec(z_max=grid.length / 2.0, z_min=1e-4, panels=48)
 
 
 @functools.lru_cache(maxsize=16)

@@ -28,22 +28,18 @@ def format_float(x) -> str:
 
 @dataclass
 class CsvTable:
-    """Numeric table with a fixed column layout."""
+    """Numeric table with a fixed column layout, built from whole columns."""
 
     header: list[str]
-    rows: list[list[float]] = field(default_factory=list)
-
-    def add_row(self, *values) -> None:
-        if len(values) != len(self.header):
-            raise ValueError(
-                f"row has {len(values)} entries, header has {len(self.header)}"
-            )
-        self.rows.append([float(v) for v in values])
+    columns: list
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)
-        lines = [",".join(self.header)]
-        lines += [",".join(format_float(v) for v in row) for row in self.rows]
+        rows = np.column_stack([np.asarray(c, dtype=float) for c in self.columns])
+        if rows.shape[1] != len(self.header):
+            raise ValueError(f"{rows.shape[1]} columns, header has {len(self.header)}")
+        row_format = ",".join(["%.17g"] * len(self.header))  # same text as format_float
+        lines = [",".join(self.header)] + [row_format % tuple(row) for row in rows.tolist()]
         path.write_text("\n".join(lines) + "\n")
         return path
 
@@ -64,8 +60,10 @@ class RunManifest:
             text = str(value)
         self.entries.append((key, text))
 
-    def add_check(self, name: str, passed: bool) -> None:
+    def check(self, name: str, passed: bool, label: str, detail: str = "") -> None:
+        """Record check.<name> and print its [PASS]/[FAIL] line."""
         self.add(f"check.{name}", "pass" if passed else "FAIL")
+        print(f"[{'PASS' if passed else 'FAIL'}] {label}" + (f": {detail}" if detail else ""))
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)
@@ -92,8 +90,8 @@ def echo_config(manifest: RunManifest, settings: RunSettings) -> None:
     manifest.add("initial.offset", float(sim.v0.offset))
     manifest.add("initial.mode_k", sim.v0.mode_k)
     manifest.add("initial.seed", sim.v0.seed)
-    if sim.v0.path:
-        manifest.add("initial.file", sim.v0.path)
+    if sim.v0.file:
+        manifest.add("initial.file", sim.v0.file)
     manifest.add("time.dt", float(sim.dt))
     manifest.add("time.t_end", float(sim.t_end))
     manifest.add("time.picard_tol", float(sim.picard_tol))

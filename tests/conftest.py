@@ -3,8 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fowler.grid import RealField, make_grid
+
+# the same examples on every run, and no per-example time limit: a first
+# call may warm numpy or a cache
+settings.register_profile("fowler", derandomize=True, deadline=None, database=None)
+settings.load_profile("fowler")
 
 
 def gamma_two_thirds_oracle() -> float:

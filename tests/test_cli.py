@@ -1,15 +1,18 @@
 """Config parsing contract, CLI exit codes, and bit-stable outputs."""
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fowler
 from fowler.cli import main
-from fowler.config import ConfigError, parse_config
+from fowler.config import CONFIG_SCHEMA, ConfigError, parse_config
+from fowler.reporting import RunManifest, echo_config
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -66,6 +69,13 @@ def test_missing_file_raises():
 def test_zero_dt_names_the_field(tmp_path):
     path = write_cfg(tmp_path, "[time]\ndt = 0\n")
     with pytest.raises(ConfigError, match="time.dt must be > 0"):
+        parse_config(path)
+
+
+def test_undecodable_config_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"[initial]\nkind = caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot parse"):
         parse_config(path)
 
 
@@ -132,6 +142,24 @@ def test_sampled_profile_from_file(tmp_path):
     assert np.allclose(settings.sim.profile.samples.values, values)
 
 
+def _readme_ini_block():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+
+
+def _echo(settings):
+    manifest = RunManifest()
+    echo_config(manifest, settings)
+    return manifest.entries
+
+
+def test_readme_config_block_states_the_defaults(tmp_path):
+    documented = parse_config(write_cfg(tmp_path, _readme_ini_block(), "readme.cfg"))
+    defaults = parse_config(write_cfg(tmp_path, "", "empty.cfg"))
+    assert documented.sim == defaults.sim
+    assert _echo(documented) == _echo(defaults)
+
+
 # --- CLI exit-code contract ---------------------------------------------------
 
 def test_usage_error_exits_1(capsys):
@@ -159,6 +187,8 @@ def test_config_error_exits_1(tmp_path, capsys):
         ("[time]\ndt = 0.1\nt_end = 0.05\n", "time.t_end must be at least dt"),
         ("[time]\npicard_max = 0\n", "time.picard_max must be >= 1"),
         ("[output]\nstride = 0\n", "output.stride must be >= 1"),
+        ("[time]\ndealias = maybe\n", "time.dealias: not a boolean: 'maybe'"),
+        ("[output]\nkernel_times = 0.1, abc\n", "output.kernel_times: not a list of times"),
     ],
 )
 def test_non_finite_or_aliased_config_exits_1(tmp_path, capsys, text, reason):
@@ -347,6 +377,72 @@ def test_operator_check_non_finite_integral_is_a_numerical_fault(tmp_path, capsy
     assert manifest.endswith("result = numerical-fault\n")
     cfg = write_cfg(tmp_path, MINIMAL + "\n[quadrature]\nz_min = 1e-30\n")
     assert main(["operator-check", cfg, "--out", str(tmp_path / "finite")]) == 0
+
+
+def test_kernel_overflow_is_a_numerical_fault(tmp_path, capsys):
+    # e^{alpha0 t} overflows a double past t = 391
+    cfg = write_cfg(tmp_path, "[grid]\nn = 256\n\n[output]\nkernel_times = 400\n")
+    out = tmp_path / "out"
+    assert main(["kernel-report", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical fault: kernel K(t = 400) is not finite")
+    assert "Traceback" not in err
+    manifest = _manifest(out)
+    assert manifest["error"].startswith("kernel K(t = 400)")
+    assert manifest["result"] == "numerical-fault"
+    cfg = write_cfg(tmp_path, "[grid]\nn = 256\n\n[output]\nkernel_times = 0.5\n")
+    assert main(["kernel-report", cfg, "--out", str(tmp_path / "finite")]) == 0
+
+
+@pytest.mark.parametrize(
+    "command", ["operator-check", "kernel-report", "evolve", "evolve-full", "convergence"]
+)
+def test_contraction_root_underflow_is_a_numerical_fault(tmp_path, capsys, command):
+    # C^1_b norm 1e300: t_star underflows to 0, and the root's precision
+    # check reports it before any command runs
+    cfg = write_cfg(tmp_path, "[grid]\nn = 256\n\n[profile]\nkind = gaussian-bump\namplitude = 1e300\n")
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical fault: contraction root lost precision")
+    assert "Traceback" not in err
+    assert _manifest(out)["result"] == "numerical-fault"
+
+
+def test_manifest_echoes_every_config_key(tmp_path, capsys):
+    # each key set away from its default; the manifest value parses back to
+    # the configured one, and samples_file is echoed as profile.samples
+    samples = tmp_path / "samples.csv"
+    np.savetxt(samples, 0.5 * np.exp(-np.linspace(-12.0, 12.0, 256, endpoint=False) ** 2))
+    raw = {
+        "grid": {"n": "256", "length": "24.0"},
+        "profile": {"kind": "sampled", "amplitude": "0.5", "width": "2.0", "offset": "0.5",
+                    "speed": "0.25", "samples_file": str(samples)},
+        "initial": {"kind": "file", "amplitude": "0.2", "width": "1.5", "offset": "-1.0",
+                    "mode_k": "5", "seed": "3", "file": str(samples)},
+        "time": {"dt": "2e-3", "t_end": "0.5", "picard_tol": "1e-11", "picard_max": "30",
+                 "dealias": "off", "linear_only": "yes"},
+        "quadrature": {"z_max": "11.0", "z_min": "2e-4", "panels": "40"},
+        "output": {"stride": "3", "snapshots": "on", "kernel_times": "0.05, 0.3",
+                   "seed": "11"},
+    }
+    assert {s: set(keys) for s, keys in raw.items()} == {
+        s: set(keys) for s, keys in CONFIG_SCHEMA.items()
+    }
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in raw.items()
+    )
+    out = tmp_path / "out"
+    assert main(["operator-check", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    manifest = _manifest(out)
+    assert manifest["profile.samples"] == "sampled-field"
+    for section, keys in CONFIG_SCHEMA.items():
+        for key, (parse, default) in keys.items():
+            if key == "samples_file":
+                continue
+            echoed = manifest[f"{section}.{key}"]
+            assert parse(echoed) == parse(raw[section][key]) != default, (section, key)
 
 
 def test_operator_check_constant_field(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 from fowler.grid import RealField, make_grid, real_spectrum
 from fowler.kernel import kernel_field
-from fowler.operator import QuadratureSpec, apply_nonlocal_integral, default_quadrature, psi_symbol
+from fowler.operator import QuadratureSpec, apply_nonlocal_integral, psi_symbol
 from fowler.profiles import WaveProfile
 
 from conftest import band_limited_field
@@ -96,7 +96,7 @@ def test_integral_route_matches_full_spectrum(grid_1024):
     rng = np.random.default_rng(42)
     fields = [band_limited_field(g, rng) for _ in range(5)]
     fields.append(RealField(g, rng.standard_normal(g.n)))
-    rules = [default_quadrature(g), QuadratureSpec(20.0, 1e-3, 32), QuadratureSpec(20.0, 0.256, 16)]
+    rules = [QuadratureSpec(g.length / 2, 1e-4, 48), QuadratureSpec(20.0, 1e-3, 32), QuadratureSpec(20.0, 0.256, 16)]
     for q in rules:
         for f in fields:
             ref = reference_integral(f, q)

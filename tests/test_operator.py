@@ -12,7 +12,6 @@ from fowler.operator import (
     QuadratureSpec,
     apply_nonlocal_fourier,
     apply_nonlocal_integral,
-    default_quadrature,
     nonlocal_multiplier,
     psi_symbol,
     sobolev_norm,
@@ -200,7 +199,7 @@ def test_integral_route_rejects_half_box_violation(grid_1024):
 
 
 def test_integral_route_annihilates_constants(grid_1024):
-    q = default_quadrature(grid_1024)
+    q = QuadratureSpec(z_max=grid_1024.length / 2, z_min=1e-4, panels=48)
     out = apply_nonlocal_integral(RealField(grid_1024, np.full(1024, 2.5)), q)
     assert np.abs(out.values).max() < 1e-12
 
@@ -233,7 +232,7 @@ def test_integral_route_refinement_converges(grid_1024):
 def test_equivalence_on_random_corpus(grid_1024):
     rng = np.random.default_rng(42)
     g = grid_1024
-    q = default_quadrature(g)
+    q = QuadratureSpec(z_max=g.length / 2, z_min=1e-4, panels=48)
     for _ in range(5):
         f = band_limited_field(g, rng)
         a = apply_nonlocal_fourier(f)
