@@ -12,7 +12,9 @@ for the full equation.  Per spectral mode the map reads
 where E = e^{-psi dt}, D = 2 i pi xi, and phi1, phi2 are the exponential
 integrals of the two-point (endpoint) product rule in s - a second-order
 exponential-trapezoid.  The implicit N1_hat is resolved by Picard iteration
-seeded with the linear prediction E v_hat.
+seeded with the exponential-Euler prediction E v_hat - dt D phi1 N0_hat.  A
+step returns the iterate w whose residual met the tolerance and N(w, t1),
+which the next step, or a retry from the same state, takes as its N0_hat.
 
 Step control works on evidence: each dt step is first tried whole and, when
 Picard contracts by a ratio above RHO_MAX, misses picard_tol or goes
@@ -114,7 +116,8 @@ class InitialCondition:
             return RealField(grid, np.full(grid.n, self.amplitude))
         if self.kind == "gaussian":
             u = (x - self.offset) / self.width
-            return RealField(grid, self.amplitude * np.exp(-(u**2)))
+            with np.errstate(over="ignore"):  # u^2 = inf samples exp(-inf) = 0
+                return RealField(grid, self.amplitude * np.exp(-(u**2)))
         if self.kind == "mode":
             if abs(self.mode_k) >= grid.n // 2:
                 raise ValueError(
@@ -343,31 +346,40 @@ def _nonlinear_hat(coeffs: np.ndarray, u_phi_values: np.ndarray | None,
     return _masked_coeffs(N, spectrum, mask)
 
 
+def _start_term(vhat: np.ndarray, t: float, cfg: SimConfig, tables: _StepTables,
+                u_of_t) -> np.ndarray | None:
+    """N0_hat of a step starting from vhat at t (None if linear_only)."""
+    if cfg.linear_only:
+        return None
+    u = None if u_of_t is None else u_of_t(t)
+    return _nonlinear_hat(vhat, u, tables.spectrum, tables.mask)
+
+
 def _single_step(
     vhat: np.ndarray,
+    N0: np.ndarray | None,
     t0: float,
     t1: float,
     cfg: SimConfig,
     tables: _StepTables,
     u_of_t,
-) -> tuple[np.ndarray, int, float]:
-    """One Duhamel step of size tables.dt from t0 to t1; u_of_t samples the
-    profile coupling, or is None when the term is absent (full-equation
-    flux).  An unconverged iterate contracting by a ratio above RHO_MAX
-    aborts the loop with a PicardError."""
+) -> tuple[np.ndarray, np.ndarray | None, int, float]:
+    """One Duhamel step of size tables.dt from t0 to t1 with start term N0;
+    u_of_t samples the profile coupling, or is None when the term is absent
+    (full-equation flux).  Returns (w, N(w, t1), iterations, ratio) for the
+    first iterate w with |Theta w - w| <= tol.  An unconverged iterate
+    contracting by a ratio above RHO_MAX aborts the loop with a PicardError."""
     E, A0, A1 = tables.E, tables.A0, tables.A1
     spectrum, mask = tables.spectrum, tables.mask
-    linear = E * vhat
+    base = E * vhat  # the linear prediction, until N0's part is taken off
     if cfg.linear_only:
-        return linear, 0, 0.0
-    u0 = u1 = None
-    if u_of_t is not None:
-        u0, u1 = u_of_t(t0), u_of_t(t1)
-    N0 = _nonlinear_hat(vhat, u0, spectrum, mask)
-    base = linear - A0 * N0
-    w = linear  # Picard seed: the linear prediction
+        return base, None, 0, 0.0
     # relative to the field's size, absolute for fields of norm <= 1
-    tol = cfg.picard_tol * max(spectrum.l2_norm(linear), 1.0)
+    tol = cfg.picard_tol * max(spectrum.l2_norm(base), 1.0)
+    u1 = None if u_of_t is None else u_of_t(t1)
+    # in place: the seed must not keep a separate linear prediction alive
+    base -= A0 * N0
+    w = base - A1 * N0  # Picard seed: the exponential-Euler prediction
     prev_delta = None
     ratio = 0.0
     for iteration in range(1, cfg.picard_max + 1):
@@ -378,16 +390,15 @@ def _single_step(
             raise BlowUpError(f"non-finite Picard iterate at t = {t1} (step {tables.dt:g})")
         if prev_delta is not None and prev_delta > 0.0:
             ratio = delta / prev_delta
-        w = w_new
         if delta <= tol:
-            return w, iteration, ratio
+            return w, N1, iteration, ratio
         if ratio > RHO_MAX:
             raise PicardError(
                 f"Picard contraction ratio {ratio:.3f} above {RHO_MAX} at "
                 f"t = {t0} (step {tables.dt:g})",
                 last_ratio=ratio,
             )
-        prev_delta = delta
+        w, prev_delta = w_new, delta
     raise PicardError(
         f"Picard loop did not reach {tol:g} within {cfg.picard_max} "
         f"iterations at t = {t0} (step {tables.dt:g}, last contraction ratio "
@@ -406,7 +417,8 @@ def duhamel_step(v: RealField, t_now: float, dt: float, cfg: SimConfig) -> StepR
     tables = _step_tables(cfg.grid.n, cfg.grid.length, dt, cfg.dealias)
     u_of_t = _profile_sampler(cfg, tables)
     vhat = _masked_coeffs(v.values, tables.spectrum, tables.mask)
-    vhat, iters, ratio = _single_step(vhat, t_now, t_now + dt, cfg, tables, u_of_t)
+    N0 = _start_term(vhat, t_now, cfg, tables, u_of_t)
+    vhat, _, iters, ratio = _single_step(vhat, N0, t_now, t_now + dt, cfg, tables, u_of_t)
     return StepResult(
         field=RealField(cfg.grid, tables.spectrum.inverse(vhat)),
         iterations=iters,
@@ -417,8 +429,7 @@ def duhamel_step(v: RealField, t_now: float, dt: float, cfg: SimConfig) -> StepR
 def _profile_sampler(cfg: SimConfig, tables: _StepTables):
     """Callable t -> physical profile samples, dealiased in step with the state.
 
-    A static profile is sampled once; a moving one keeps its last sample, so
-    the sample at the end of one step serves the start of the next.
+    A static profile is sampled once, a moving one at each step's end.
     """
     static = cfg.profile.speed == 0.0
 
@@ -481,20 +492,21 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
 
     def grid_time(step_index: int, j: int, pieces: int) -> float:
         # the last piece of a step ends on the same float the next step
-        # starts on, so a moving profile's sample is reused across it
+        # starts on, so the term N(w, t) it ends with is the next step's
+        # start term, bit for bit
         return t_offset + (step_index - 1 + j / pieces) * cfg.dt
 
-    def take_step(step_index: int) -> tuple[np.ndarray, int, float]:
+    def take_step(step_index: int) -> tuple[np.ndarray, np.ndarray | None, int, float]:
         """One dt step from vhat: whole first, then from the same state in
         2, 4, 8, ... pieces while Picard reports a fault."""
         pieces, first_fault = 1, None
         while True:
             piece_tables = _step_tables(grid.n, grid.length, cfg.dt / pieces, cfg.dealias)
-            w, iters, ratio = vhat, 0, 0.0
+            w, N, iters, ratio = vhat, nhat, 0, 0.0
             try:
                 for j in range(pieces):
-                    w, it, r = _single_step(
-                        w, grid_time(step_index, j, pieces),
+                    w, N, it, r = _single_step(
+                        w, N, grid_time(step_index, j, pieces),
                         grid_time(step_index, j + 1, pieces),
                         cfg, piece_tables, u_of_t,
                     )
@@ -513,12 +525,14 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
                         stacklevel=3,
                     )
                 traj.max_substeps = max(traj.max_substeps, pieces)
-            return w, iters, ratio
+            return w, N, iters, ratio
 
     record(t_offset, 0, 0.0)
+    # after the finiteness check: N of a non-finite state only raises warnings
+    nhat = _start_term(vhat, t_offset, cfg, tables, u_of_t)
     n_steps = int(round(cfg.t_end / cfg.dt))
     for step_index in range(1, n_steps + 1):
-        vhat, iters, ratio = take_step(step_index)
+        vhat, nhat, iters, ratio = take_step(step_index)
         t = t_offset + step_index * cfg.dt
         l2_now = perturbation_norm(t)
         if not math.isfinite(l2_now) or l2_now > BLOWUP_FACTOR * max(

@@ -282,7 +282,7 @@ def test_evolve_computes_c1b_norm_once_per_consumer(tmp_path, monkeypatch):
 
 def test_moving_profile_sampled_once_per_step_time(tmp_path, monkeypatch):
     # 100 steps need 101 distinct times: the end of one step and the start
-    # of the next are the same float, so the one-entry memo serves both
+    # of the next are the same float, and the start term is carried over
     calls = _count_calls(monkeypatch, "evaluate")
     cfg = write_cfg(
         tmp_path,
@@ -316,12 +316,13 @@ def test_numerical_fault_exits_3(tmp_path, capsys):
 
 
 def test_max_substeps_exhausted_exits_3(tmp_path, capsys):
-    # one Picard iteration never reaches 1e-10, however finely dt is cut
+    # one Picard iteration never reaches the tolerance, however finely dt is
+    # cut (the exponential-Euler seed meets it on amplitude 1 at 512 pieces)
     from fowler.evolution import MAX_SUBSTEPS
 
     cfg = write_cfg(
         tmp_path,
-        "[grid]\nn = 256\n\n[initial]\namplitude = 1.0\n\n"
+        "[grid]\nn = 256\n\n[initial]\namplitude = 10.0\n\n"
         "[time]\nt_end = 2e-3\ndt = 1e-3\npicard_max = 1\n",
     )
     out = tmp_path / "out"
@@ -596,18 +597,36 @@ def test_byte_identical_reruns(tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
 
 
-def test_console_entry_point_runs(tmp_path):
-    cfg = write_cfg(tmp_path, "[initial]\nkind = zero\n\n[time]\nt_end = 0.01\ndt = 1e-2\n")
-    # the child imports the package from where this process did, so the
-    # test also runs from a checkout without an install
+def run_module(*args):
+    """`python -m fowler ARGS` in a child process that imports the package
+    from where this process did, so it also runs from a checkout without an
+    install."""
     package_root = os.path.dirname(os.path.dirname(fowler.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "fowler", "evolve", cfg, "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "fowler", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point_runs(tmp_path):
+    cfg = write_cfg(tmp_path, "[initial]\nkind = zero\n\n[time]\nt_end = 0.01\ndt = 1e-2\n")
+    proc = run_module("evolve", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "energy bound" in proc.stdout
+
+
+@pytest.mark.parametrize("text", [
+    # the Gaussian's (x/width)^2 overflows to inf; exp(-inf) = 0 is the
+    # right sample
+    "[grid]\nlength = 1e300\n",
+    # the initial norm overflows: the run stops before any nonlinear term
+    "[initial]\namplitude = 1e160\n\n[time]\nt_end = 0.01\ndt = 1e-3\n",
+], ids=["huge-length", "huge-amplitude"])
+def test_numerical_fault_warns_nothing_before_its_message(tmp_path, text):
+    # numpy's floating-point warnings must not reach stderr ahead of the
+    # run's own exit-3 message
+    cfg = write_cfg(tmp_path, text)
+    proc = run_module("evolve", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "numerical fault" in proc.stderr

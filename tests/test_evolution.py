@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from fowler import evolution
 from fowler.diagnostics import c1b_norm, energy_bound_check, l2_norm
 from fowler.evolution import (
     CONTROL_WINDOW,
@@ -183,8 +184,10 @@ def test_split_restart_matches_direct_run():
 
 
 def test_max_substeps_exhausted_raises_last_fault():
-    # one Picard iteration cannot reach 1e-10 on any piece size
-    cfg = base_config(make_grid(256, 40.0), v0=InitialCondition(kind="gaussian", amplitude=1.0),
+    # one Picard iteration cannot reach the tolerance on any piece size (the
+    # exponential-Euler seed meets it on an amplitude-1 Gaussian at 256
+    # pieces, but not on amplitude 100)
+    cfg = base_config(make_grid(256, 40.0), v0=InitialCondition(kind="gaussian", amplitude=100.0),
                       picard_max=1, t_end=1e-3, dt=1e-3)
     with pytest.raises(PicardError, match=rf"step {1e-3 / MAX_SUBSTEPS:g}"):
         evolve(cfg)
@@ -192,7 +195,9 @@ def test_max_substeps_exhausted_raises_last_fault():
 
 def test_full_run_transforms_per_step(grid_1024, monkeypatch):
     # constant profile, amplitude-5 Gaussian: 170 transforms per step when
-    # every step was split below t_star, about 17 when taken whole
+    # every step was split below t_star, about 17 when taken whole from the
+    # linear seed, 9.3 with the exponential-Euler seed and the start term
+    # carried from the previous step (11.2 on the full-substep-1k workload)
     calls = []
     for name in ("forward", "inverse"):
         original = getattr(RealSpectrum, name)
@@ -202,8 +207,100 @@ def test_full_run_transforms_per_step(grid_1024, monkeypatch):
                       v0=InitialCondition(kind="gaussian", amplitude=5.0),
                       t_end=0.05, dt=1e-3)
     traj = evolve_full(cfg)
-    assert len(calls) <= 20 * 50
+    assert len(calls) <= 12 * 50
     assert traj.max_substeps == 1
+
+
+def count_nonlinear_terms(monkeypatch) -> list[bytes]:
+    """Record the state each _nonlinear_hat call of the stepper sees."""
+    seen = []
+    original = evolution._nonlinear_hat
+    monkeypatch.setattr(evolution, "_nonlinear_hat",
+                        lambda coeffs, *a: seen.append(coeffs.tobytes()) or original(coeffs, *a))
+    return seen
+
+
+def moving_tanh_config(grid, **kw):
+    return base_config(grid, profile=WaveProfile(kind="tanh-front", amplitude=0.8, width=1.5,
+                                                 speed=0.7),
+                       v0=InitialCondition(kind="gaussian", amplitude=0.1), **kw)
+
+
+def test_unsplit_run_evaluates_one_nonlinear_term_per_iteration(grid_1024, monkeypatch):
+    # the start state's term once, then one per Picard iteration: each step
+    # takes its start term from the previous step's last iteration
+    seen = count_nonlinear_terms(monkeypatch)
+    traj = evolve(moving_tanh_config(grid_1024, t_end=0.05, dt=1e-3, output_stride=1))
+    assert traj.max_substeps == 1
+    assert len(seen) == 1 + sum(r.picard_iters for r in traj.records)
+
+
+@pytest.mark.parametrize("run", [evolve, evolve_full])
+def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
+    # a moving profile under evolve, no coupling under evolve_full: every
+    # step's start term is the previous step's end term, and both equal a
+    # fresh evaluation at the state and time they belong to, bit for bit
+    steps = []
+    original = evolution._single_step
+
+    def spy(vhat, N0, t0, t1, cfg, tables, u_of_t):
+        out = original(vhat, N0, t0, t1, cfg, tables, u_of_t)
+        steps.append((vhat, N0, t0, out[0], out[1], t1, tables, u_of_t))
+        return out
+
+    monkeypatch.setattr(evolution, "_single_step", spy)
+    cfg = moving_tanh_config(grid_1024, t_end=0.02, dt=1e-3, output_stride=1)
+    run(cfg)
+    assert len(steps) == 20
+    for k, (vhat, N0, t0, w, N1, t1, tables, u_of_t) in enumerate(steps):
+        sampler = None if u_of_t is None else evolution._profile_sampler(cfg, tables)
+        for state, term, t in ((vhat, N0, t0), (w, N1, t1)):
+            fresh = _nonlinear_hat(state, None if sampler is None else sampler(t),
+                                   tables.spectrum, tables.mask)
+            assert np.array_equal(term, fresh), (k, t)
+        if k:
+            assert N0 is steps[k - 1][4] and t0 == steps[k - 1][5]
+
+
+def test_retry_reuses_the_start_term(monkeypatch):
+    # amplitude 100: whole steps and 2, 4, ... pieces fail before the run
+    # settles, and every retry starts from the state whose term is known
+    seen = count_nonlinear_terms(monkeypatch)
+    with pytest.warns(UserWarning, match="sub-stepping engaged"):
+        traj = evolve(large_gaussian_config(make_grid(256, 40.0), t_end=0.02, output_stride=1))
+    assert traj.max_substeps >= 4
+    assert len(seen) == len(set(seen))  # no state's term evaluated twice
+
+
+def test_returned_state_meets_the_picard_residual():
+    # over random fields, profiles and steps: the returned w satisfies
+    # |Theta w - w| <= tol, and the returned end term is N(w, t1)
+    rng = np.random.default_rng(90001)
+    grid = make_grid(256, 40.0)
+    checked = 0
+    for _ in range(24):
+        profile = WaveProfile(kind="tanh-front", amplitude=rng.uniform(0.0, 1.5),
+                              width=rng.uniform(0.5, 2.0), speed=rng.uniform(-1.0, 1.0))
+        v0 = InitialCondition(kind="white-noise", amplitude=10.0 ** rng.uniform(-3.0, 0.0),
+                              seed=int(rng.integers(1 << 30)))
+        dt = 10.0 ** rng.uniform(-4.0, -2.0)
+        cfg = base_config(grid, profile=profile, v0=v0, dt=dt, t_end=dt)
+        tables = evolution._step_tables(grid.n, grid.length, dt, True)
+        spectrum, mask = tables.spectrum, tables.mask
+        u_of_t = evolution._profile_sampler(cfg, tables)
+        t0 = rng.uniform(0.0, 1.0)
+        vhat = spectrum.forward(v0.build(grid).values) * mask
+        N0 = evolution._start_term(vhat, t0, cfg, tables, u_of_t)
+        try:
+            w, N1, iters, _ = evolution._single_step(vhat, N0, t0, t0 + dt, cfg, tables, u_of_t)
+        except PicardError:
+            continue
+        assert np.array_equal(N1, _nonlinear_hat(w, u_of_t(t0 + dt), spectrum, mask))
+        theta = tables.E * vhat - tables.A0 * N0 - tables.A1 * N1
+        tol = cfg.picard_tol * max(spectrum.l2_norm(tables.E * vhat), 1.0)
+        assert spectrum.l2_norm(theta - w) <= tol
+        checked += 1
+    assert checked >= 20
 
 
 def test_picard_failure_raises(grid_1024):
