@@ -12,9 +12,13 @@ for the full equation.  Per spectral mode the map reads
 where E = e^{-psi dt}, D = 2 i pi xi, and phi1, phi2 are the exponential
 integrals of the two-point (endpoint) product rule in s - a second-order
 exponential-trapezoid.  The implicit N1_hat is resolved by Picard iteration
-seeded with the exponential-Euler prediction E v_hat - dt D phi1 N0_hat.  A
-step returns the iterate w whose residual met the tolerance and N(w, t1),
-which the next step, or a retry from the same state, takes as its N0_hat.
+seeded with the exponential Adams-Bashforth (ETD2) prediction, which takes
+N1_hat = 2 N0_hat - N_prev from the start term N_prev of a previous step of
+the same size that ended where this one starts; without one (first step,
+restart, piece 1 of a split step, the step after a split) the seed is
+exponential Euler, N1_hat = N0_hat.  A step returns the iterate w whose
+residual met the tolerance and N(w, t1), which the next step, or a retry from
+the same state, takes as its N0_hat.
 
 Step control works on evidence: each dt step is first tried whole and, when
 Picard contracts by a ratio above RHO_MAX, misses picard_tol or goes
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, EnergyBoundParams, c1b_norm, l2_norm
+from .diagnostics import DiagnosticsRecord, EnergyBoundParams, c1b_norm
 from .grid import Grid, RealField, RealSpectrum, load_samples, make_grid, real_spectrum
 from .kernel import KernelNormFit, grad_kernel_norms
 from .operator import unstable_band
@@ -343,6 +347,7 @@ def _nonlinear_hat(coeffs: np.ndarray, u_phi_values: np.ndarray | None,
     if u_phi_values is not None:
         w *= u_phi_values
         N += w
+    del w  # not alive while the forward transform allocates its output
     return _masked_coeffs(N, spectrum, mask)
 
 
@@ -363,12 +368,15 @@ def _single_step(
     cfg: SimConfig,
     tables: _StepTables,
     u_of_t,
+    N_prev: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int, float]:
     """One Duhamel step of size tables.dt from t0 to t1 with start term N0;
     u_of_t samples the profile coupling, or is None when the term is absent
     (full-equation flux).  Returns (w, N(w, t1), iterations, ratio) for the
     first iterate w with |Theta w - w| <= tol.  An unconverged iterate
-    contracting by a ratio above RHO_MAX aborts the loop with a PicardError."""
+    contracting by a ratio above RHO_MAX aborts the loop with a PicardError.
+    N_prev, the start term of the previous same-size step, selects the ETD2
+    seed; None (see the module docstring) selects exponential Euler."""
     E, A0, A1 = tables.E, tables.A0, tables.A1
     spectrum, mask = tables.spectrum, tables.mask
     base = E * vhat  # the linear prediction, until N0's part is taken off
@@ -377,9 +385,15 @@ def _single_step(
     # relative to the field's size, absolute for fields of norm <= 1
     tol = cfg.picard_tol * max(spectrum.l2_norm(base), 1.0)
     u1 = None if u_of_t is None else u_of_t(t1)
-    # in place: the seed must not keep a separate linear prediction alive
+    # in place: the seed keeps no separate linear prediction or term alive
     base -= A0 * N0
-    w = base - A1 * N0  # Picard seed: the exponential-Euler prediction
+    if N_prev is None:
+        w = A1 * N0
+    else:
+        w = 2.0 * N0
+        w -= N_prev
+        w *= A1
+    np.subtract(base, w, out=w)  # the Picard seed
     prev_delta = None
     ratio = 0.0
     for iteration in range(1, cfg.picard_max + 1):
@@ -399,6 +413,7 @@ def _single_step(
                 last_ratio=ratio,
             )
         w, prev_delta = w_new, delta
+        del N1  # not alive while the next iteration forms its term
     raise PicardError(
         f"Picard loop did not reach {tol:g} within {cfg.picard_max} "
         f"iterations at t = {t0} (step {tables.dt:g}, last contraction ratio "
@@ -426,21 +441,24 @@ def duhamel_step(v: RealField, t_now: float, dt: float, cfg: SimConfig) -> StepR
     )
 
 
+def _per_step_time(profile: WaveProfile, fn):
+    """Callable t -> fn(t), cached for the last time asked: a static profile
+    is computed once, a moving one once per step time."""
+    cached = functools.lru_cache(maxsize=1)(fn)
+    static = profile.speed == 0.0
+    return lambda t: cached(0.0 if static else float(t))
+
+
 def _profile_sampler(cfg: SimConfig, tables: _StepTables):
-    """Callable t -> physical profile samples, dealiased in step with the state.
+    """Callable t -> physical profile samples, dealiased in step with the state."""
 
-    A static profile is sampled once, a moving one at each step's end.
-    """
-    static = cfg.profile.speed == 0.0
-
-    @functools.lru_cache(maxsize=1)
     def sample_at(t: float) -> np.ndarray:
         values = cfg.profile.evaluate(t, cfg.grid).values
         if tables.mask is None:
             return values
         return tables.spectrum.inverse(_masked_coeffs(values, tables.spectrum, tables.mask))
 
-    return lambda t: sample_at(0.0 if static else float(t))
+    return _per_step_time(cfg.profile, sample_at)
 
 
 def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
@@ -461,11 +479,15 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     mass0 = vhat[0].real
     tail_modes = np.arange(spectrum.size) > grid.n / 3
 
+    if full_mode:  # ||u - u_phi(t)|| by Parseval against the profile's spectrum
+        profile_hat = _per_step_time(
+            cfg.profile, lambda t: spectrum.forward(cfg.profile.evaluate(t, grid).values)
+        )
+
     def perturbation_norm(t: float) -> float:
         if not full_mode:
             return spectrum.l2_norm(vhat)
-        u_phi = cfg.profile.evaluate(t, grid).values
-        return l2_norm(RealField(grid, spectrum.inverse(vhat) - u_phi))
+        return spectrum.l2_norm(vhat - profile_hat(t))
 
     v0_norm = perturbation_norm(t_offset)
     if not math.isfinite(v0_norm):
@@ -496,20 +518,24 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
         # start term, bit for bit
         return t_offset + (step_index - 1 + j / pieces) * cfg.dt
 
-    def take_step(step_index: int) -> tuple[np.ndarray, np.ndarray | None, int, float]:
+    def take_step(step_index: int):
         """One dt step from vhat: whole first, then from the same state in
-        2, 4, 8, ... pieces while Picard reports a fault."""
+        2, 4, 8, ... pieces while Picard reports a fault.  Returns the end
+        state and term, the next step's N_prev, iterations and ratio."""
         pieces, first_fault = 1, None
         while True:
             piece_tables = _step_tables(grid.n, grid.length, cfg.dt / pieces, cfg.dealias)
-            w, N, iters, ratio = vhat, nhat, 0, 0.0
+            # history only from a previous step of the same size
+            w, N, N_prev, iters, ratio = vhat, nhat, nprev if pieces == 1 else None, 0, 0.0
             try:
                 for j in range(pieces):
+                    N_start = N
                     w, N, it, r = _single_step(
                         w, N, grid_time(step_index, j, pieces),
                         grid_time(step_index, j + 1, pieces),
-                        cfg, piece_tables, u_of_t,
+                        cfg, piece_tables, u_of_t, N_prev,
                     )
+                    N_prev = N_start
                     iters, ratio = max(iters, it), max(ratio, r)
             except (PicardError, BlowUpError) as exc:
                 if pieces >= MAX_SUBSTEPS:
@@ -525,14 +551,15 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
                         stacklevel=3,
                     )
                 traj.max_substeps = max(traj.max_substeps, pieces)
-            return w, N, iters, ratio
+            return w, N, N_prev if pieces == 1 else None, iters, ratio
 
     record(t_offset, 0, 0.0)
     # after the finiteness check: N of a non-finite state only raises warnings
     nhat = _start_term(vhat, t_offset, cfg, tables, u_of_t)
+    nprev = None
     n_steps = int(round(cfg.t_end / cfg.dt))
     for step_index in range(1, n_steps + 1):
-        vhat, nhat, iters, ratio = take_step(step_index)
+        vhat, nhat, nprev, iters, ratio = take_step(step_index)
         t = t_offset + step_index * cfg.dt
         l2_now = perturbation_norm(t)
         if not math.isfinite(l2_now) or l2_now > BLOWUP_FACTOR * max(

@@ -197,7 +197,9 @@ def test_full_run_transforms_per_step(grid_1024, monkeypatch):
     # constant profile, amplitude-5 Gaussian: 170 transforms per step when
     # every step was split below t_star, about 17 when taken whole from the
     # linear seed, 9.3 with the exponential-Euler seed and the start term
-    # carried from the previous step (11.2 on the full-substep-1k workload)
+    # carried from the previous step, 8.2 with the ETD2 seed and the
+    # perturbation norm taken in spectral space (9.1 on the full-substep-1k
+    # workload)
     calls = []
     for name in ("forward", "inverse"):
         original = getattr(RealSpectrum, name)
@@ -207,8 +209,46 @@ def test_full_run_transforms_per_step(grid_1024, monkeypatch):
                       v0=InitialCondition(kind="gaussian", amplitude=5.0),
                       t_end=0.05, dt=1e-3)
     traj = evolve_full(cfg)
-    assert len(calls) <= 12 * 50
+    assert len(calls) <= 9 * 50
     assert traj.max_substeps == 1
+
+
+def test_etd2_seed_takes_at_most_two_picard_iterations(grid_1024, monkeypatch):
+    # tanh front, 100 unsplit steps: the first step is seeded by exponential
+    # Euler, every later one by ETD2, which meets the tolerance within two
+    # iterations (4.18 transforms per step; 6.16 with exponential Euler on
+    # every step, which takes three)
+    transforms, iterations = [], []
+    for name in ("forward", "inverse"):
+        original = getattr(RealSpectrum, name)
+        monkeypatch.setattr(RealSpectrum, name,
+                            lambda self, a, _f=original: transforms.append(1) or _f(self, a))
+    original = evolution._single_step
+
+    def spy(*args):
+        out = original(*args)
+        iterations.append(out[2])
+        return out
+
+    monkeypatch.setattr(evolution, "_single_step", spy)
+    cfg = base_config(grid_1024, profile=WaveProfile(kind="tanh-front", amplitude=1.0, width=1.0),
+                      v0=InitialCondition(kind="gaussian", amplitude=0.1),
+                      t_end=0.1, dt=1e-3)
+    traj = evolve(cfg)
+    assert traj.max_substeps == 1 and len(iterations) == 100
+    assert max(iterations[1:]) <= 2
+    assert len(transforms) <= 4.2 * 100
+
+
+def test_overflowing_norm_raises_blowup_without_warnings(grid_1024):
+    # the single-pass norm overflows to a non-finite value quietly, and the
+    # stepper's finiteness check turns it into a BlowUpError
+    cfg = base_config(grid_1024, v0=InitialCondition(kind="gaussian", amplitude=1e200),
+                      t_end=0.01, dt=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match="not finite"):
+            evolve(cfg)
 
 
 def count_nonlinear_terms(monkeypatch) -> list[bytes]:
@@ -239,20 +279,21 @@ def test_unsplit_run_evaluates_one_nonlinear_term_per_iteration(grid_1024, monke
 def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
     # a moving profile under evolve, no coupling under evolve_full: every
     # step's start term is the previous step's end term, and both equal a
-    # fresh evaluation at the state and time they belong to, bit for bit
+    # fresh evaluation at the state and time they belong to, bit for bit;
+    # the ETD2 history is the previous step's start term, from step 2 on
     steps = []
     original = evolution._single_step
 
-    def spy(vhat, N0, t0, t1, cfg, tables, u_of_t):
-        out = original(vhat, N0, t0, t1, cfg, tables, u_of_t)
-        steps.append((vhat, N0, t0, out[0], out[1], t1, tables, u_of_t))
+    def spy(vhat, N0, t0, t1, cfg, tables, u_of_t, N_prev):
+        out = original(vhat, N0, t0, t1, cfg, tables, u_of_t, N_prev)
+        steps.append((vhat, N0, t0, out[0], out[1], t1, tables, u_of_t, N_prev))
         return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
     cfg = moving_tanh_config(grid_1024, t_end=0.02, dt=1e-3, output_stride=1)
     run(cfg)
     assert len(steps) == 20
-    for k, (vhat, N0, t0, w, N1, t1, tables, u_of_t) in enumerate(steps):
+    for k, (vhat, N0, t0, w, N1, t1, tables, u_of_t, N_prev) in enumerate(steps):
         sampler = None if u_of_t is None else evolution._profile_sampler(cfg, tables)
         for state, term, t in ((vhat, N0, t0), (w, N1, t1)):
             fresh = _nonlinear_hat(state, None if sampler is None else sampler(t),
@@ -260,6 +301,48 @@ def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
             assert np.array_equal(term, fresh), (k, t)
         if k:
             assert N0 is steps[k - 1][4] and t0 == steps[k - 1][5]
+            assert np.array_equal(N_prev, steps[k - 1][1]), k
+        else:
+            assert N_prev is None
+
+
+def test_history_is_the_previous_same_size_start_term(monkeypatch):
+    # the history passed to a step is the start term of the call just before
+    # it when that call had the same size and ended where this one starts,
+    # and None otherwise - on the first step, on piece 1 of a split step and
+    # on the whole step after a split.  Amplitude 12 takes 22-25 Picard
+    # iterations per whole step, so some whole steps seeded with history miss
+    # picard_max = 25 and split, and the next whole step starts without it
+    calls = []
+    original = evolution._single_step
+
+    def spy(vhat, N0, t0, t1, cfg, tables, u_of_t, N_prev):
+        calls.append((N0, N_prev, t0, t1, tables.dt))
+        return original(vhat, N0, t0, t1, cfg, tables, u_of_t, N_prev)
+
+    monkeypatch.setattr(evolution, "_single_step", spy)
+    cfg = base_config(make_grid(256, 40.0), v0=InitialCondition(kind="gaussian", amplitude=12.0),
+                      dt=1e-2, t_end=0.14, output_stride=1)
+    with pytest.warns(UserWarning, match="sub-stepping engaged"):
+        traj = evolve(cfg)
+    assert traj.substepping_engaged
+    on_step_grid = {k * cfg.dt for k in range(14)}
+    named = {"first": 0, "piece 1": 0, "after a split": 0, "with history": 0}
+    for k, (N0, N_prev, t0, t1, dt) in enumerate(calls):
+        before = calls[k - 1] if k else None
+        if before is not None and before[4] == dt and before[3] == t0:
+            assert np.array_equal(N_prev, before[0]), k
+            named["with history"] += 1
+            continue
+        assert N_prev is None, k
+        if before is None:
+            named["first"] += 1
+        elif dt < cfg.dt and t0 in on_step_grid:
+            named["piece 1"] += 1
+        elif dt == cfg.dt and before[4] < cfg.dt:
+            named["after a split"] += 1
+    assert named["first"] == 1 and named["piece 1"] >= 2
+    assert named["after a split"] >= 2 and named["with history"] >= 10
 
 
 def test_retry_reuses_the_start_term(monkeypatch):

@@ -1,5 +1,7 @@
 """The half-spectrum transform convention, spectral calculus, and exactness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,27 @@ def test_real_spectrum_derivative_and_mask():
     k = np.arange(33)
     assert np.array_equal(spectrum.dealias_mask, (k <= 64 // 3).astype(float))
     assert real_spectrum(make_grid(64, 11.0)) is spectrum
+
+
+@pytest.mark.parametrize("n", [8, 1024, 16384])
+def test_l2_norm_single_pass_matches_mode_energy(n):
+    # random spectra with nonzero, complex DC and Nyquist entries: the
+    # single pass subtracts the unpaired entries exactly as the weights do
+    rng = np.random.default_rng(n + 7)
+    spectrum = real_spectrum(make_grid(n, 13.0))
+    for scale in (1e-150, 1.0, 1e150):
+        c = scale * (rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1))
+        c[0] *= 50.0
+        c[-1] *= 50.0
+        ref = np.sqrt(spectrum.mode_energy(c).sum() / spectrum.grid.length)
+        assert spectrum.l2_norm(c) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_l2_norm_overflow_is_non_finite_without_warning():
+    spectrum = real_spectrum(make_grid(64, 13.0))
+    c = np.full(33, 1e200 + 1e200j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(spectrum.l2_norm(c))
+        c[1:-1] = 0.0
+        assert not np.isfinite(spectrum.l2_norm(c))
