@@ -45,7 +45,6 @@ from .evolution import (
     StepConstants,
     Trajectory,
     contraction_time_bound,
-    duhamel_step,
     evolve,
     evolve_full,
     stepping_norm_fit,

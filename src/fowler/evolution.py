@@ -50,7 +50,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, EnergyBoundParams, c1b_norm
 from .grid import Grid, RealField, RealSpectrum, load_samples, make_grid, real_spectrum
 from .kernel import KernelNormFit, grad_kernel_norms
-from .operator import unstable_band
+from .operator import symbol_table, unstable_band
 from .profiles import WaveProfile
 
 __all__ = [
@@ -58,10 +58,8 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "ContractionBound",
-    "StepResult",
     "BlowUpError",
     "PicardError",
-    "duhamel_step",
     "contraction_time_bound",
     "StepConstants",
     "STEP_CONSTANTS",
@@ -169,18 +167,10 @@ class SimConfig:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
 
 
-@dataclass(frozen=True)
-class StepResult:
-    field: RealField
-    iterations: int
-    ratio: float
-
-
 @dataclass
 class Trajectory:
     """Recorded time series: fields plus diagnostics at each record time."""
 
-    times: list[float] = field(default_factory=list)
     fields: list[RealField] = field(default_factory=list)
     records: list[DiagnosticsRecord] = field(default_factory=list)
     params: EnergyBoundParams | None = None
@@ -190,10 +180,13 @@ class Trajectory:
     def substepping_engaged(self) -> bool:
         return self.max_substeps > 1
 
-    def append(self, t: float, f: RealField, record: DiagnosticsRecord) -> None:
-        if self.times and t <= self.times[-1]:
+    @property
+    def times(self) -> list[float]:
+        return [r.t for r in self.records]
+
+    def append(self, f: RealField, record: DiagnosticsRecord) -> None:
+        if self.records and record.t <= self.records[-1].t:
             raise ValueError("record times must be strictly increasing")
-        self.times.append(t)
         self.fields.append(f)
         self.records.append(record)
 
@@ -278,7 +271,7 @@ def stepping_norm_fit() -> KernelNormFit:
 
 
 # ---------------------------------------------------------------------------
-# spectral stepping core (raw arrays; the dataclass wrappers validate on the
+# spectral stepping core (raw arrays; evolve and evolve_full validate on the
 # way in and out)
 
 def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,8 +306,6 @@ class _StepTables:
 
 @functools.lru_cache(maxsize=64)
 def _step_tables(n: int, length: float, dt: float, dealias: bool) -> _StepTables:
-    from .operator import symbol_table
-
     grid = make_grid(n, length)
     spectrum = real_spectrum(grid)
     psi = symbol_table(grid).psi
@@ -349,15 +340,6 @@ def _nonlinear_hat(coeffs: np.ndarray, u_phi_values: np.ndarray | None,
         N += w
     del w  # not alive while the forward transform allocates its output
     return _masked_coeffs(N, spectrum, mask)
-
-
-def _start_term(vhat: np.ndarray, t: float, cfg: SimConfig, tables: _StepTables,
-                u_of_t) -> np.ndarray | None:
-    """N0_hat of a step starting from vhat at t (None if linear_only)."""
-    if cfg.linear_only:
-        return None
-    u = None if u_of_t is None else u_of_t(t)
-    return _nonlinear_hat(vhat, u, tables.spectrum, tables.mask)
 
 
 def _single_step(
@@ -419,25 +401,6 @@ def _single_step(
         f"iterations at t = {t0} (step {tables.dt:g}, last contraction ratio "
         f"{ratio:.3f})",
         last_ratio=ratio,
-    )
-
-
-def duhamel_step(v: RealField, t_now: float, dt: float, cfg: SimConfig) -> StepResult:
-    """Advance the field by one exponential-trapezoid Duhamel step of size dt.
-
-    The step is taken as given: a Picard fault raises PicardError or
-    BlowUpError, and splitting the step is the job of the stepping loop in
-    evolve/evolve_full.
-    """
-    tables = _step_tables(cfg.grid.n, cfg.grid.length, dt, cfg.dealias)
-    u_of_t = _profile_sampler(cfg, tables)
-    vhat = _masked_coeffs(v.values, tables.spectrum, tables.mask)
-    N0 = _start_term(vhat, t_now, cfg, tables, u_of_t)
-    vhat, _, iters, ratio = _single_step(vhat, N0, t_now, t_now + dt, cfg, tables, u_of_t)
-    return StepResult(
-        field=RealField(cfg.grid, tables.spectrum.inverse(vhat)),
-        iterations=iters,
-        ratio=ratio,
     )
 
 
@@ -510,7 +473,7 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
             picard_ratio=ratio,
             spectral_tail=tail,
         )
-        traj.append(t, f, rec)
+        traj.append(f, rec)
 
     def grid_time(step_index: int, j: int, pieces: int) -> float:
         # the last piece of a step ends on the same float the next step
@@ -555,7 +518,10 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
 
     record(t_offset, 0, 0.0)
     # after the finiteness check: N of a non-finite state only raises warnings
-    nhat = _start_term(vhat, t_offset, cfg, tables, u_of_t)
+    nhat = None
+    if not cfg.linear_only:
+        u0 = None if u_of_t is None else u_of_t(t_offset)
+        nhat = _nonlinear_hat(vhat, u0, spectrum, tables.mask)
     nprev = None
     n_steps = int(round(cfg.t_end / cfg.dt))
     for step_index in range(1, n_steps + 1):
@@ -582,10 +548,11 @@ def evolve(
 ) -> Trajectory:
     """Advance the perturbation equation from 0 to t_end.
 
-    The run takes round(t_end / dt) whole steps of size dt.  v0_override
-    replaces the configured initial condition (used for restarts); t_offset
-    shifts the absolute time seen by a moving profile, so evolving to t1 and
-    restarting reproduces a single longer run.
+    The run takes round(t_end / dt) whole steps of size dt, so a single step
+    is a run with t_end = dt and output_stride = 1.  v0_override replaces
+    the configured initial condition (used for restarts); t_offset shifts the
+    absolute time seen by a moving profile, so evolving to t1 and restarting
+    reproduces a single longer run.
     """
     initial = v0_override if v0_override is not None else cfg.v0.build(cfg.grid)
     return _advance(cfg, initial, profile_coupling=True, t_offset=t_offset)

@@ -63,6 +63,9 @@ BAND_LIMIT_WARN = 1e-8
 # Quadrature nodes per block when the integral route's multiplier is summed.
 NODE_CHUNK = 32
 
+# Gauss-Legendre nodes per quadrature panel.
+GAUSS_ORDER = 10
+
 # (2 pi)^{2/3} (4/9): the singular-integral form's prefactor (module docstring).
 LEVY_PREFACTOR = (4.0 / 9.0) * (2.0 * math.pi) ** (2.0 / 3.0)
 
@@ -120,7 +123,7 @@ def unstable_band() -> tuple[float, float, float]:
 
 
 class SymbolTable:
-    """Half-spectrum (k = 0..n/2) table of psi(xi_k) with memoized e^{-tau psi}.
+    """Half-spectrum (k = 0..n/2) table of psi(xi_k) and its exponentials.
 
     The unpaired Nyquist mode carries the real part of psi only: the odd
     imaginary term has no -k partner at k = n/2, and projecting it out keeps
@@ -135,9 +138,8 @@ class SymbolTable:
         psi.setflags(write=False)
         self.psi = psi
 
-    @functools.lru_cache(maxsize=None)
     def exponential(self, tau: float) -> np.ndarray:
-        """e^{-tau psi(xi_k)} on the grid frequencies (cached, read-only)."""
+        """e^{-tau psi(xi_k)} on the grid frequencies (read-only)."""
         value = np.exp(-float(tau) * self.psi)
         value.setflags(write=False)
         return value
@@ -177,14 +179,13 @@ class QuadratureSpec:
     """Graded-panel quadrature for the singular integral form.
 
     The integral over [-z_max, -z_min] is split into `panels` geometrically
-    graded panels clustered toward -z_min, with a fixed-order Gauss-Legendre
-    rule per panel; `order` is the node count per panel.
+    graded panels clustered toward -z_min, with a GAUSS_ORDER-node
+    Gauss-Legendre rule per panel.
     """
 
     z_max: float
     z_min: float
     panels: int
-    order: int = 10
 
     def __post_init__(self):
         if not (0 < self.z_min < self.z_max):
@@ -193,15 +194,13 @@ class QuadratureSpec:
             )
         if self.panels < 16:
             raise ValueError(f"panels must be at least 16, got {self.panels}")
-        if self.order < 2:
-            raise ValueError(f"order must be at least 2, got {self.order}")
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes z in [-z_max, -z_min] and weights for dz."""
         edges = self.z_min * (self.z_max / self.z_min) ** (
             np.arange(self.panels + 1) / self.panels
         )
-        ref_x, ref_w = np.polynomial.legendre.leggauss(self.order)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
         lo, hi = edges[:-1], edges[1:]
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)

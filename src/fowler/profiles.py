@@ -19,6 +19,9 @@ __all__ = ["WaveProfile", "PROFILE_KINDS"]
 
 PROFILE_KINDS = ("constant", "tanh-front", "gaussian-bump", "sampled")
 
+#: sup_values samples the profile on a box this many times finer than the grid
+SUP_OVERSAMPLING = 16
+
 
 @dataclass(frozen=True)
 class WaveProfile:
@@ -83,16 +86,16 @@ class WaveProfile:
         y = (y + half) % grid.length - half
         return RealField(grid, self._analytic(y, 0))
 
-    def sup_values(self, grid: Grid, oversampling: int = 16) -> tuple[float, float]:
-        """(sup|phi|, sup|phi'|) over a 16x oversampled box: the two terms of
-        the C^1_b norm."""
+    def sup_values(self, grid: Grid) -> tuple[float, float]:
+        """(sup|phi|, sup|phi'|) over a SUP_OVERSAMPLING x finer box: the two
+        terms of the C^1_b norm."""
         if self.kind == "sampled":
             spectrum = real_spectrum(grid)
             F = spectrum.forward(self.samples.values)
             return tuple(
-                float(np.abs(spectrum.oversampled(multiplier * F, oversampling)).max())
+                float(np.abs(spectrum.oversampled(multiplier * F, SUP_OVERSAMPLING)).max())
                 for multiplier in (1.0, spectrum.derivative)
             )
-        m = grid.n * oversampling
+        m = grid.n * SUP_OVERSAMPLING
         x = -0.5 * grid.length + (grid.length / m) * np.arange(m)
         return tuple(float(np.abs(self._analytic(x, order)).max()) for order in (0, 1))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunSettings
+from .config import CONFIG_SCHEMA, RunSettings
 from .diagnostics import c1b_norm, l2_norm
 from .evolution import STEP_CONSTANTS, contraction_time_bound
 from .operator import symbol_coefficients, unstable_band
@@ -74,37 +74,25 @@ class RunManifest:
 
 
 def echo_config(manifest: RunManifest, settings: RunSettings) -> None:
+    """Echo every CONFIG_SCHEMA key with the value the run resolved; a
+    profile's samples are echoed by name, an unset file is left out."""
     sim = settings.sim
-    manifest.add("grid.n", sim.grid.n)
-    manifest.add("grid.length", float(sim.grid.length))
-    manifest.add("profile.kind", sim.profile.kind)
-    manifest.add("profile.amplitude", float(sim.profile.amplitude))
-    manifest.add("profile.width", float(sim.profile.width))
-    manifest.add("profile.offset", float(sim.profile.offset))
-    manifest.add("profile.speed", float(sim.profile.speed))
-    if sim.profile.kind == "sampled":
-        manifest.add("profile.samples", "sampled-field")
-    manifest.add("initial.kind", sim.v0.kind)
-    manifest.add("initial.amplitude", float(sim.v0.amplitude))
-    manifest.add("initial.width", float(sim.v0.width))
-    manifest.add("initial.offset", float(sim.v0.offset))
-    manifest.add("initial.mode_k", sim.v0.mode_k)
-    manifest.add("initial.seed", sim.v0.seed)
-    if sim.v0.file:
-        manifest.add("initial.file", sim.v0.file)
-    manifest.add("time.dt", float(sim.dt))
-    manifest.add("time.t_end", float(sim.t_end))
-    manifest.add("time.picard_tol", float(sim.picard_tol))
-    manifest.add("time.picard_max", sim.picard_max)
-    manifest.add("time.dealias", sim.dealias)
-    manifest.add("time.linear_only", sim.linear_only)
-    manifest.add("quadrature.z_max", float(settings.quadrature.z_max))
-    manifest.add("quadrature.z_min", float(settings.quadrature.z_min))
-    manifest.add("quadrature.panels", settings.quadrature.panels)
-    manifest.add("output.stride", sim.output_stride)
-    manifest.add("output.snapshots", settings.snapshots)
-    manifest.add("output.kernel_times", " ".join(map(format_float, settings.kernel_times)))
-    manifest.add("output.seed", settings.seed)
+    sources = {"grid": sim.grid, "profile": sim.profile, "initial": sim.v0,
+               "time": sim, "quadrature": settings.quadrature, "output": settings}
+    for section, keys in CONFIG_SCHEMA.items():
+        for key, (parse, _) in keys.items():
+            if key == "samples_file":
+                if sim.profile.kind == "sampled":
+                    manifest.add("profile.samples", "sampled-field")
+                continue
+            value = sim.output_stride if key == "stride" else getattr(sources[section], key)
+            if value is None or value == "":
+                continue
+            if parse is float:
+                value = float(value)
+            elif isinstance(value, tuple):
+                value = " ".join(map(format_float, value))
+            manifest.add(f"{section}.{key}", value)
 
 
 def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:

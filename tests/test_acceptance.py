@@ -7,6 +7,7 @@ to see the per-criterion lines.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fowler.evolution import (
     InitialCondition,
     SimConfig,
     contraction_time_bound,
-    duhamel_step,
     evolve,
     evolve_full,
     stepping_norm_fit,
@@ -232,11 +232,13 @@ def test_criterion_10_picard_contraction(grid_1024):
     assert abs(bound.t_star - oracle) <= 1e-10
     assert bound.equation_residual() <= 1e-10
     dt = bound.t_star / 4.0
-    out = duhamel_step(v, 0.0, dt, cfg)
-    assert out.ratio < 1.0
-    assert out.ratio <= 1.5 * bound.ratio_bound(dt)
+    step = evolve(replace(cfg, dt=dt, t_end=dt, output_stride=1))  # one step, taken whole
+    assert not step.substepping_engaged
+    ratio = step.records[-1].picard_ratio
+    assert ratio < 1.0
+    assert ratio <= 1.5 * bound.ratio_bound(dt)
     report(10, f"t_star = {bound.t_star:.6f} matches bisection to 1e-10; "
-               f"observed per-step ratio {out.ratio:.3f} < 1 and <= 1.5 x "
+               f"observed per-step ratio {ratio:.3f} < 1 and <= 1.5 x "
                f"bound {bound.ratio_bound(dt):.3f} at dt = t_star/4")
 
 

@@ -51,8 +51,18 @@ def _toy_trajectory(grid, scale=1.0):
             t=t, l2=l2_norm(f), energy_bound=params.bound(t), mass=0.0,
             mass_drift=0.0, picard_iters=1, picard_ratio=0.1, spectral_tail=0.0,
         )
-        traj.append(t, f, rec)
+        traj.append(f, rec)
     return traj, params
+
+
+def test_trajectory_rejects_non_increasing_times():
+    traj, _ = _toy_trajectory(make_grid(64, 8.0))
+    last = traj.records[-1]
+    for t in (last.t, last.t - 0.05):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            traj.append(traj.fields[-1], replace(last, t=t))
+    assert traj.times == [0.0, 0.1, 0.2]
+    assert len(traj.fields) == len(traj.records) == 3
 
 
 def test_energy_bound_check_passes_and_fails():

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from fowler.evolution import (
     SimConfig,
     _nonlinear_hat,
     contraction_time_bound,
-    duhamel_step,
     evolve,
     evolve_full,
     stepping_norm_fit,
@@ -78,14 +78,20 @@ def test_flux_output_has_zero_mean(grid_1024):
         assert abs(g.spacing * flux(v, u, dealias=True).sum()) < 1e-12
 
 
-# --- duhamel_step -----------------------------------------------------------
+# --- one step ---------------------------------------------------------------
+
+def one_step(cfg, dt):
+    """The end field and record of a single dt step from cfg.v0, taken whole."""
+    traj = evolve(replace(cfg, dt=dt, t_end=dt, output_stride=1))
+    assert not traj.substepping_engaged
+    return traj.fields[-1], traj.records[-1]
+
 
 def test_zero_is_a_fixed_point(grid_1024):
     cfg = base_config(grid_1024, profile=WaveProfile(kind="tanh-front", speed=0.0))
-    zero = RealField(grid_1024, np.zeros(grid_1024.n))
-    out = duhamel_step(zero, 0.0, 1e-3, cfg)
-    assert np.abs(out.field.values).max() == 0.0
-    assert out.iterations == 1
+    field, rec = one_step(cfg, 1e-3)
+    assert np.abs(field.values).max() == 0.0
+    assert rec.picard_iters == 1
 
 
 def test_linear_mode_evolves_exactly(grid_1024):
@@ -100,9 +106,9 @@ def test_linear_mode_evolves_exactly(grid_1024):
     )
     v = cfg.v0.build(g)
     dt = 1e-3
-    out = duhamel_step(v, 0.0, dt, cfg)
+    field, _ = one_step(cfg, dt)
     C0 = real_spectrum(g).forward(v.values)[k]
-    C1 = real_spectrum(g).forward(out.field.values)[k]
+    C1 = real_spectrum(g).forward(field.values)[k]
     assert C1 / C0 == pytest.approx(np.exp(-psi_symbol(xi) * dt), rel=1e-12)
 
 
@@ -115,10 +121,10 @@ def test_picard_contraction_at_quarter_t_star(grid_1024):
     fit = stepping_norm_fit()
     bound = contraction_time_bound(2.0 * l2_norm(v), fit, 2.0)
     dt = bound.t_star / 4.0
-    out = duhamel_step(v, 0.0, dt, cfg)
-    assert out.ratio < 1.0
-    assert out.ratio <= 1.5 * bound.ratio_bound(dt)
-    assert out.iterations <= 20
+    _, rec = one_step(cfg, dt)
+    assert rec.picard_ratio < 1.0
+    assert rec.picard_ratio <= 1.5 * bound.ratio_bound(dt)
+    assert rec.picard_iters <= 20
 
 
 def large_gaussian_config(grid, **kw):
@@ -189,8 +195,9 @@ def test_max_substeps_exhausted_raises_last_fault():
     # pieces, but not on amplitude 100)
     cfg = base_config(make_grid(256, 40.0), v0=InitialCondition(kind="gaussian", amplitude=100.0),
                       picard_max=1, t_end=1e-3, dt=1e-3)
-    with pytest.raises(PicardError, match=rf"step {1e-3 / MAX_SUBSTEPS:g}"):
+    with pytest.raises(PicardError, match=rf"step {1e-3 / MAX_SUBSTEPS:g}") as err:
         evolve(cfg)
+    assert err.value.last_ratio >= 0.0
 
 
 def test_full_run_transforms_per_step(grid_1024, monkeypatch):
@@ -373,7 +380,7 @@ def test_returned_state_meets_the_picard_residual():
         u_of_t = evolution._profile_sampler(cfg, tables)
         t0 = rng.uniform(0.0, 1.0)
         vhat = spectrum.forward(v0.build(grid).values) * mask
-        N0 = evolution._start_term(vhat, t0, cfg, tables, u_of_t)
+        N0 = _nonlinear_hat(vhat, u_of_t(t0), spectrum, mask)
         try:
             w, N1, iters, _ = evolution._single_step(vhat, N0, t0, t0 + dt, cfg, tables, u_of_t)
         except PicardError:
@@ -384,19 +391,6 @@ def test_returned_state_meets_the_picard_residual():
         assert spectrum.l2_norm(theta - w) <= tol
         checked += 1
     assert checked >= 20
-
-
-def test_picard_failure_raises(grid_1024):
-    cfg = base_config(
-        grid_1024,
-        v0=InitialCondition(kind="gaussian", amplitude=1.0),
-        picard_tol=1e-10,
-        picard_max=1,
-    )
-    v = cfg.v0.build(grid_1024)
-    with pytest.raises(PicardError) as err:
-        duhamel_step(v, 0.0, 1e-2, cfg)
-    assert err.value.last_ratio >= 0.0
 
 
 # --- contraction_time_bound -------------------------------------------------

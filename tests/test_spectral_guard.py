@@ -1,4 +1,6 @@
-"""One spectral convention: only grid.py touches numpy.fft."""
+"""Source guards over the package: one spectral convention (only grid.py
+touches numpy.fft), and no cache on a method, which would keep every
+instance and argument it saw alive for the whole process."""
 
 import ast
 from pathlib import Path
@@ -39,4 +41,38 @@ def test_guard_detects_both_patterns():
 
 def test_only_grid_calls_numpy_fft():
     offenders = [name for name, tree in modules() if name != "grid.py" and uses_numpy_fft(tree)]
+    assert offenders == []
+
+
+def cached_methods(tree) -> list[str]:
+    """Class.method names decorated with functools.lru_cache or cache."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in fn.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{cls.name}.{fn.name}")
+    return found
+
+
+def test_guard_detects_cached_methods():
+    source = (
+        "class A:\n"
+        "    @functools.lru_cache(maxsize=None)\n    def f(self, x): ...\n"
+        "    @lru_cache\n    def g(self, x): ...\n"
+        "    @functools.cache\n    def h(self, x): ...\n"
+        "    @property\n    def p(self): ...\n"
+        "@functools.lru_cache(maxsize=1)\ndef free(x): ...\n"
+    )
+    assert cached_methods(ast.parse(source)) == ["A.f", "A.g", "A.h"]
+
+
+def test_no_method_is_cached():
+    offenders = [f"{name}: {m}" for name, tree in modules() for m in cached_methods(tree)]
     assert offenders == []
