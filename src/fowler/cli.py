@@ -117,12 +117,10 @@ def cmd_kernel_report(settings: RunSettings, manifest: RunManifest, out: Path) -
 
     fit = grad_kernel_norms(norm_times, grid)
     residuals = [semigroup_residual(t, t, grid) for t in fit.times]
-    # scalar powers, element by element: the array power rounds differently
     CsvTable(
         ["t", "l1_grad", "l2_grad", "t34_l2", "t12_l1", "semigroup_residual"],
-        [fit.times, fit.l1_grad, fit.l2_grad,
-         [t**0.75 * v for t, v in zip(fit.times, fit.l2_grad)],
-         [t**0.5 * v for t, v in zip(fit.times, fit.l1_grad)], residuals],
+        [fit.times, fit.l1_grad, fit.l2_grad, fit.times**0.75 * fit.l2_grad,
+         fit.times**0.5 * fit.l1_grad, residuals],
     ).write(out / "kernel_norms.csv")
 
     manifest.add("kernel.grid_n", grid.n)
@@ -262,7 +260,10 @@ def main(argv=None) -> int:
         if args.snapshots:
             settings = replace(settings, snapshots=True)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: cannot create it: {exc.strerror or exc}") from None
         manifest = RunManifest()
         echo_config(manifest, settings)
         try:

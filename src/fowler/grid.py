@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,9 @@ def load_samples(path, grid: Grid) -> RealField:
     read and ValueError when it is not numeric, is ragged, has the wrong
     number of rows, or holds non-finite values.
     """
-    values = np.loadtxt(path, delimiter=",", ndmin=2)[:, -1]
+    with warnings.catch_warnings():  # an empty file fails the row count below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(path, delimiter=",", ndmin=2)[:, -1]
     if len(values) != grid.n:
         raise ValueError(f"{path} has {len(values)} rows, grid has {grid.n} points")
     return RealField(grid, values)
@@ -125,7 +128,8 @@ def circular_convolve(f: RealField, g: RealField) -> RealField:
     if f.grid != g.grid:
         raise ValueError("fields must share a grid")
     spectrum = real_spectrum(f.grid)
-    coeffs = spectrum.forward(f.values) * spectrum.forward(g.values)
+    F = spectrum.forward(f.values)
+    coeffs = F * (F if g is f else spectrum.forward(g.values))
     return RealField(grid=f.grid, values=spectrum.inverse(coeffs))
 
 

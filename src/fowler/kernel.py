@@ -26,7 +26,7 @@ from .grid import (
     circular_convolve,
     real_spectrum,
 )
-from .operator import symbol_table
+from .operator import psi_symbol, symbol_table
 
 __all__ = [
     "KernelSnapshot",
@@ -76,9 +76,10 @@ class KernelNormFit:
 
 def nyquist_resolution_defect(t: float, grid: Grid) -> float:
     """|e^{-t psi}| at the Nyquist frequency; above RESOLUTION_LIMIT the
-    kernel spectrum is truncated and sampled kernels cannot be trusted."""
-    table = symbol_table(grid)
-    return float(np.exp(-t * table.psi[-1].real))
+    kernel spectrum is truncated and sampled kernels cannot be trusted.  psi
+    is taken at that one frequency (no table is built), as a one-element
+    array so that it rounds like the SymbolTable entry."""
+    return float(np.exp(-t * psi_symbol([0.5 / grid.spacing])[0].real))
 
 
 def kernel_field(t: float, grid: Grid) -> KernelSnapshot:
@@ -209,7 +210,7 @@ def grad_kernel_norms(t_samples, grid: Grid) -> KernelNormFit:
         F = table.exponential(float(t))
         dF = spectrum.derivative * F
         l1[i] = _gradient_l1(F, dF, spectrum)
-        l2[i] = l2_norm(RealField(grid, spectrum.inverse(dF)))
+        l2[i] = spectrum.l2_norm(dF)  # Parseval
     K0 = float(np.max(times**0.75 * l2))
     K1 = float(np.max(times**0.5 * l1))
     slope_l2 = float(np.polyfit(np.log(times[decade]), np.log(l2[decade]), 1)[0])

@@ -18,9 +18,10 @@ The same operator also has a pointwise singular-integral form,
 
     (2 pi)^{2/3} (4/9) int_{-inf}^{0} (phi(x+z) - phi(x) - phi'(x) z) / |z|^{7/3} dz,
 
-implemented here by graded-panel quadrature with an analytic correction at
-the singular endpoint; the two routes cross-validate each other.  The
-prefactor follows from the Levy identity
+implemented here by graded-panel quadrature with closed-form corrections
+at both ends of the integration range; every piece is a Fourier multiplier
+built from the quadrature nodes alone, so the two routes cross-validate each
+other.  The prefactor follows from the Levy identity
 int_0^inf (e^{-ws} - 1 + ws) s^{-7/3} ds = Gamma(-4/3) w^{4/3}: the bare
 4/9 kernel alone realizes the symbol Gamma(2/3) (2 pi i xi)^{4/3}, and
 matching m(xi) = 4 pi^2 Gamma(2/3) (i xi)^{4/3} requires the extra
@@ -211,20 +212,31 @@ class QuadratureSpec:
 
 @functools.lru_cache(maxsize=16)
 def _quadrature_multiplier(grid: Grid, q: QuadratureSpec) -> np.ndarray:
-    """Half-spectrum multiplier of the graded-panel quadrature body,
+    """Half-spectrum multiplier of the whole integral route: M(0) = 0 and
 
-        M(xi) = sum_j c_j (e^{2 i pi z_j xi} - 1 - 2 i pi xi z_j),
+        M(xi) = sum_j c_j (e^{2 i pi z_j xi} - 1 - 2 i pi xi z_j)
+                + P ((3/4) z_min^{2/3} (2 i pi xi)^2 - (3/4) z_max^{-4/3}
+                     + 3 z_max^{-1/3} (2 i pi xi)).
 
-    with c_j the node weight times the kernel prefactor |z_j|^{-7/3}.  Built
-    from the quadrature nodes alone (never from nonlocal_multiplier, so the
-    integral route stays an independent check of the Levy prefactor), in
-    blocks of NODE_CHUNK nodes so memory stays O(n) however many panels the
-    rule has.  The real part is taken as -2 sin^2(theta/2), free of the
-    cancellation in cos(theta) - 1.  Cached per (grid, rule), read-only; may
-    be non-finite when |z|^{-7/3} overflows, which the caller reports.
+    The sum is the graded-panel quadrature body, c_j the node weight times
+    P |z_j|^{-7/3} (P = LEVY_PREFACTOR).  The P term is the leading Taylor
+    term (1/2) phi'' z^2 of the integrand over the gap (-z_min, 0) plus the
+    closed form of -phi(x) - phi'(x) z over the tail (-inf, -z_max]; the
+    tail's phi(x+z) part decays like the field times |z|^{-7/3} and is
+    dropped.  M(0) = 0 removes the mean, which the operator annihilates and
+    which would unbalance the tail's constant term (constants map to zero).
+
+    Built from the quadrature nodes and the two end terms alone, never from
+    nonlocal_multiplier, so the integral route stays an independent check
+    of the Levy prefactor.  Nodes are summed in blocks of NODE_CHUNK, so
+    memory stays O(n) however many panels the rule has; the body's real part
+    is -2 sin^2(theta/2), free of the cancellation in cos(theta) - 1.
+    Cached per (grid, rule), read-only; may be non-finite when |z|^{-7/3}
+    overflows, which the caller reports.
     """
+    spectrum = real_spectrum(grid)
     z, w = q.nodes_weights()
-    omega = 2.0 * np.pi * real_spectrum(grid).frequencies
+    omega = 2.0 * np.pi * spectrum.frequencies
     versine = np.zeros(len(omega))  # sum_j c_j sin^2(theta_j / 2)
     odd = np.zeros(len(omega))  # sum_j c_j (sin theta_j - theta_j)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,6 +248,11 @@ def _quadrature_multiplier(grid: Grid, q: QuadratureSpec) -> np.ndarray:
             versine += weights[block] @ (half_sine * half_sine)
             odd += weights[block] @ (np.sin(theta) - theta)
         multiplier = -2.0 * versine + 1j * odd
+        multiplier += LEVY_PREFACTOR * (  # gap Taylor term and closed-form tail
+            0.75 * q.z_min ** (2.0 / 3.0) * spectrum.laplacian - 0.75 * q.z_max ** (-4.0 / 3.0)
+            + 3.0 * q.z_max ** (-1.0 / 3.0) * spectrum.derivative
+        )
+    multiplier[0] = 0.0  # mean removal
     multiplier.setflags(write=False)
     return multiplier
 
@@ -244,22 +261,12 @@ def apply_nonlocal_integral(f: RealField, q: QuadratureSpec) -> RealField:
     """Apply the nonlocal operator through its singular-integral form.
 
     (2 pi)^{2/3} (4/9) int_{-inf}^{0} (phi(x+z) - phi(x) - phi'(x) z) / |z|^{7/3} dz
-    (see the module docstring for where the prefactor comes from), discretized
-    as
-
-      * graded-panel quadrature on [-Z, -delta], with phi(x+z) the periodic
-        spectral interpolant; the weighted sum over nodes is one multiplier
-        on the spectrum of phi (_quadrature_multiplier), applied by a single
-        inverse transform;
-      * the analytic inner correction (1/3) phi''(x) delta^{2/3} from the
-        leading Taylor behaviour of the integrand on (-delta, 0);
-      * closed-form integration of the -phi(x) - phi'(x) z terms over
-        (-inf, -Z]; the remaining phi(x+z) tail there decays like the field
-        times |z|^{-7/3} and is dropped.
-
-    The mean of phi is removed first: the operator annihilates it exactly,
-    and keeping it would unbalance the closed-form tail terms against the
-    dropped far-field samples (a constant field must map to zero).
+    (prefactor: module docstring), with phi(x+z) the periodic spectral
+    interpolant.  Quadrature body, gap term and tail are all multipliers, so
+    the route is one product on the half spectrum (_quadrature_multiplier)
+    between one forward and one inverse transform; irfft keeps only the real
+    part of the (real) Nyquist coefficient times the multiplier, the cosine
+    of the real interpolant's shift.
 
     Raises FloatingPointError when the quadrature yields non-finite values,
     e.g. a z_min so small that |z|^{-7/3} overflows.
@@ -271,23 +278,8 @@ def apply_nonlocal_integral(f: RealField, q: QuadratureSpec) -> RealField:
             "the periodic wrap would double-count"
         )
     spectrum = real_spectrum(grid)
-    F = spectrum.forward(f.values)
-    phi = f.values
-    dphi = spectrum.inverse(spectrum.derivative * F)
-    d2phi = spectrum.inverse(spectrum.laplacian * F)
-
-    # irfft keeps only the real part of the (real) Nyquist coefficient times
-    # the multiplier, the cosine of the real interpolant's shift
-    with np.errstate(invalid="ignore"):  # checked below
-        body = spectrum.inverse(F * _quadrature_multiplier(grid, q))
-
-    # leading Taylor behaviour (1/2) phi'' z^2 of the integrand on (-delta, 0)
-    inner = LEVY_PREFACTOR * 0.75 * d2phi * q.z_min ** (2.0 / 3.0)
-    centered = phi - F[0].real / grid.length
-    outer = LEVY_PREFACTOR * (
-        -0.75 * q.z_max ** (-4.0 / 3.0) * centered + 3.0 * q.z_max ** (-1.0 / 3.0) * dphi
-    )
-    values = body + inner + outer
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        values = spectrum.inverse(spectrum.forward(f.values) * _quadrature_multiplier(grid, q))
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(
             f"integral route produced non-finite values (z_min = {q.z_min:g}, "

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fowler.grid import RealField, make_grid
+from fowler.grid import RealField, RealSpectrum, make_grid
 
 # the same examples on every run, and no per-example time limit: a first
 # call may warm numpy or a cache
@@ -47,6 +47,16 @@ def band_limited_field(grid, rng, k_lo=8, k_hi=48, envelope_width=3.5, amplitude
         )
     values = amplitude * np.exp(-((x / envelope_width) ** 2)) * acc
     return RealField(grid, values)
+
+
+def spy_transforms(monkeypatch) -> list[str]:
+    """Record each RealSpectrum.forward / inverse call by name, in order."""
+    calls = []
+    for name in ("forward", "inverse"):
+        original = getattr(RealSpectrum, name)
+        monkeypatch.setattr(RealSpectrum, name,
+                            lambda self, a, _f=original, _n=name: calls.append(_n) or _f(self, a))
+    return calls
 
 
 @pytest.fixture(scope="session")

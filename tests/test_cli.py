@@ -189,6 +189,10 @@ def test_config_error_exits_1(tmp_path, capsys):
         ("[output]\nstride = 0\n", "output.stride must be >= 1"),
         ("[time]\ndealias = maybe\n", "time.dealias: not a boolean: 'maybe'"),
         ("[output]\nkernel_times = 0.1, abc\n", "output.kernel_times: not a list of times"),
+        ("[initial]\nkind = sawtooth\n", "unknown initial condition kind 'sawtooth'"),
+        ("[initial]\nkind = file\n", "initial.file: file initial condition requires a path"),
+        ("[profile]\nkind = sampled\n", "profile.samples_file is required for kind = sampled"),
+        ("[quadrature]\npanels = 4\n", "panels must be at least 16, got 4"),
     ],
 )
 def test_non_finite_or_aliased_config_exits_1(tmp_path, capsys, text, reason):
@@ -207,9 +211,11 @@ def test_non_finite_or_aliased_config_exits_1(tmp_path, capsys, text, reason):
         ("x,v\n0,1\n", "could not convert"),
         ("0,1\n1\n", "number of columns changed"),
         ("1\n" * 500 + "nan\n" + "1\n" * 523, "field values must be finite"),
+        ("", "has 0 rows, grid has 1024 points"),
     ],
-    ids=["non-numeric", "ragged", "non-finite"],
+    ids=["non-numeric", "ragged", "non-finite", "empty"],
 )
+@pytest.mark.filterwarnings("error")  # the reason is the only output
 def test_bad_samples_file_is_a_config_error(tmp_path, capsys, key, content, reason):
     data = tmp_path / "samples.csv"
     data.write_text(content)
@@ -221,6 +227,37 @@ def test_bad_samples_file_is_a_config_error(tmp_path, capsys, key, content, reas
     assert err.startswith(f"config error: {key}: ")
     assert reason in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["F", "F/sub"], ids=["file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_1(tmp_path, capsys, target):
+    (tmp_path / "F").write_text("")
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert main(["evolve", cfg, "--out", str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {tmp_path / target}: cannot create it")
+    assert "Traceback" not in err
+
+
+def test_unresolvable_kernel_times_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[output]\nkernel_times = 1e-9\n")
+    assert main(["kernel-report", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot resolve kernels at t = 1e-09")
+
+
+def test_zero_data_on_zero_profile_has_no_contraction_bound(tmp_path):
+    # nothing to contract: t_star is infinite and the run stays at zero
+    cfg = write_cfg(
+        tmp_path,
+        "[profile]\nkind = constant\namplitude = 0\n\n[initial]\nkind = zero\n\n"
+        "[time]\nt_end = 0.01\n",
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", cfg, "--out", str(out)]) == 0
+    manifest = _manifest(out)
+    assert manifest["derived.t_star"] == "inf"
+    assert float(manifest["run.final_l2"]) == 0.0
 
 
 def test_evolve_full_zero_mean_passes(tmp_path, capsys):
@@ -463,6 +500,14 @@ def test_kernel_report_defaults(tmp_path, capsys):
     assert shape[:, 2].min() < 0  # K(0.5, .) too
     norms = np.loadtxt(out / "kernel_norms.csv", delimiter=",", skiprows=1)
     assert norms[:, 5].max() <= 1e-10  # semigroup residual column
+    # the envelope columns are t^{3/4} l2 and t^{1/2} l1 as whole arrays, the
+    # expressions whose maxima are K0 and K1
+    t, l1, l2 = (np.ascontiguousarray(norms[:, j]) for j in range(3))
+    assert np.array_equal(norms[:, 3], t**0.75 * l2)
+    assert np.array_equal(norms[:, 4], t**0.5 * l1)
+    manifest = _manifest(out)
+    assert float(manifest["kernel.K0"]) == norms[:, 3].max()
+    assert float(manifest["kernel.K1"]) == norms[:, 4].max()
 
 
 def test_evolve_writes_trajectory_and_manifest(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fowler.grid import RealField, RealSpectrum, make_grid, real_spectrum
+from fowler.grid import RealField, RealSpectrum, circular_convolve, make_grid, real_spectrum
 from fowler.kernel import (
     _gradient_l1,
     grad_kernel_norms,
@@ -12,9 +12,9 @@ from fowler.kernel import (
     nyquist_resolution_defect,
     semigroup_residual,
 )
-from fowler.operator import psi_symbol, unstable_band
+from fowler.operator import SymbolTable, psi_symbol, symbol_table, unstable_band
 
-from conftest import band_limited_field
+from conftest import band_limited_field, spy_transforms
 from reference_spectrum import forward_transform, hermitian_defect
 
 
@@ -105,6 +105,16 @@ def test_semigroup_residual(s, t, grid_1024):
     assert semigroup_residual(s, t, grid_1024) < 1e-10
 
 
+def test_self_convolution_transforms_once(grid_1024, monkeypatch):
+    f = kernel_field(0.1, grid_1024).field
+    twin = RealField(grid_1024, f.values)  # equal samples, another object
+    by_pair = circular_convolve(f, twin)
+    calls = spy_transforms(monkeypatch)
+    by_self = circular_convolve(f, f)
+    assert calls == ["forward", "inverse"]
+    assert np.array_equal(by_self.values, by_pair.values)
+
+
 def test_semigroup_residual_small_s_limit(fine_grid):
     residuals = [semigroup_residual(eps, 0.2, fine_grid) for eps in (0.02, 0.01, 0.005)]
     assert all(r < 1e-10 for r in residuals)
@@ -133,6 +143,44 @@ def test_grad_norms_resolution_guard():
     with pytest.raises(ValueError, match="under-resolved"):
         grad_kernel_norms([1e-4, 1e-3], coarse)
     assert nyquist_resolution_defect(1e-4, coarse) > 1e-12
+
+
+def test_nyquist_defect_builds_no_table():
+    # probing a grid the CLI may not use leaves nothing cached, and the
+    # single-frequency psi rounds like the table entry
+    g = make_grid(1024, 40.0)
+    psi_nyquist = SymbolTable(g).psi[-1].real
+    symbol_table.cache_clear()
+    real_spectrum.cache_clear()
+    for t in (2e-6, 1e-4, 0.1):
+        assert nyquist_resolution_defect(t, g) == float(np.exp(-t * psi_nyquist))
+    assert symbol_table.cache_info().currsize == 0
+    assert real_spectrum.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("times, reason", [
+    ([1e-4], "at least two sample times"),
+    ([0.0, 1e-4], "must be positive"),
+    ([-1e-4, 1e-4], "must be positive"),
+], ids=["one-time", "zero-time", "negative-time"])
+def test_grad_norms_reject_bad_sample_times(fine_grid, times, reason):
+    with pytest.raises(ValueError, match=reason):
+        grad_kernel_norms(times, fine_grid)
+
+
+def test_grad_norms_l2_by_parseval(fine_grid, monkeypatch):
+    # ||dK/dx||_L2 comes from the half spectrum: no inverse transform
+    # (the norm of the sampled derivative, sqrt(dx sum |K'|^2), is the same
+    # by the discrete Parseval identity)
+    times = [1e-4, 3e-4]
+    spectrum = real_spectrum(fine_grid)
+    sampled = [l2(RealField(fine_grid, spectrum.inverse(
+        spectrum.derivative * spectrum.forward(kernel_field(t, fine_grid).field.values))))
+        for t in times]
+    calls = spy_transforms(monkeypatch)
+    fit = grad_kernel_norms(times, fine_grid)
+    assert "inverse" not in calls
+    assert fit.l2_grad == pytest.approx(sampled, rel=1e-12)
 
 
 def test_grad_norms_need_two_times_in_fitting_decade(fine_grid):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from fowler import operator
 from fowler.grid import RealField, make_grid
 from fowler.operator import (
     GAMMA_TWO_THIRDS,
@@ -20,7 +21,7 @@ from fowler.operator import (
     unstable_band,
 )
 
-from conftest import band_limited_field, gamma_two_thirds_oracle
+from conftest import band_limited_field, gamma_two_thirds_oracle, spy_transforms
 
 # 12-digit regression value for Gamma(2/3), derived once from the quadrature
 # oracle below.
@@ -225,6 +226,32 @@ def test_integral_route_refinement_converges(grid_1024):
         out = apply_nonlocal_integral(f, q)
         errs.append(np.abs(out.values - reference).max() / scale)
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_integral_route_is_one_transform_pair(grid_1024, monkeypatch):
+    # quadrature body, gap term, tail and mean removal are one cached
+    # multiplier: one forward and one inverse transform per application
+    calls = spy_transforms(monkeypatch)
+    f = RealField(grid_1024, np.exp(-np.pi * grid_1024.points**2))
+    apply_nonlocal_integral(f, QuadratureSpec(z_max=20.0, z_min=1e-4, panels=48))
+    assert calls == ["forward", "inverse"]
+
+
+def test_integral_route_never_reads_the_fourier_symbol(grid_1024, monkeypatch):
+    # the multiplier is built from the quadrature nodes and the end terms,
+    # so the route stays an independent check of the Levy prefactor
+    def forbidden(xi):
+        raise AssertionError("integral route used nonlocal_multiplier")
+
+    monkeypatch.setattr(operator, "nonlocal_multiplier", forbidden)
+    operator._quadrature_multiplier.cache_clear()
+    f = RealField(grid_1024, np.exp(-np.pi * grid_1024.points**2))
+    q = QuadratureSpec(z_max=20.0, z_min=1e-4, panels=48)
+    by_integral = apply_nonlocal_integral(f, q)
+    monkeypatch.undo()
+    by_fourier = apply_nonlocal_fourier(f)
+    err = np.abs(by_integral.values - by_fourier.values).max()
+    assert err / np.abs(by_fourier.values).max() < 1e-3
 
 
 def test_equivalence_on_random_corpus(grid_1024):
