@@ -3,10 +3,11 @@
     fowler operator-check|kernel-report|evolve|evolve-full|convergence \
         <config-file> [--out DIR] [--snapshots]
 
-Exit codes are never conflated: 0 all checks pass, 1 usage or config error,
-2 a property or tolerance check failed, 3 a numerical fault (blow-up guard,
-a Picard fault in every piece size up to MAX_SUBSTEPS, a non-finite integral
-route or kernel, a contraction root that lost precision).  Every command
+Exit codes are never conflated: 0 all checks pass, 1 usage or config error
+(an output file that cannot be written included), 2 a property or
+tolerance check failed, 3 a numerical fault (blow-up guard, a Picard fault
+in every piece size up to MAX_SUBSTEPS, a non-finite integral route or
+kernel, a contraction root that lost precision).  Every command
 writes its CSV tables plus a manifest of the resolved config, derived
 constants, and per-check results; the run's result follows from the checks
 it recorded.
@@ -145,7 +146,8 @@ def cmd_kernel_report(settings: RunSettings, manifest: RunManifest, out: Path) -
 
 def _run_evolution(settings: RunSettings, manifest: RunManifest, out: Path, full: bool) -> None:
     sim = settings.sim
-    traj = (evolve_full if full else evolve)(sim, v0_override=settings.v0_field)
+    traj = (evolve_full if full else evolve)(sim, v0_override=settings.v0_field,
+                                             keep_fields=settings.snapshots)
     records = traj.records
     header = ["t", "l2", "energy_bound", "mass_drift", "picard_iters", "picard_ratio",
               "spectral_tail"]  # each a DiagnosticsRecord field
@@ -169,6 +171,8 @@ def _run_evolution(settings: RunSettings, manifest: RunManifest, out: Path, full
     manifest.add("run.final_l2", records[-1].l2)
     manifest.add("run.max_mass_drift", max_drift)
     manifest.add("run.min_bound_margin", float(report.margins.min()))
+    manifest.add("stats.picard_iters_total", traj.picard_iters_total)
+    manifest.add("stats.steps_by_seed_order", " ".join(map(str, traj.steps_by_seed_order)))
     manifest.check("energy_bound", report.ok, "energy bound",
                    f"min margin {report.margins.min():.3e}")
     manifest.check("mass_conservation", max_drift <= mass_tol, "mass conservation")

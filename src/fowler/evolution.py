@@ -12,13 +12,18 @@ for the full equation.  Per spectral mode the map reads
 where E = e^{-psi dt}, D = 2 i pi xi, and phi1, phi2 are the exponential
 integrals of the two-point (endpoint) product rule in s - a second-order
 exponential-trapezoid.  The implicit N1_hat is resolved by Picard iteration
-seeded with the exponential Adams-Bashforth (ETD2) prediction, which takes
-N1_hat = 2 N0_hat - N_prev from the start term N_prev of a previous step of
-the same size that ended where this one starts; without one (first step,
-restart, piece 1 of a split step, the step after a split) the seed is
-exponential Euler, N1_hat = N0_hat.  A step returns the iterate w whose
-residual met the tolerance and N(w, t1), which the next step, or a retry from
-the same state, takes as its N0_hat.
+seeded with an exponential Adams-Bashforth prediction of order q <= 4: N1_hat
+is extrapolated from the step's start term N0_hat and the start terms of up
+to three earlier steps of the same size, each ending where the next starts,
+with weights (1), (2, -1), (3, -3, 1) or (4, -6, 4, -1), newest first.  Order
+control works on evidence: a step whose Picard iterate contracted by a ratio
+above RHO_HISTORY drops the history, and a first step, a restart, piece 1 of
+a split step and the step after a split have none, so each of them seeds
+with exponential Euler, N1_hat = N0_hat, and the order climbs back one step
+at a time.  Only the starting iterate depends on the seed, not the fixed
+point.  A step returns the iterate w whose residual met the tolerance and
+N(w, t1), which the next step, or a retry from the same state, takes as its
+N0_hat.
 
 Step control works on evidence: each dt step is first tried whole and, when
 Picard contracts by a ratio above RHO_MAX, misses picard_tol or goes
@@ -81,6 +86,15 @@ CONTROL_WINDOW = (1e-4, 1e-2)
 #: the step, which is then retried in smaller pieces
 RHO_MAX = 0.5
 
+#: a step whose Picard iterate contracted by a ratio above this drops the
+#: seed's history: extrapolating a term that changes fast over one step
+#: overshoots, and the next step seeds with exponential Euler
+RHO_HISTORY = 0.2
+
+#: weights of the order-q Picard seed on the start terms (N0, N_-1, ...),
+#: newest first, for q = 1..4
+SEED_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+
 #: a dt step that still fails when cut into this many pieces is a numerical
 #: fault
 MAX_SUBSTEPS = 1024
@@ -93,9 +107,10 @@ class BlowUpError(RuntimeError):
 class PicardError(RuntimeError):
     """Inner fixed-point iteration failed to converge."""
 
-    def __init__(self, message: str, last_ratio: float):
+    def __init__(self, message: str, last_ratio: float, iterations: int):
         super().__init__(message)
         self.last_ratio = last_ratio
+        self.iterations = iterations  # nonlinear terms the failed loop evaluated
 
 
 @dataclass(frozen=True)
@@ -169,12 +184,17 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded time series: fields plus diagnostics at each record time."""
+    """Recorded time series: diagnostics at each record time, plus the
+    fields when keep_fields is set, and the run's Picard work."""
 
     fields: list[RealField] = field(default_factory=list)
     records: list[DiagnosticsRecord] = field(default_factory=list)
     params: EnergyBoundParams | None = None
+    keep_fields: bool = True
     max_substeps: int = 1  # most pieces any dt step was cut into
+    picard_iters_total: int = 0  # over every attempt, failed ones included
+    # accepted steps and pieces by the order of their Picard seed, 1..4
+    steps_by_seed_order: list[int] = field(default_factory=lambda: [0] * len(SEED_WEIGHTS))
 
     @property
     def substepping_engaged(self) -> bool:
@@ -187,7 +207,8 @@ class Trajectory:
     def append(self, f: RealField, record: DiagnosticsRecord) -> None:
         if self.records and record.t <= self.records[-1].t:
             raise ValueError("record times must be strictly increasing")
-        self.fields.append(f)
+        if self.keep_fields:
+            self.fields.append(f)
         self.records.append(record)
 
 
@@ -350,15 +371,16 @@ def _single_step(
     cfg: SimConfig,
     tables: _StepTables,
     u_of_t,
-    N_prev: np.ndarray | None = None,
+    history: tuple[np.ndarray, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray | None, int, float]:
     """One Duhamel step of size tables.dt from t0 to t1 with start term N0;
     u_of_t samples the profile coupling, or is None when the term is absent
     (full-equation flux).  Returns (w, N(w, t1), iterations, ratio) for the
     first iterate w with |Theta w - w| <= tol.  An unconverged iterate
-    contracting by a ratio above RHO_MAX aborts the loop with a PicardError.
-    N_prev, the start term of the previous same-size step, selects the ETD2
-    seed; None (see the module docstring) selects exponential Euler."""
+    contracting by a ratio above RHO_MAX, or going non-finite, aborts the
+    loop with a PicardError.  history holds the start terms of up to three
+    earlier same-size steps, newest first (see the module docstring); the
+    seed's order is 1 + len(history)."""
     E, A0, A1 = tables.E, tables.A0, tables.A1
     spectrum, mask = tables.spectrum, tables.mask
     base = E * vhat  # the linear prediction, until N0's part is taken off
@@ -369,12 +391,16 @@ def _single_step(
     u1 = None if u_of_t is None else u_of_t(t1)
     # in place: the seed keeps no separate linear prediction or term alive
     base -= A0 * N0
-    if N_prev is None:
-        w = A1 * N0
-    else:
-        w = 2.0 * N0
-        w -= N_prev
-        w *= A1
+    # the extrapolated end term sum_k c_k terms[k], nested oldest first as
+    # w <- (w / c + term) c so that no history array is scaled into a copy
+    terms = (N0,) + history
+    weights = SEED_WEIGHTS[len(history)]
+    w = weights[-1] * terms[-1]
+    for c, term in zip(weights[-2::-1], terms[-2::-1]):
+        w /= c
+        w += term
+        w *= c
+    w *= A1
     np.subtract(base, w, out=w)  # the Picard seed
     prev_delta = None
     ratio = 0.0
@@ -383,7 +409,10 @@ def _single_step(
         w_new = base - A1 * N1
         delta = spectrum.l2_norm(w_new - w)
         if not math.isfinite(delta):
-            raise BlowUpError(f"non-finite Picard iterate at t = {t1} (step {tables.dt:g})")
+            raise PicardError(
+                f"non-finite Picard iterate at t = {t1} (step {tables.dt:g})",
+                last_ratio=ratio, iterations=iteration,
+            )
         if prev_delta is not None and prev_delta > 0.0:
             ratio = delta / prev_delta
         if delta <= tol:
@@ -392,7 +421,7 @@ def _single_step(
             raise PicardError(
                 f"Picard contraction ratio {ratio:.3f} above {RHO_MAX} at "
                 f"t = {t0} (step {tables.dt:g})",
-                last_ratio=ratio,
+                last_ratio=ratio, iterations=iteration,
             )
         w, prev_delta = w_new, delta
         del N1  # not alive while the next iteration forms its term
@@ -400,7 +429,7 @@ def _single_step(
         f"Picard loop did not reach {tol:g} within {cfg.picard_max} "
         f"iterations at t = {t0} (step {tables.dt:g}, last contraction ratio "
         f"{ratio:.3f})",
-        last_ratio=ratio,
+        last_ratio=ratio, iterations=cfg.picard_max,
     )
 
 
@@ -425,7 +454,7 @@ def _profile_sampler(cfg: SimConfig, tables: _StepTables):
 
 
 def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
-             t_offset: float) -> Trajectory:
+             t_offset: float, keep_fields: bool) -> Trajectory:
     """March the state forward; in full-equation mode (profile_coupling off)
     diagnostics measure the perturbation u - u_phi(t), not u itself."""
     grid = cfg.grid
@@ -456,13 +485,13 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     if not math.isfinite(v0_norm):
         raise BlowUpError("initial data norm is not finite")
     params = EnergyBoundParams(alpha0=alpha0, c_phi=c_phi, v0_norm=v0_norm)
-    traj = Trajectory(params=params)
+    traj = Trajectory(params=params, keep_fields=keep_fields)
 
     def record(t, iters, ratio):
         energy = spectrum.mode_energy(vhat)
         total = float(energy.sum())
         tail = float(energy[tail_modes].sum() / total) if total > 0 else 0.0
-        f = RealField(grid, spectrum.inverse(vhat))
+        f = RealField(grid, spectrum.inverse(vhat)) if keep_fields else None
         rec = DiagnosticsRecord(
             t=t,
             l2=perturbation_norm(t),
@@ -481,26 +510,32 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
         # start term, bit for bit
         return t_offset + (step_index - 1 + j / pieces) * cfg.dt
 
-    def take_step(step_index: int):
+    def take_step(step_index: int, history: tuple):
         """One dt step from vhat: whole first, then from the same state in
         2, 4, 8, ... pieces while Picard reports a fault.  Returns the end
-        state and term, the next step's N_prev, iterations and ratio."""
+        state and term, the next step's seed history, iterations and ratio."""
         pieces, first_fault = 1, None
         while True:
             piece_tables = _step_tables(grid.n, grid.length, cfg.dt / pieces, cfg.dealias)
-            # history only from a previous step of the same size
-            w, N, N_prev, iters, ratio = vhat, nhat, nprev if pieces == 1 else None, 0, 0.0
+            # history only from earlier steps of the same size
+            w, N, iters, ratio = vhat, nhat, 0, 0.0
+            if pieces > 1:
+                history = ()
             try:
                 for j in range(pieces):
-                    N_start = N
-                    w, N, it, r = _single_step(
+                    w, N_end, it, r = _single_step(
                         w, N, grid_time(step_index, j, pieces),
                         grid_time(step_index, j + 1, pieces),
-                        cfg, piece_tables, u_of_t, N_prev,
+                        cfg, piece_tables, u_of_t, history,
                     )
-                    N_prev = N_start
+                    traj.picard_iters_total += it
+                    traj.steps_by_seed_order[len(history)] += 1
+                    keep = len(SEED_WEIGHTS) - 1 if r <= RHO_HISTORY else 0
+                    history = ((N,) + history)[:keep] if N is not None else ()
+                    N = N_end
                     iters, ratio = max(iters, it), max(ratio, r)
-            except (PicardError, BlowUpError) as exc:
+            except PicardError as exc:
+                traj.picard_iters_total += exc.iterations
                 if pieces >= MAX_SUBSTEPS:
                     raise
                 first_fault = first_fault or exc
@@ -514,7 +549,8 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
                         stacklevel=3,
                     )
                 traj.max_substeps = max(traj.max_substeps, pieces)
-            return w, N, N_prev if pieces == 1 else None, iters, ratio
+                history = ()
+            return w, N, history, iters, ratio
 
     record(t_offset, 0, 0.0)
     # after the finiteness check: N of a non-finite state only raises warnings
@@ -522,10 +558,10 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     if not cfg.linear_only:
         u0 = None if u_of_t is None else u_of_t(t_offset)
         nhat = _nonlinear_hat(vhat, u0, spectrum, tables.mask)
-    nprev = None
+    history = ()
     n_steps = int(round(cfg.t_end / cfg.dt))
     for step_index in range(1, n_steps + 1):
-        vhat, nhat, nprev, iters, ratio = take_step(step_index)
+        vhat, nhat, history, iters, ratio = take_step(step_index, history)
         t = t_offset + step_index * cfg.dt
         l2_now = perturbation_norm(t)
         if not math.isfinite(l2_now) or l2_now > BLOWUP_FACTOR * max(
@@ -545,6 +581,7 @@ def evolve(
     *,
     v0_override: RealField | None = None,
     t_offset: float = 0.0,
+    keep_fields: bool = True,
 ) -> Trajectory:
     """Advance the perturbation equation from 0 to t_end.
 
@@ -552,10 +589,12 @@ def evolve(
     is a run with t_end = dt and output_stride = 1.  v0_override replaces
     the configured initial condition (used for restarts); t_offset shifts the
     absolute time seen by a moving profile, so evolving to t1 and restarting
-    reproduces a single longer run.
+    reproduces a single longer run.  keep_fields off records diagnostics
+    only, without the field at each record time.
     """
     initial = v0_override if v0_override is not None else cfg.v0.build(cfg.grid)
-    return _advance(cfg, initial, profile_coupling=True, t_offset=t_offset)
+    return _advance(cfg, initial, profile_coupling=True, t_offset=t_offset,
+                    keep_fields=keep_fields)
 
 
 def evolve_full(
@@ -563,13 +602,15 @@ def evolve_full(
     *,
     v0_override: RealField | None = None,
     t_offset: float = 0.0,
+    keep_fields: bool = True,
 ) -> Trajectory:
     """Advance the full equation for u = profile + perturbation directly.
 
     The state is u itself with flux u^2/2 and no coupling term.  Records
     report the perturbation norm ||u - u_phi(t)|| so the energy-bound column
-    stays meaningful; mass is the mass of u.
+    stays meaningful; mass is the mass of u.  keep_fields as in evolve.
     """
     v0 = v0_override if v0_override is not None else cfg.v0.build(cfg.grid)
     u0 = RealField(cfg.grid, cfg.profile.evaluate(t_offset, cfg.grid).values + v0.values)
-    return _advance(cfg, u0, profile_coupling=False, t_offset=t_offset)
+    return _advance(cfg, u0, profile_coupling=False, t_offset=t_offset,
+                    keep_fields=keep_fields)

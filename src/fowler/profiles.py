@@ -22,6 +22,9 @@ PROFILE_KINDS = ("constant", "tanh-front", "gaussian-bump", "sampled")
 #: sup_values samples the profile on a box this many times finer than the grid
 SUP_OVERSAMPLING = 16
 
+#: sup_values evaluates an analytic kind this many points (1 MiB) at a time
+SUP_CHUNK = 1 << 17
+
 
 @dataclass(frozen=True)
 class WaveProfile:
@@ -97,5 +100,9 @@ class WaveProfile:
                 for multiplier in (1.0, spectrum.derivative)
             )
         m = grid.n * SUP_OVERSAMPLING
-        x = -0.5 * grid.length + (grid.length / m) * np.arange(m)
-        return tuple(float(np.abs(self._analytic(x, order)).max()) for order in (0, 1))
+        sups = [0.0, 0.0]
+        for start in range(0, m, SUP_CHUNK):
+            x = -0.5 * grid.length + (grid.length / m) * np.arange(start, min(start + SUP_CHUNK, m))
+            for order in (0, 1):
+                sups[order] = max(sups[order], float(np.abs(self._analytic(x, order)).max()))
+        return tuple(sups)

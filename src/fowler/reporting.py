@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import CONFIG_SCHEMA, RunSettings
+from .config import CONFIG_SCHEMA, ConfigError, RunSettings
 from .diagnostics import c1b_norm, l2_norm
 from .evolution import STEP_CONSTANTS, contraction_time_bound
 from .operator import symbol_coefficients, unstable_band
@@ -24,6 +24,15 @@ __all__ = ["CsvTable", "RunManifest", "format_float", "derived_constants"]
 
 def format_float(x) -> str:
     return format(float(x), ".17g")
+
+
+def _write_output(path: Path, text: str) -> Path:
+    """Write one output file; one that cannot be written is a usage error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return path
 
 
 @dataclass
@@ -40,8 +49,7 @@ class CsvTable:
             raise ValueError(f"{rows.shape[1]} columns, header has {len(self.header)}")
         row_format = ",".join(["%.17g"] * len(self.header))  # same text as format_float
         lines = [",".join(self.header)] + [row_format % tuple(row) for row in rows.tolist()]
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        return _write_output(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -66,11 +74,7 @@ class RunManifest:
         print(f"[{'PASS' if passed else 'FAIL'}] {label}" + (f": {detail}" if detail else ""))
 
     def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(
-            "".join(f"{k} = {v}\n" for k, v in self.entries)
-        )
-        return path
+        return _write_output(Path(path), "".join(f"{k} = {v}\n" for k, v in self.entries))
 
 
 def echo_config(manifest: RunManifest, settings: RunSettings) -> None:

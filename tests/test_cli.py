@@ -204,6 +204,17 @@ def test_non_finite_or_aliased_config_exits_1(tmp_path, capsys, text, reason):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["manifest.txt", "trajectory.csv"])
+def test_output_file_that_cannot_be_written_exits_1(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_cfg(tmp_path, "[initial]\nkind = zero\n\n[time]\nt_end = 0.01\ndt = 1e-2\n")
+    assert main(["evolve", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: Is a directory")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key", ["profile.samples_file", "initial.file"])
 @pytest.mark.parametrize(
     "content, reason",
@@ -528,6 +539,34 @@ def test_evolve_snapshots_flag(tmp_path):
     assert main(["evolve", cfg, "--snapshots", "--out", str(out)]) == 0
     snap = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1)
     assert snap.shape[1] == 3
+
+
+@pytest.mark.parametrize("command", ["evolve", "evolve-full"])
+def test_evolve_reports_picard_work(tmp_path, command):
+    # 50 whole steps: the seed climbs from order 1 to 4.  The full equation
+    # runs on a constant profile, a steady state of it
+    text = TANH_SHORT if command == "evolve" else TANH_SHORT.replace("tanh-front", "constant")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out", str(out)]) == 0
+    manifest = _manifest(out)
+    assert manifest["stats.steps_by_seed_order"] == "1 1 1 47"
+    iterations = int(manifest["stats.picard_iters_total"])
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert 50 <= iterations <= 60 and iterations >= rows[:, 4].sum()
+
+
+def test_snapshots_leave_the_trajectory_unchanged(tmp_path):
+    # snapshots only add their own file: the trajectory is the same bytes,
+    # and the manifest differs only in the echoed flag
+    cfg = write_cfg(tmp_path, TANH_SHORT)
+    plain, snap = tmp_path / "plain", tmp_path / "snap"
+    assert main(["evolve", cfg, "--out", str(plain)]) == 0
+    assert main(["evolve", cfg, "--snapshots", "--out", str(snap)]) == 0
+    name = "trajectory.csv"
+    assert (plain / name).read_bytes() == (snap / name).read_bytes()
+    a, b = _manifest(plain), _manifest(snap)
+    assert {k for k in a if a[k] != b[k]} == {"output.snapshots"}
 
 
 def test_evolve_zero_initial(tmp_path):

@@ -14,7 +14,9 @@ from fowler.diagnostics import c1b_norm, energy_bound_check, l2_norm
 from fowler.evolution import (
     CONTROL_WINDOW,
     MAX_SUBSTEPS,
+    RHO_HISTORY,
     RHO_MAX,
+    SEED_WEIGHTS,
     STEP_CONSTANTS,
     BlowUpError,
     InitialCondition,
@@ -222,9 +224,9 @@ def test_full_run_transforms_per_step(grid_1024, monkeypatch):
 
 def test_etd2_seed_takes_at_most_two_picard_iterations(grid_1024, monkeypatch):
     # tanh front, 100 unsplit steps: the first step is seeded by exponential
-    # Euler, every later one by ETD2, which meets the tolerance within two
-    # iterations (4.18 transforms per step; 6.16 with exponential Euler on
-    # every step, which takes three)
+    # Euler, every later one by ETD2 or higher, which meets the tolerance
+    # within two iterations (4.18 transforms per step with ETD2 alone; 6.16
+    # with exponential Euler on every step, which takes three)
     transforms, iterations = [], []
     for name in ("forward", "inverse"):
         original = getattr(RealSpectrum, name)
@@ -245,6 +247,89 @@ def test_etd2_seed_takes_at_most_two_picard_iterations(grid_1024, monkeypatch):
     assert traj.max_substeps == 1 and len(iterations) == 100
     assert max(iterations[1:]) <= 2
     assert len(transforms) <= 4.2 * 100
+
+
+def count_transforms(monkeypatch) -> list:
+    """One entry per RealSpectrum forward or inverse transform."""
+    calls = []
+    for name in ("forward", "inverse"):
+        original = getattr(RealSpectrum, name)
+        monkeypatch.setattr(RealSpectrum, name,
+                            lambda self, a, _f=original: calls.append(1) or _f(self, a))
+    return calls
+
+
+def test_order4_seed_takes_one_picard_iteration(grid_1024, monkeypatch):
+    # the tanh front of the ETD2 test: steps 1-3 climb through seed orders
+    # 1-3, every later step is seeded at order 4, and from step 6 on each
+    # step meets the tolerance with its seed, one nonlinear term per step
+    # (2.28 transforms per step with the record fields, 4.18 with ETD2)
+    transforms = count_transforms(monkeypatch)
+    iterations = []
+    original = evolution._single_step
+
+    def spy(*args):
+        out = original(*args)
+        iterations.append(out[2])
+        return out
+
+    monkeypatch.setattr(evolution, "_single_step", spy)
+    cfg = base_config(grid_1024, profile=WaveProfile(kind="tanh-front", amplitude=1.0, width=1.0),
+                      v0=InitialCondition(kind="gaussian", amplitude=0.1),
+                      t_end=0.1, dt=1e-3)
+    traj = evolve(cfg)
+    assert traj.steps_by_seed_order == [1, 1, 1, 97]
+    assert set(iterations[5:]) == {1}
+    assert len(transforms) <= 2.3 * 100
+
+
+def test_slow_contraction_drops_history_and_splits_nothing(monkeypatch):
+    # amplitude 12: whole steps take 22-25 Picard iterations at ratios near
+    # 0.45, above RHO_HISTORY, so every step seeds with exponential Euler.
+    # Extrapolating with ETD2 here overshot and split two steps that the
+    # exponential-Euler seed takes whole (45.2 transforms per step)
+    transforms = count_transforms(monkeypatch)
+    cfg = base_config(make_grid(256, 40.0), v0=InitialCondition(kind="gaussian", amplitude=12.0),
+                      dt=1e-2, t_end=0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve(cfg)
+    assert traj.max_substeps == 1
+    assert traj.steps_by_seed_order == [60, 0, 0, 0]
+    assert len(transforms) <= 45 * 60
+
+
+@pytest.mark.parametrize("config", ["moving-tanh", "split"])
+def test_picard_iters_total_counts_every_nonlinear_term(grid_1024, monkeypatch, config):
+    # failed attempts included: every nonlinear term the run evaluates is one
+    # Picard iteration, except the start state's term
+    seen = count_nonlinear_terms(monkeypatch)
+    if config == "moving-tanh":
+        cfg = moving_tanh_config(grid_1024, t_end=0.05, dt=1e-3)
+        traj = evolve(cfg)
+        assert traj.steps_by_seed_order == [1, 1, 1, 47]
+    else:
+        with pytest.warns(UserWarning, match="sub-stepping engaged"):
+            traj = evolve(large_gaussian_config(make_grid(256, 40.0), t_end=0.02))
+        assert traj.max_substeps >= 4
+        assert sum(traj.steps_by_seed_order) >= 2 * traj.max_substeps
+    assert traj.picard_iters_total == len(seen) - 1
+
+
+@pytest.mark.parametrize("run", [evolve, evolve_full])
+def test_records_without_fields_match(grid_1024, monkeypatch, run):
+    # keep_fields off: the same records, bit for bit, no fields, and one
+    # inverse transform fewer per record
+    cfg = moving_tanh_config(grid_1024, t_end=0.02, dt=1e-3, output_stride=5)
+    transforms = count_transforms(monkeypatch)
+    kept = run(cfg)
+    with_fields = len(transforms)
+    transforms.clear()
+    dropped = run(cfg, keep_fields=False)
+    assert dropped.records == kept.records and dropped.times == kept.times
+    assert dropped.fields == [] and len(kept.fields) == len(kept.records) == 5
+    assert dropped.picard_iters_total == kept.picard_iters_total
+    assert len(transforms) == with_fields - len(kept.records)
 
 
 def test_overflowing_norm_raises_blowup_without_warnings(grid_1024):
@@ -287,20 +372,21 @@ def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
     # a moving profile under evolve, no coupling under evolve_full: every
     # step's start term is the previous step's end term, and both equal a
     # fresh evaluation at the state and time they belong to, bit for bit;
-    # the ETD2 history is the previous step's start term, from step 2 on
+    # the seed's history is the start terms of the previous steps, newest
+    # first, up to three of them
     steps = []
     original = evolution._single_step
 
-    def spy(vhat, N0, t0, t1, cfg, tables, u_of_t, N_prev):
-        out = original(vhat, N0, t0, t1, cfg, tables, u_of_t, N_prev)
-        steps.append((vhat, N0, t0, out[0], out[1], t1, tables, u_of_t, N_prev))
+    def spy(vhat, N0, t0, t1, cfg, tables, u_of_t, history=()):
+        out = original(vhat, N0, t0, t1, cfg, tables, u_of_t, history)
+        steps.append((vhat, N0, t0, out[0], out[1], t1, tables, u_of_t, history))
         return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
     cfg = moving_tanh_config(grid_1024, t_end=0.02, dt=1e-3, output_stride=1)
     run(cfg)
     assert len(steps) == 20
-    for k, (vhat, N0, t0, w, N1, t1, tables, u_of_t, N_prev) in enumerate(steps):
+    for k, (vhat, N0, t0, w, N1, t1, tables, u_of_t, history) in enumerate(steps):
         sampler = None if u_of_t is None else evolution._profile_sampler(cfg, tables)
         for state, term, t in ((vhat, N0, t0), (w, N1, t1)):
             fresh = _nonlinear_hat(state, None if sampler is None else sampler(t),
@@ -308,48 +394,79 @@ def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
             assert np.array_equal(term, fresh), (k, t)
         if k:
             assert N0 is steps[k - 1][4] and t0 == steps[k - 1][5]
-            assert np.array_equal(N_prev, steps[k - 1][1]), k
-        else:
-            assert N_prev is None
+        assert len(history) == min(k, len(SEED_WEIGHTS) - 1), k
+        for i, term in enumerate(history):
+            assert np.array_equal(term, steps[k - 1 - i][1]), (k, i)
 
 
 def test_history_is_the_previous_same_size_start_term(monkeypatch):
-    # the history passed to a step is the start term of the call just before
-    # it when that call had the same size and ended where this one starts,
-    # and None otherwise - on the first step, on piece 1 of a split step and
-    # on the whole step after a split.  Amplitude 12 takes 22-25 Picard
-    # iterations per whole step, so some whole steps seeded with history miss
-    # picard_max = 25 and split, and the next whole step starts without it
+    # the history passed to a step is the start terms of the calls just
+    # before it, newest first and up to three, while each had the same size,
+    # ended where the next starts and contracted by a ratio of at most
+    # RHO_HISTORY; it is empty on the first step, on a restart, on piece 1 of
+    # a split step, on the whole step after a split and after a step whose
+    # ratio exceeded RHO_HISTORY.  Amplitude 4 with picard_max = 5 splits
+    # every step in 8 pieces, most seeded at order 4; amplitude 6 with
+    # picard_max = 12 takes 12-13 iterations per whole step at ratios near
+    # 0.3, so some whole steps miss picard_max and split in 2
     calls = []
     original = evolution._single_step
 
-    def spy(vhat, N0, t0, t1, cfg, tables, u_of_t, N_prev):
-        calls.append((N0, N_prev, t0, t1, tables.dt))
-        return original(vhat, N0, t0, t1, cfg, tables, u_of_t, N_prev)
+    def spy(vhat, N0, t0, t1, cfg, tables, u_of_t, history=()):
+        call = {"N0": N0, "history": history, "t0": t0, "t1": t1, "dt": tables.dt}
+        calls.append(call)
+        out = original(vhat, N0, t0, t1, cfg, tables, u_of_t, history)
+        call["ratio"] = out[3]
+        return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
-    cfg = base_config(make_grid(256, 40.0), v0=InitialCondition(kind="gaussian", amplitude=12.0),
-                      dt=1e-2, t_end=0.14, output_stride=1)
-    with pytest.warns(UserWarning, match="sub-stepping engaged"):
-        traj = evolve(cfg)
-    assert traj.substepping_engaged
-    on_step_grid = {k * cfg.dt for k in range(14)}
-    named = {"first": 0, "piece 1": 0, "after a split": 0, "with history": 0}
-    for k, (N0, N_prev, t0, t1, dt) in enumerate(calls):
-        before = calls[k - 1] if k else None
-        if before is not None and before[4] == dt and before[3] == t0:
-            assert np.array_equal(N_prev, before[0]), k
-            named["with history"] += 1
-            continue
-        assert N_prev is None, k
-        if before is None:
-            named["first"] += 1
-        elif dt < cfg.dt and t0 in on_step_grid:
-            named["piece 1"] += 1
-        elif dt == cfg.dt and before[4] < cfg.dt:
-            named["after a split"] += 1
-    assert named["first"] == 1 and named["piece 1"] >= 2
+    named = {"first": 0, "restart": 0, "piece 1": 0, "after a split": 0,
+             "after a ratio above RHO_HISTORY": 0, "with history": 0}
+
+    def check(cfg, calls, restart):
+        on_step_grid = {k * cfg.dt for k in range(int(round(cfg.t_end / cfg.dt)) + 1)}
+        if restart:
+            on_step_grid = {t + restart for t in on_step_grid}
+        expected = ()
+        for k, call in enumerate(calls):
+            before = calls[k - 1] if k else None
+            if (before is None or "ratio" not in before or before["dt"] != call["dt"]
+                    or before["t1"] != call["t0"] or before["ratio"] > RHO_HISTORY):
+                expected = ()
+            else:
+                expected = ((before["N0"],) + before["history"])[:len(SEED_WEIGHTS) - 1]
+            history = call["history"]
+            assert len(history) == len(expected), k
+            for term, earlier in zip(history, expected):
+                assert np.array_equal(term, earlier), k
+            if history:
+                named["with history"] += 1
+            elif before is None:
+                named["restart" if restart else "first"] += 1
+            elif "ratio" in before and before["ratio"] > RHO_HISTORY:
+                named["after a ratio above RHO_HISTORY"] += 1
+            elif call["dt"] < cfg.dt and call["t0"] in on_step_grid:
+                named["piece 1"] += 1
+            elif call["dt"] == cfg.dt and before["dt"] < cfg.dt:
+                named["after a split"] += 1
+
+    for amplitude, picard_max, t_end in ((4.0, 5, 0.05), (6.0, 12, 0.3)):
+        cfg = base_config(make_grid(256, 40.0),
+                          v0=InitialCondition(kind="gaussian", amplitude=amplitude),
+                          dt=1e-2, t_end=t_end, picard_max=picard_max, output_stride=1)
+        calls.clear()
+        with pytest.warns(UserWarning, match="sub-stepping engaged"):
+            traj = evolve(cfg)
+        assert traj.substepping_engaged
+        check(cfg, list(calls), restart=0.0)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a split restart warns again
+            evolve(cfg, v0_override=traj.fields[-1], t_offset=t_end)
+        check(cfg, list(calls), restart=t_end)
+    assert named["first"] == 2 and named["restart"] == 2 and named["piece 1"] >= 2
     assert named["after a split"] >= 2 and named["with history"] >= 10
+    assert named["after a ratio above RHO_HISTORY"] >= 5
 
 
 def test_retry_reuses_the_start_term(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fowler.grid import RealField, make_grid
-from fowler.profiles import WaveProfile
+from fowler.profiles import SUP_CHUNK, SUP_OVERSAMPLING, WaveProfile
 
 
 def test_unknown_kind_rejected():
@@ -65,3 +65,18 @@ def test_sup_values_orders():
     s0, s1 = p.sup_values(g)
     assert s0 == pytest.approx(2.0, rel=1e-9)
     assert s1 == pytest.approx(4.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [8192, 12288, 16384])
+def test_sup_values_in_chunks_match_one_pass(n):
+    # one chunk at n = 8192, a partial last chunk at 12288, two at 16384:
+    # the same nodes, so the same maxima to the bit
+    g = make_grid(n, 40.0)
+    m = n * SUP_OVERSAMPLING
+    assert (m + SUP_CHUNK - 1) // SUP_CHUNK == {8192: 1, 12288: 2, 16384: 2}[n]
+    x = -0.5 * g.length + (g.length / m) * np.arange(m)
+    for kind in ("tanh-front", "gaussian-bump", "constant"):
+        p = WaveProfile(kind=kind, amplitude=1.3, width=0.7, offset=0.31)
+        assert p.sup_values(g) == tuple(
+            float(np.abs(p._analytic(x, order)).max()) for order in (0, 1)
+        )
