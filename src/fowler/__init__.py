@@ -18,7 +18,6 @@ from .grid import (
 from .operator import (
     QuadratureSpec,
     SymbolCoefficients,
-    SymbolTable,
     apply_nonlocal_fourier,
     apply_nonlocal_integral,
     psi_symbol,

@@ -5,12 +5,13 @@
 
 Exit codes are never conflated: 0 all checks pass, 1 usage or config error
 (an output file that cannot be written included), 2 a property or
-tolerance check failed, 3 a numerical fault (blow-up guard, a Picard fault
-in every piece size up to MAX_SUBSTEPS, a non-finite integral route or
-kernel, a contraction root that lost precision).  Every command
-writes its CSV tables plus a manifest of the resolved config, derived
-constants, and per-check results; the run's result follows from the checks
-it recorded.
+tolerance check failed, 3 a numerical fault.  Every numerical fault is an
+ArithmeticError: the blow-up guard (BlowUpError), a Picard fault in every
+piece size up to MAX_SUBSTEPS (PicardError), a non-finite integral route or
+kernel (FloatingPointError), a contraction root that lost precision.  Every
+command writes its CSV tables plus a manifest of the resolved config,
+derived constants, and per-check results; the run's result follows from the
+checks it recorded.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .config import ConfigError, RunSettings, parse_config
 from .diagnostics import energy_bound_check, l2_norm
-from .evolution import BlowUpError, PicardError, evolve, evolve_full
+from .evolution import evolve, evolve_full
 from .grid import Grid, RealField, make_grid
 from .kernel import (
     RESOLUTION_LIMIT,
@@ -49,12 +50,6 @@ SEMIGROUP_TOLERANCE = 1e-10
 MASS_TOLERANCE = 1e-12
 SLOPE_TOLERANCE = 0.05
 ORDER_THRESHOLD = 1.8
-
-
-#: errors that end a run as a numerical fault; ArithmeticError covers the
-#: FloatingPointError of a non-finite integral route or kernel, and a
-#: contraction root that lost its precision
-NUMERICAL_FAULTS = (ArithmeticError, BlowUpError, PicardError)
 
 
 def _finish(manifest: RunManifest, out: Path) -> int:
@@ -199,10 +194,8 @@ def cmd_convergence(settings: RunSettings, manifest: RunManifest, out: Path) -> 
     manifest.add("convergence.horizon", horizon)
 
     def final_field(dt):
-        cfg = replace(
-            sim, dt=dt, t_end=horizon,
-            output_stride=max(1, int(round(horizon / dt))),
-        )
+        cfg = replace(sim, dt=dt, t_end=horizon)
+        cfg = replace(cfg, output_stride=cfg.steps)  # records the start and the end
         return evolve(cfg, v0_override=settings.v0_field).fields[-1]
 
     reference = final_field(sim.dt / 8.0)
@@ -273,7 +266,7 @@ def main(argv=None) -> int:
         try:
             derived_constants(manifest, settings)
             COMMANDS[args.command](settings, manifest, out)
-        except NUMERICAL_FAULTS as exc:
+        except ArithmeticError as exc:
             return _fault(manifest, out, exc)
         return _finish(manifest, out)
     except ConfigError as exc:

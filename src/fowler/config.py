@@ -107,6 +107,15 @@ def _read_values(parser: configparser.ConfigParser) -> dict[str, dict]:
     return values
 
 
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), reporting a ValueError or OSError it raises as
+    a ConfigError for the config section or key where."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def parse_config(path: str | Path) -> RunSettings:
     """Read, validate, and default-fill a run configuration file."""
     path = Path(path)
@@ -138,32 +147,16 @@ def parse_config(path: str | Path) -> RunSettings:
     samples_file = values["profile"].pop("samples_file")
     stride = values["output"].pop("stride")
 
-    def fail(message: str):
-        raise ConfigError(message)
-
-    try:
-        grid = make_grid(**values["grid"])
-    except ValueError as exc:
-        fail(f"grid: {exc}")
-
+    grid = _build("grid", make_grid, **values["grid"])
     samples = None
     if values["profile"]["kind"] == "sampled":
         if not samples_file:
-            fail("profile.samples_file is required for kind = sampled")
-        try:
-            samples = load_samples(samples_file, grid)
-        except (OSError, ValueError) as exc:
-            fail(f"profile.samples_file: {exc}")
-    try:
-        profile = WaveProfile(**values["profile"], samples=samples)
-    except ValueError as exc:
-        fail(f"profile: {exc}")
-
+            raise ConfigError("profile.samples_file is required for kind = sampled")
+        samples = _build("profile.samples_file", load_samples, samples_file, grid)
+    profile = _build("profile", WaveProfile, **values["profile"], samples=samples)
     v0 = InitialCondition(**values["initial"])
-    try:
-        v0_field = v0.build(grid)  # validates kind, file, shape, mode range, finiteness
-    except (OSError, ValueError) as exc:
-        fail(f"{'initial.file' if v0.kind == 'file' else 'initial'}: {exc}")
+    # build validates kind, file, shape, mode range, finiteness
+    v0_field = _build("initial.file" if v0.kind == "file" else "initial", v0.build, grid)
 
     try:
         sim = SimConfig(grid=grid, profile=profile, v0=v0, output_stride=stride, **values["time"])
@@ -171,18 +164,15 @@ def parse_config(path: str | Path) -> RunSettings:
         # SimConfig messages start with the field name; report the config key
         name, _, rest = str(exc).partition(" ")
         key = "output.stride" if name == "output_stride" else f"time.{name}"
-        fail(f"{key} {rest}")
+        raise ConfigError(f"{key} {rest}") from exc
     if values["quadrature"]["z_max"] is None:
         values["quadrature"]["z_max"] = grid.length / 2.0
-    try:
-        quadrature = QuadratureSpec(**values["quadrature"])
-    except ValueError as exc:
-        fail(f"quadrature: {exc}")
+    quadrature = _build("quadrature", QuadratureSpec, **values["quadrature"])
     if quadrature.z_max > grid.length / 2.0 + 1e-12:
-        fail("quadrature.z_max must not exceed length/2 (periodic double-count)")
+        raise ConfigError("quadrature.z_max must not exceed length/2 (periodic double-count)")
 
     kernel_times = values["output"]["kernel_times"]
     if not kernel_times or not all(0 < t < math.inf for t in kernel_times):
-        fail("output.kernel_times must be positive and finite")
+        raise ConfigError("output.kernel_times must be positive and finite")
 
     return RunSettings(sim=sim, v0_field=v0_field, quadrature=quadrature, **values["output"])

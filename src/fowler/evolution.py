@@ -100,11 +100,11 @@ SEED_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 MAX_SUBSTEPS = 1024
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(ArithmeticError):
     """Trajectory crossed the blow-up guard or produced non-finite values."""
 
 
-class PicardError(RuntimeError):
+class PicardError(ArithmeticError):
     """Inner fixed-point iteration failed to converge."""
 
     def __init__(self, message: str, last_ratio: float, iterations: int):
@@ -180,17 +180,27 @@ class SimConfig:
             raise ValueError(f"picard_max must be >= 1, got {self.picard_max}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"dt must leave a finite step count, got t_end / dt = "
+                             f"{self.t_end} / {self.dt}")
+        if abs(self.steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end must be a whole number of dt steps, got {self.t_end} "
+                             f"= {self.t_end / self.dt:.12g} * {self.dt}")
+
+    @property
+    def steps(self) -> int:
+        """Number of dt steps from 0 to t_end."""
+        return round(self.t_end / self.dt)
 
 
 @dataclass
 class Trajectory:
-    """Recorded time series: diagnostics at each record time, plus the
-    fields when keep_fields is set, and the run's Picard work."""
+    """Recorded time series: diagnostics at each record time, the fields
+    appended with them, and the run's Picard work."""
 
     fields: list[RealField] = field(default_factory=list)
     records: list[DiagnosticsRecord] = field(default_factory=list)
     params: EnergyBoundParams | None = None
-    keep_fields: bool = True
     max_substeps: int = 1  # most pieces any dt step was cut into
     picard_iters_total: int = 0  # over every attempt, failed ones included
     # accepted steps and pieces by the order of their Picard seed, 1..4
@@ -204,10 +214,10 @@ class Trajectory:
     def times(self) -> list[float]:
         return [r.t for r in self.records]
 
-    def append(self, f: RealField, record: DiagnosticsRecord) -> None:
+    def append(self, f: RealField | None, record: DiagnosticsRecord) -> None:
         if self.records and record.t <= self.records[-1].t:
             raise ValueError("record times must be strictly increasing")
-        if self.keep_fields:
+        if f is not None:
             self.fields.append(f)
         self.records.append(record)
 
@@ -295,16 +305,13 @@ def stepping_norm_fit() -> KernelNormFit:
 # spectral stepping core (raw arrays; evolve and evolve_full validate on the
 # way in and out)
 
-def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2 with series fallback
-    near z = 0 where the direct formulas cancel."""
-    z = np.asarray(z, dtype=np.complex128)
+def _phi_functions(z: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2, given ez = e^z, with
+    series fallback near z = 0 where the direct formulas cancel."""
     small = np.abs(z) < 0.25
-    zs = np.where(small, 0.0, z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ez = np.exp(zs)
-        phi1 = (ez - 1.0) / zs
-        phi2 = (ez - 1.0 - zs) / zs**2
+    with np.errstate(invalid="ignore", divide="ignore"):  # z = 0 takes the series
+        phi1 = (ez - 1.0) / z
+        phi2 = (ez - 1.0 - z) / z**2
     s1 = np.zeros_like(z)
     s2 = np.zeros_like(z)
     term = np.ones_like(z)
@@ -329,9 +336,9 @@ class _StepTables:
 def _step_tables(n: int, length: float, dt: float, dealias: bool) -> _StepTables:
     grid = make_grid(n, length)
     spectrum = real_spectrum(grid)
-    psi = symbol_table(grid).psi
-    E = np.exp(-dt * psi)
-    phi1, phi2 = _phi_functions(-dt * psi)
+    z = -dt * symbol_table(grid)
+    E = np.exp(z)
+    phi1, phi2 = _phi_functions(z, E)
     A0 = dt * spectrum.derivative * (phi1 - phi2)
     A1 = dt * spectrum.derivative * phi2
     for arr in (E, A0, A1):
@@ -469,7 +476,7 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
 
     vhat = _masked_coeffs(initial.values, spectrum, tables.mask)
     mass0 = vhat[0].real
-    tail_modes = np.arange(spectrum.size) > grid.n / 3
+    tail_modes = spectrum.dealias_mask == 0.0
 
     if full_mode:  # ||u - u_phi(t)|| by Parseval against the profile's spectrum
         profile_hat = _per_step_time(
@@ -485,7 +492,7 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     if not math.isfinite(v0_norm):
         raise BlowUpError("initial data norm is not finite")
     params = EnergyBoundParams(alpha0=alpha0, c_phi=c_phi, v0_norm=v0_norm)
-    traj = Trajectory(params=params, keep_fields=keep_fields)
+    traj = Trajectory(params=params)
 
     def record(t, iters, ratio):
         energy = spectrum.mode_energy(vhat)
@@ -559,7 +566,7 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
         u0 = None if u_of_t is None else u_of_t(t_offset)
         nhat = _nonlinear_hat(vhat, u0, spectrum, tables.mask)
     history = ()
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.steps
     for step_index in range(1, n_steps + 1):
         vhat, nhat, history, iters, ratio = take_step(step_index, history)
         t = t_offset + step_index * cfg.dt
@@ -585,12 +592,12 @@ def evolve(
 ) -> Trajectory:
     """Advance the perturbation equation from 0 to t_end.
 
-    The run takes round(t_end / dt) whole steps of size dt, so a single step
-    is a run with t_end = dt and output_stride = 1.  v0_override replaces
-    the configured initial condition (used for restarts); t_offset shifts the
-    absolute time seen by a moving profile, so evolving to t1 and restarting
-    reproduces a single longer run.  keep_fields off records diagnostics
-    only, without the field at each record time.
+    t_end is a whole number of steps of size dt (cfg.steps of them), so a
+    single step is a run with t_end = dt and output_stride = 1.  v0_override
+    replaces the configured initial condition (used for restarts); t_offset
+    shifts the absolute time seen by a moving profile, so evolving to t1 and
+    restarting reproduces a single longer run.  keep_fields off records
+    diagnostics only, without the field at each record time.
     """
     initial = v0_override if v0_override is not None else cfg.v0.build(cfg.grid)
     return _advance(cfg, initial, profile_coupling=True, t_offset=t_offset,

@@ -78,7 +78,7 @@ def nyquist_resolution_defect(t: float, grid: Grid) -> float:
     """|e^{-t psi}| at the Nyquist frequency; above RESOLUTION_LIMIT the
     kernel spectrum is truncated and sampled kernels cannot be trusted.  psi
     is taken at that one frequency (no table is built), as a one-element
-    array so that it rounds like the SymbolTable entry."""
+    array so that it rounds like the Nyquist entry of symbol_table."""
     return float(np.exp(-t * psi_symbol([0.5 / grid.spacing])[0].real))
 
 
@@ -91,7 +91,7 @@ def kernel_field(t: float, grid: Grid) -> KernelSnapshot:
     if not (t > 0):
         raise ValueError(f"kernel time must be positive, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        values = real_spectrum(grid).inverse(symbol_table(grid).exponential(float(t)))
+        values = real_spectrum(grid).inverse(np.exp(-float(t) * symbol_table(grid)))
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"kernel K(t = {t:g}) is not finite in double precision")
     f = RealField(grid, values)
@@ -104,7 +104,7 @@ def convolve_kernel(t: float, f: RealField) -> RealField:
     if not (t > 0):
         raise ValueError(f"kernel time must be positive, got {t}")
     spectrum = real_spectrum(f.grid)
-    coeffs = symbol_table(f.grid).exponential(float(t)) * spectrum.forward(f.values)
+    coeffs = np.exp(-float(t) * symbol_table(f.grid)) * spectrum.forward(f.values)
     return RealField(f.grid, spectrum.inverse(coeffs))
 
 
@@ -203,11 +203,11 @@ def grad_kernel_norms(t_samples, grid: Grid) -> KernelNormFit:
             f"Nyquist weight {defect:.2e} > {RESOLUTION_LIMIT}"
         )
     spectrum = real_spectrum(grid)
-    table = symbol_table(grid)
+    psi = symbol_table(grid)
     l1 = np.empty_like(times)
     l2 = np.empty_like(times)
     for i, t in enumerate(times):
-        F = table.exponential(float(t))
+        F = np.exp(-float(t) * psi)
         dF = spectrum.derivative * F
         l1[i] = _gradient_l1(F, dF, spectrum)
         l2[i] = spectrum.l2_norm(dF)  # Parseval

@@ -42,7 +42,6 @@ from .grid import Grid, RealField, real_spectrum
 __all__ = [
     "GAMMA_TWO_THIRDS",
     "SymbolCoefficients",
-    "SymbolTable",
     "QuadratureSpec",
     "symbol_coefficients",
     "psi_symbol",
@@ -123,33 +122,18 @@ def unstable_band() -> tuple[float, float, float]:
     return xi_c, xi_star, alpha0
 
 
-class SymbolTable:
-    """Half-spectrum (k = 0..n/2) table of psi(xi_k) and its exponentials.
+@functools.lru_cache(maxsize=16)
+def symbol_table(grid: Grid) -> np.ndarray:
+    """Half-spectrum (k = 0..n/2) psi(xi_k) on a grid, shared and read-only.
 
     The unpaired Nyquist mode carries the real part of psi only: the odd
     imaginary term has no -k partner at k = n/2, and projecting it out keeps
-    every exponential the Nyquist entry of a real kernel.  Build tables
-    through symbol_table, which shares one per grid.
+    every exponential e^{-t psi} the Nyquist entry of a real kernel.
     """
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        psi = psi_symbol(real_spectrum(grid).frequencies)
-        psi[-1] = psi[-1].real
-        psi.setflags(write=False)
-        self.psi = psi
-
-    def exponential(self, tau: float) -> np.ndarray:
-        """e^{-tau psi(xi_k)} on the grid frequencies (read-only)."""
-        value = np.exp(-float(tau) * self.psi)
-        value.setflags(write=False)
-        return value
-
-
-@functools.lru_cache(maxsize=None)
-def symbol_table(grid: Grid) -> SymbolTable:
-    """Shared SymbolTable for a grid (one per (n, length))."""
-    return SymbolTable(grid)
+    psi = psi_symbol(real_spectrum(grid).frequencies)
+    psi[-1] = psi[-1].real
+    psi.setflags(write=False)
+    return psi
 
 
 def apply_nonlocal_fourier(f: RealField) -> RealField:

@@ -193,6 +193,8 @@ def test_config_error_exits_1(tmp_path, capsys):
         ("[initial]\nkind = file\n", "initial.file: file initial condition requires a path"),
         ("[profile]\nkind = sampled\n", "profile.samples_file is required for kind = sampled"),
         ("[quadrature]\npanels = 4\n", "panels must be at least 16, got 4"),
+        ("[time]\ndt = 1e-320\n", "time.dt must leave a finite step count"),
+        ("[time]\ndt = 0.3\nt_end = 0.5\n", "time.t_end must be a whole number of dt steps"),
     ],
 )
 def test_non_finite_or_aliased_config_exits_1(tmp_path, capsys, text, reason):

@@ -60,6 +60,10 @@ def test_parse_config_gives_settings_or_config_error(workdir, config):
         for section, keys in config.items()
     ))
     try:
-        assert isinstance(parse_config("run.cfg"), RunSettings)
+        settings = parse_config("run.cfg")
     except ConfigError:
-        pass
+        return
+    assert isinstance(settings, RunSettings)
+    sim = settings.sim
+    assert sim.steps >= 1
+    assert abs(sim.steps * sim.dt - sim.t_end) <= 1e-9 * sim.t_end

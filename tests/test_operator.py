@@ -92,19 +92,13 @@ def test_symbol_table_symmetry(n):
     # test_psi_hermitian checks on the symbol; the unpaired Nyquist entry
     # keeps the real part only
     g = make_grid(n, 40.0)
-    psi = symbol_table(g).psi
+    psi = symbol_table(g)
     assert psi.shape == (n // 2 + 1,)
     assert psi[0] == 0.0
     for k in range(1, n // 2):
         assert psi[k] == pytest.approx(psi_symbol(k / g.length), rel=1e-14)
     assert psi[n // 2] == pytest.approx(psi_symbol(0.5 * n / g.length).real, rel=1e-14)
     assert psi[n // 2].imag == 0.0
-
-
-def test_symbol_table_exponential_cache():
-    table = symbol_table(make_grid(64, 40.0))
-    e1 = table.exponential(0.25)
-    assert np.allclose(e1, np.exp(-0.25 * table.psi))
 
 
 def test_fourier_route_annihilates_constants(grid_1024):

@@ -1,8 +1,10 @@
 """Source guards over the package: one spectral convention (only grid.py
-touches numpy.fft), and no cache on a method, which would keep every
-instance and argument it saw alive for the whole process."""
+touches numpy.fft), no cache on a method, which would keep every instance
+and argument it saw alive for the whole process, and numpy as the only
+runtime dependency outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import fowler
@@ -75,4 +77,37 @@ def test_guard_detects_cached_methods():
 
 def test_no_method_is_cached():
     offenders = [f"{name}: {m}" for name, tree in modules() for m in cached_methods(tree)]
+    assert offenders == []
+
+
+def third_party_imports(tree) -> list[str]:
+    """Absolute imports of modules that are neither numpy nor part of the
+    standard library (relative imports are the package's own)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names
+                  if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    return found
+
+
+def test_guard_detects_third_party_imports():
+    source = (
+        "from __future__ import annotations\nimport math, scipy\n"
+        "import numpy as np\nfrom numpy.fft import rfft\n"
+        "from scipy.special import gamma\nfrom . import grid\nfrom .grid import Grid\n"
+        "def f():\n    import matplotlib.pyplot as plt\n"
+    )
+    assert third_party_imports(ast.parse(source)) == [
+        "scipy", "scipy.special", "matplotlib.pyplot",
+    ]
+
+
+def test_runtime_dependency_is_numpy_only():
+    offenders = [f"{name}: {m}" for name, tree in modules() for m in third_party_imports(tree)]
     assert offenders == []
