@@ -12,6 +12,7 @@ bug, not as physics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,8 +96,19 @@ def energy_bound_check(traj) -> EnergyBoundReport:
 def c1b_norm(p: WaveProfile, grid: Grid) -> float:
     """sup|phi| + sup|phi'|, sups over a 16x oversampled evaluation.
 
-    Each call samples the profile on the oversampled box, so callers compute
-    it once per run (C_phi and the contraction bound's u both derive from it).
+    Sampling the oversampled box is the cost, and a run asks twice (its
+    derived constants and its stepping loop), so an analytic profile's norm
+    is kept for the last (profile, grid) asked.  A sampled profile is not
+    hashable (its samples are an array) and is sampled on every call.
     """
+    if p.samples is not None:
+        return _c1b_norm(p, grid)
+    return _cached_c1b_norm(p, grid)
+
+
+def _c1b_norm(p: WaveProfile, grid: Grid) -> float:
     s0, s1 = p.sup_values(grid)
     return s0 + s1
+
+
+_cached_c1b_norm = functools.lru_cache(maxsize=1)(_c1b_norm)

@@ -32,12 +32,15 @@ MAX_SUBSTEPS.  The lemma's closed-form step t_star (contraction_time_bound)
 is a worst case: it is reported and is a test oracle, but does not steer.
 
 Nonlinear products are formed in physical space and dealiased with the 2/3
-rule by default (state, profile, and products all masked), so quadratic
-aliasing cannot contaminate the energy-bound checks.
+rule by default, so quadratic aliasing cannot contaminate the energy-bound
+checks.
 
-The stepping state is the half spectrum k = 0..n/2 of the real field
-(grid.RealSpectrum): every transform is an rfft/irfft pair, every spectral
-array has n/2 + 1 entries, and norms use the half-spectrum Parseval sum.
+The stepping state is the retained band of the real field's half spectrum
+(grid.RealSpectrum): k = 0..n/3 under the 2/3 rule, so state, profile and
+products carry n//3 + 1 entries and the modes above are zero by
+construction, and all of k = 0..n/2 without it.  Every transform is an
+rfft/irfft pair, every spectral array of a step holds the band, and norms
+use the half-spectrum Parseval sum.
 The kernel constants K0 and K1 that enter t_star are pinned in
 STEP_CONSTANTS rather than refitted per run; stepping_norm_fit() is the
 refit, and the test suite checks the two agree to 1e-12 relative.
@@ -180,9 +183,11 @@ class SimConfig:
             raise ValueError(f"picard_max must be >= 1, got {self.picard_max}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ValueError(f"dt must leave a finite step count, got t_end / dt = "
-                             f"{self.t_end} / {self.dt}")
+        # beyond 2**53 steps, step indices and step times are no longer exact
+        # floats; a step count that large would also never finish
+        if not self.t_end / self.dt <= 2**53:
+            raise ValueError(f"dt must leave a finite step count of at most 2**53, got "
+                             f"t_end / dt = {self.t_end} / {self.dt}")
         if abs(self.steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end must be a whole number of dt steps, got {self.t_end} "
                              f"= {self.t_end / self.dt:.12g} * {self.dt}")
@@ -329,35 +334,29 @@ class _StepTables:
     E: np.ndarray
     A0: np.ndarray  # dt * D * (phi1 - phi2), weight of the s = 0 sample
     A1: np.ndarray  # dt * D * phi2, weight of the s = dt sample
-    mask: np.ndarray | None
+    modes: int  # the stepped band k = 0..modes-1, the 2/3 rule's under dealias
 
 
 @functools.lru_cache(maxsize=64)
 def _step_tables(n: int, length: float, dt: float, dealias: bool) -> _StepTables:
     grid = make_grid(n, length)
     spectrum = real_spectrum(grid)
-    z = -dt * symbol_table(grid)
+    modes = spectrum.dealias_modes if dealias else spectrum.size
+    z = -dt * symbol_table(grid)[:modes]
     E = np.exp(z)
     phi1, phi2 = _phi_functions(z, E)
-    A0 = dt * spectrum.derivative * (phi1 - phi2)
-    A1 = dt * spectrum.derivative * phi2
+    D = spectrum.derivative[:modes]
+    A0 = dt * D * (phi1 - phi2)
+    A1 = dt * D * phi2
     for arr in (E, A0, A1):
         arr.setflags(write=False)
-    mask = spectrum.dealias_mask if dealias else None
-    return _StepTables(spectrum=spectrum, dt=dt, E=E, A0=A0, A1=A1, mask=mask)
-
-
-def _masked_coeffs(values: np.ndarray, spectrum: RealSpectrum,
-                   mask: np.ndarray | None) -> np.ndarray:
-    coeffs = spectrum.forward(values)
-    if mask is not None:
-        coeffs *= mask
-    return coeffs
+    return _StepTables(spectrum=spectrum, dt=dt, E=E, A0=A0, A1=A1, modes=modes)
 
 
 def _nonlinear_hat(coeffs: np.ndarray, u_phi_values: np.ndarray | None,
-                   spectrum: RealSpectrum, mask: np.ndarray | None) -> np.ndarray:
-    """F(w^2/2 [+ u_phi w]) with the product formed in physical space."""
+                   spectrum: RealSpectrum, modes: int) -> np.ndarray:
+    """F(w^2/2 [+ u_phi w]) on the band k = 0..modes-1, with the product
+    formed in physical space."""
     w = spectrum.inverse(coeffs)
     # products in place on fresh arrays: the stepper's peak memory is its
     # live temporaries, and these run several times per Picard iteration
@@ -367,7 +366,7 @@ def _nonlinear_hat(coeffs: np.ndarray, u_phi_values: np.ndarray | None,
         w *= u_phi_values
         N += w
     del w  # not alive while the forward transform allocates its output
-    return _masked_coeffs(N, spectrum, mask)
+    return spectrum.forward(N, modes)
 
 
 def _single_step(
@@ -389,32 +388,29 @@ def _single_step(
     earlier same-size steps, newest first (see the module docstring); the
     seed's order is 1 + len(history)."""
     E, A0, A1 = tables.E, tables.A0, tables.A1
-    spectrum, mask = tables.spectrum, tables.mask
-    base = E * vhat  # the linear prediction, until N0's part is taken off
+    spectrum, modes = tables.spectrum, tables.modes
+    w = E * vhat  # the linear prediction, until the terms' parts are taken off
     if cfg.linear_only:
-        return base, None, 0, 0.0
+        return w, None, 0, 0.0
     # relative to the field's size, absolute for fields of norm <= 1
-    tol = cfg.picard_tol * max(spectrum.l2_norm(base), 1.0)
+    tol = cfg.picard_tol * max(spectrum.l2_norm(w), 1.0)
     u1 = None if u_of_t is None else u_of_t(t1)
-    # in place: the seed keeps no separate linear prediction or term alive
-    base -= A0 * N0
-    # the extrapolated end term sum_k c_k terms[k], nested oldest first as
-    # w <- (w / c + term) c so that no history array is scaled into a copy
-    terms = (N0,) + history
+    w -= A0 * N0
+    # the extrapolated end term P = sum_k c_k N_k over the start terms,
+    # newest first; the seed is Theta's image of an iterate whose term is P
     weights = SEED_WEIGHTS[len(history)]
-    w = weights[-1] * terms[-1]
-    for c, term in zip(weights[-2::-1], terms[-2::-1]):
-        w /= c
-        w += term
-        w *= c
-    w *= A1
-    np.subtract(base, w, out=w)  # the Picard seed
+    P = weights[0] * N0
+    for c, term in zip(weights[1:], history):
+        P += c * term
+    w -= A1 * P
     prev_delta = None
     ratio = 0.0
     for iteration in range(1, cfg.picard_max + 1):
-        N1 = _nonlinear_hat(w, u1, spectrum, mask)
-        w_new = base - A1 * N1
-        delta = spectrum.l2_norm(w_new - w)
+        N1 = _nonlinear_hat(w, u1, spectrum, modes)
+        # Theta w - w = -A1 (N1 - P): the residual without forming Theta w
+        d = N1 - P
+        d *= A1
+        delta = spectrum.l2_norm(d)
         if not math.isfinite(delta):
             raise PicardError(
                 f"non-finite Picard iterate at t = {t1} (step {tables.dt:g})",
@@ -430,8 +426,9 @@ def _single_step(
                 f"t = {t0} (step {tables.dt:g})",
                 last_ratio=ratio, iterations=iteration,
             )
-        w, prev_delta = w_new, delta
-        del N1  # not alive while the next iteration forms its term
+        w -= d  # Theta w, whose end term is N1
+        P, prev_delta = N1, delta
+        del d  # not alive while the next iteration forms its term
     raise PicardError(
         f"Picard loop did not reach {tol:g} within {cfg.picard_max} "
         f"iterations at t = {t0} (step {tables.dt:g}, last contraction ratio "
@@ -453,9 +450,9 @@ def _profile_sampler(cfg: SimConfig, tables: _StepTables):
 
     def sample_at(t: float) -> np.ndarray:
         values = cfg.profile.evaluate(t, cfg.grid).values
-        if tables.mask is None:
+        if not cfg.dealias:
             return values
-        return tables.spectrum.inverse(_masked_coeffs(values, tables.spectrum, tables.mask))
+        return tables.spectrum.inverse(tables.spectrum.forward(values, tables.modes))
 
     return _per_step_time(cfg.profile, sample_at)
 
@@ -474,9 +471,8 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     spectrum = tables.spectrum
     u_of_t = _profile_sampler(cfg, tables) if profile_coupling else None
 
-    vhat = _masked_coeffs(initial.values, spectrum, tables.mask)
+    vhat = spectrum.forward(initial.values, tables.modes)
     mass0 = vhat[0].real
-    tail_modes = spectrum.dealias_mask == 0.0
 
     if full_mode:  # ||u - u_phi(t)|| by Parseval against the profile's spectrum
         profile_hat = _per_step_time(
@@ -486,7 +482,9 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     def perturbation_norm(t: float) -> float:
         if not full_mode:
             return spectrum.l2_norm(vhat)
-        return spectrum.l2_norm(vhat - profile_hat(t))
+        diff = -profile_hat(t)  # the profile's modes above the band count too
+        diff[: vhat.size] += vhat
+        return spectrum.l2_norm(diff)
 
     v0_norm = perturbation_norm(t_offset)
     if not math.isfinite(v0_norm):
@@ -497,7 +495,7 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     def record(t, iters, ratio):
         energy = spectrum.mode_energy(vhat)
         total = float(energy.sum())
-        tail = float(energy[tail_modes].sum() / total) if total > 0 else 0.0
+        tail = float(energy[spectrum.dealias_modes:].sum() / total) if total > 0 else 0.0
         f = RealField(grid, spectrum.inverse(vhat)) if keep_fields else None
         rec = DiagnosticsRecord(
             t=t,
@@ -564,7 +562,7 @@ def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
     nhat = None
     if not cfg.linear_only:
         u0 = None if u_of_t is None else u_of_t(t_offset)
-        nhat = _nonlinear_hat(vhat, u0, spectrum, tables.mask)
+        nhat = _nonlinear_hat(vhat, u0, spectrum, tables.modes)
     history = ()
     n_steps = cfg.steps
     for step_index in range(1, n_steps + 1):

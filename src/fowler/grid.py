@@ -140,8 +140,11 @@ class RealSpectrum:
     transform at xi_k = k/L (the k < 0 half is its conjugate and is never
     stored).  The Nyquist entry
     is real for real fields; `derivative` zeroes it, `laplacian` keeps it.
-    Arrays are read-only; build instances through real_spectrum, which
-    caches them.
+    A coefficient array may also be a leading band k = 0..m-1, whose modes
+    above the band are zero: forward, inverse, mode_energy and l2_norm take
+    one, and dealias_modes is the 2/3 rule's band.
+    Stored tables are read-only; build instances through real_spectrum,
+    which caches them.
     """
 
     def __init__(self, grid: Grid):
@@ -150,31 +153,38 @@ class RealSpectrum:
         self.size = n // 2 + 1
         self.frequencies = np.fft.rfftfreq(n, d=grid.spacing)
         phase = _centering_phase(self.size)
-        self._to_coeffs = grid.spacing * phase
-        self._to_values = phase / grid.spacing
+        # complex: the same bits as the real tables, without a cast per multiply
+        self._to_coeffs = (grid.spacing * phase).astype(np.complex128)
+        self._to_values = (phase / grid.spacing).astype(np.complex128)
         self.derivative = 2j * np.pi * self.frequencies
         self.derivative[-1] = 0.0
         self.laplacian = -((2.0 * np.pi * self.frequencies) ** 2)
         # 2/3 rule: keep |k| <= n/3, so quadratic products alias only into
-        # modes the mask removes again
-        self.dealias_mask = (np.arange(self.size) <= n // 3).astype(np.float64)
-        # Parseval weights: each interior entry also stands for its -k partner
-        self._weights = np.full(self.size, 2.0)
-        self._weights[[0, -1]] = 1.0
+        # modes outside the band k = 0..dealias_modes-1
+        self.dealias_modes = n // 3 + 1
         for arr in (self.frequencies, self._to_coeffs, self._to_values,
-                    self.derivative, self.laplacian, self.dealias_mask,
-                    self._weights):
+                    self.derivative, self.laplacian):
             arr.setflags(write=False)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients dx * sum_j e^{-2 i pi x_j xi_k} f(x_j)."""
-        coeffs = np.fft.rfft(values)
-        coeffs *= self._to_coeffs  # in place: no second n/2+1 temporary
+    @property
+    def dealias_mask(self) -> np.ndarray:
+        """1.0 on the 2/3 rule's band k < dealias_modes, 0.0 above it."""
+        return (np.arange(self.size) < self.dealias_modes).astype(np.float64)
+
+    def forward(self, values: np.ndarray, modes: int | None = None) -> np.ndarray:
+        """Half-spectrum coefficients dx * sum_j e^{-2 i pi x_j xi_k} f(x_j) of
+        the leading band k = 0..modes-1, all n/2 + 1 of them by default.  With
+        modes = dealias_modes the band is the 2/3 rule: the same entries as the
+        full spectrum times dealias_mask, without the zeros."""
+        coeffs = np.fft.rfft(values)[:modes]
+        coeffs *= self._to_coeffs[:modes]  # in place: no second temporary
         return coeffs
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real samples of the field with half-spectrum coefficients coeffs."""
-        return np.fft.irfft(coeffs * self._to_values, self.grid.n)
+        """Real samples of the field whose half-spectrum coefficients are
+        coeffs, a leading band k = 0..len(coeffs)-1; the modes above the band
+        are zero (irfft pads them)."""
+        return np.fft.irfft(coeffs * self._to_values[: coeffs.shape[-1]], self.grid.n)
 
     def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:
         """Evaluate the trigonometric interpolant with half-spectrum
@@ -226,18 +236,24 @@ class RealSpectrum:
         return np.fft.irfft(padded, m)
 
     def mode_energy(self, coeffs: np.ndarray) -> np.ndarray:
-        """|coeffs|^2 per stored entry, interior entries counted twice (once
-        for their -k partner); sums to the full-spectrum sum of |coeffs|^2."""
+        """|coeffs|^2 per entry of a leading band, interior entries counted
+        twice (once for their -k partner) and the Nyquist entry, when the band
+        reaches it, once; sums to the full-spectrum sum of |coeffs|^2."""
         with np.errstate(over="ignore"):  # inf propagates to the blow-up guard
-            return self._weights * (coeffs.real**2 + coeffs.imag**2)
+            energy = coeffs.real**2 + coeffs.imag**2
+            energy[1 : self.size - 1] *= 2.0  # the interior, never the Nyquist entry
+        return energy
 
     def l2_norm(self, coeffs: np.ndarray) -> float:
-        """L2 norm of the field by Parseval: sqrt(sum_k |coeffs(k)|^2 / L),
-        in one pass (einsum: np.dot would load BLAS and its buffers)."""
+        """L2 norm by Parseval, sqrt(sum_k |coeffs(k)|^2 / L), of the field
+        whose leading band is coeffs; the unpaired Nyquist entry counts once
+        when the band reaches it.  One pass (einsum: np.dot would load BLAS
+        and its buffers)."""
         v = np.ascontiguousarray(coeffs, dtype=np.complex128).view(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # inf propagates
-            energy = (2.0 * np.einsum("i,i->", v, v) - v[0] * v[0] - v[1] * v[1]
-                      - v[-2] * v[-2] - v[-1] * v[-1])
+            energy = 2.0 * np.einsum("i,i->", v, v) - v[0] * v[0] - v[1] * v[1]
+            if v.size == 2 * self.size:
+                energy = energy - v[-2] * v[-2] - v[-1] * v[-1]
             return float(np.sqrt(energy / self.grid.length))
 
 

@@ -139,15 +139,15 @@ def symbol_table(grid: Grid) -> np.ndarray:
 def apply_nonlocal_fourier(f: RealField) -> RealField:
     """Apply the nonlocal operator through its Fourier multiplier.
 
-    Warns when the top third of the spectrum (the modes the dealias mask
-    drops) exceeds BAND_LIMIT_WARN of the spectral peak.  The odd imaginary
+    Warns when the top third of the spectrum (the modes above the 2/3 rule's
+    band) exceeds BAND_LIMIT_WARN of the spectral peak.  The odd imaginary
     part of the multiplier drops out at the Nyquist entry: irfft keeps only
     the real part of that (real) coefficient times the multiplier.
     """
     spectrum = real_spectrum(f.grid)
     coeffs = spectrum.forward(f.values)
     peak = np.abs(coeffs).max()
-    top = np.abs(coeffs[spectrum.dealias_mask == 0.0]).max()
+    top = np.abs(coeffs[spectrum.dealias_modes:]).max()
     if top > BAND_LIMIT_WARN * peak:
         warnings.warn(
             f"apply_nonlocal_fourier: top third of the spectrum is {top / peak:.2e} "

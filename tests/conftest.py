@@ -55,7 +55,8 @@ def spy_transforms(monkeypatch) -> list[str]:
     for name in ("forward", "inverse"):
         original = getattr(RealSpectrum, name)
         monkeypatch.setattr(RealSpectrum, name,
-                            lambda self, a, _f=original, _n=name: calls.append(_n) or _f(self, a))
+                            lambda self, a, *rest, _f=original, _n=name:
+                            calls.append(_n) or _f(self, a, *rest))
     return calls
 
 

@@ -194,6 +194,8 @@ def test_config_error_exits_1(tmp_path, capsys):
         ("[profile]\nkind = sampled\n", "profile.samples_file is required for kind = sampled"),
         ("[quadrature]\npanels = 4\n", "panels must be at least 16, got 4"),
         ("[time]\ndt = 1e-320\n", "time.dt must leave a finite step count"),
+        ("[grid]\nn = 8\n\n[initial]\nkind = zero\n\n[time]\ndt = 1e-300\n",
+         "time.dt must leave a finite step count of at most 2**53"),
         ("[time]\ndt = 0.3\nt_end = 0.5\n", "time.t_end must be a whole number of dt steps"),
     ],
 )
@@ -322,12 +324,22 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_evolve_computes_c1b_norm_once_per_consumer(tmp_path, monkeypatch):
-    # one C^1_b norm for the derived constants, one for the stepping loop
+@pytest.mark.parametrize("kind, computed", [("tanh-front", 1), ("sampled", 2)])
+def test_evolve_computes_c1b_norm_once_per_run(tmp_path, monkeypatch, kind, computed):
+    # the derived constants and the stepping loop share an analytic profile's
+    # C^1_b norm; a sampled profile is not hashable and is sampled for each
+    from fowler import diagnostics
+
+    diagnostics._cached_c1b_norm.cache_clear()  # an earlier run may have left it
     calls = _count_calls(monkeypatch, "sup_values")
-    cfg = write_cfg(tmp_path, TANH_SHORT)
+    text = TANH_SHORT
+    if kind == "sampled":
+        data = tmp_path / "profile.csv"
+        np.savetxt(data, np.exp(-np.linspace(-20.0, 20.0, 1024, endpoint=False) ** 2))
+        text = text.replace("kind = tanh-front", f"kind = sampled\nsamples_file = {data}")
+    cfg = write_cfg(tmp_path, text)
     assert main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 2
+    assert len(calls) == computed
 
 
 def test_moving_profile_sampled_once_per_step_time(tmp_path, monkeypatch):

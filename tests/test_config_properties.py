@@ -65,5 +65,5 @@ def test_parse_config_gives_settings_or_config_error(workdir, config):
         return
     assert isinstance(settings, RunSettings)
     sim = settings.sim
-    assert sim.steps >= 1
+    assert 1 <= sim.steps <= 2**53
     assert abs(sim.steps * sim.dt - sim.t_end) <= 1e-9 * sim.t_end

@@ -51,10 +51,11 @@ def base_config(grid, profile=None, v0=None, **kw):
 def flux(v, u, dealias):
     """d/dx (v^2/2 [+ u v]) from the stepper's nonlinear term _nonlinear_hat."""
     spectrum = real_spectrum(v.grid)
-    mask = spectrum.dealias_mask if dealias else None
-    vhat = spectrum.forward(v.values) * (1.0 if mask is None else mask)
+    modes = spectrum.dealias_modes if dealias else spectrum.size
+    vhat = spectrum.forward(v.values, modes)
     u_values = None if u is None else u.values
-    return spectrum.inverse(spectrum.derivative * _nonlinear_hat(vhat, u_values, spectrum, mask))
+    return spectrum.inverse(spectrum.derivative[:modes]
+                            * _nonlinear_hat(vhat, u_values, spectrum, modes))
 
 
 def test_flux_of_zero_field(grid_1024):
@@ -213,7 +214,7 @@ def test_full_run_transforms_per_step(grid_1024, monkeypatch):
     for name in ("forward", "inverse"):
         original = getattr(RealSpectrum, name)
         monkeypatch.setattr(RealSpectrum, name,
-                            lambda self, a, _f=original: calls.append(1) or _f(self, a))
+                            lambda self, a, *rest, _f=original: calls.append(1) or _f(self, a, *rest))
     cfg = base_config(grid_1024, profile=WaveProfile(kind="constant", amplitude=1.0),
                       v0=InitialCondition(kind="gaussian", amplitude=5.0),
                       t_end=0.05, dt=1e-3)
@@ -231,7 +232,8 @@ def test_etd2_seed_takes_at_most_two_picard_iterations(grid_1024, monkeypatch):
     for name in ("forward", "inverse"):
         original = getattr(RealSpectrum, name)
         monkeypatch.setattr(RealSpectrum, name,
-                            lambda self, a, _f=original: transforms.append(1) or _f(self, a))
+                            lambda self, a, *rest, _f=original:
+                            transforms.append(1) or _f(self, a, *rest))
     original = evolution._single_step
 
     def spy(*args):
@@ -255,7 +257,7 @@ def count_transforms(monkeypatch) -> list:
     for name in ("forward", "inverse"):
         original = getattr(RealSpectrum, name)
         monkeypatch.setattr(RealSpectrum, name,
-                            lambda self, a, _f=original: calls.append(1) or _f(self, a))
+                            lambda self, a, *rest, _f=original: calls.append(1) or _f(self, a, *rest))
     return calls
 
 
@@ -390,13 +392,33 @@ def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
         sampler = None if u_of_t is None else evolution._profile_sampler(cfg, tables)
         for state, term, t in ((vhat, N0, t0), (w, N1, t1)):
             fresh = _nonlinear_hat(state, None if sampler is None else sampler(t),
-                                   tables.spectrum, tables.mask)
+                                   tables.spectrum, tables.modes)
             assert np.array_equal(term, fresh), (k, t)
         if k:
             assert N0 is steps[k - 1][4] and t0 == steps[k - 1][5]
         assert len(history) == min(k, len(SEED_WEIGHTS) - 1), k
         for i, term in enumerate(history):
             assert np.array_equal(term, steps[k - 1 - i][1]), (k, i)
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("run", [evolve, evolve_full])
+def test_steps_carry_only_the_retained_band(grid_1024, monkeypatch, run, dealias):
+    # every state, term and table a step sees or returns holds the retained
+    # band: k = 0..n/3 under the 2/3 rule, all of k = 0..n/2 without it
+    shapes = set()
+    original = evolution._single_step
+
+    def spy(vhat, N0, t0, t1, cfg, tables, u_of_t, history=()):
+        out = original(vhat, N0, t0, t1, cfg, tables, u_of_t, history)
+        shapes.update(a.shape for a in (vhat, N0, *history, out[0], out[1],
+                                        tables.E, tables.A0, tables.A1))
+        return out
+
+    monkeypatch.setattr(evolution, "_single_step", spy)
+    run(moving_tanh_config(grid_1024, t_end=0.01, dt=1e-3, dealias=dealias))
+    n = grid_1024.n
+    assert shapes == {(n // 3 + 1,) if dealias else (n // 2 + 1,)}
 
 
 def test_history_is_the_previous_same_size_start_term(monkeypatch):
@@ -493,16 +515,16 @@ def test_returned_state_meets_the_picard_residual():
         dt = 10.0 ** rng.uniform(-4.0, -2.0)
         cfg = base_config(grid, profile=profile, v0=v0, dt=dt, t_end=dt)
         tables = evolution._step_tables(grid.n, grid.length, dt, True)
-        spectrum, mask = tables.spectrum, tables.mask
+        spectrum, modes = tables.spectrum, tables.modes
         u_of_t = evolution._profile_sampler(cfg, tables)
         t0 = rng.uniform(0.0, 1.0)
-        vhat = spectrum.forward(v0.build(grid).values) * mask
-        N0 = _nonlinear_hat(vhat, u_of_t(t0), spectrum, mask)
+        vhat = spectrum.forward(v0.build(grid).values, modes)
+        N0 = _nonlinear_hat(vhat, u_of_t(t0), spectrum, modes)
         try:
             w, N1, iters, _ = evolution._single_step(vhat, N0, t0, t0 + dt, cfg, tables, u_of_t)
         except PicardError:
             continue
-        assert np.array_equal(N1, _nonlinear_hat(w, u_of_t(t0 + dt), spectrum, mask))
+        assert np.array_equal(N1, _nonlinear_hat(w, u_of_t(t0 + dt), spectrum, modes))
         theta = tables.E * vhat - tables.A0 * N0 - tables.A1 * N1
         tol = cfg.picard_tol * max(spectrum.l2_norm(tables.E * vhat), 1.0)
         assert spectrum.l2_norm(theta - w) <= tol
