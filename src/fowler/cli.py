@@ -4,11 +4,13 @@
         <config-file> [--out DIR] [--snapshots]
 
 Exit codes are never conflated: 0 all checks pass, 1 usage or config error
-(an output file that cannot be written included), 2 a property or
-tolerance check failed, 3 a numerical fault.  Every numerical fault is an
-ArithmeticError: the blow-up guard (BlowUpError), a Picard fault in every
-piece size up to MAX_SUBSTEPS (PicardError), a non-finite integral route or
-kernel (FloatingPointError), a contraction root that lost precision.  Every
+(an output file that cannot be written or a grid too large to allocate
+included), 2 a property or tolerance check failed, 3 a numerical fault.
+Every numerical fault is an ArithmeticError: the blow-up guard
+(BlowUpError), a Picard fault in every piece size up to MAX_SUBSTEPS
+(PicardError), a non-finite integral route or kernel (FloatingPointError).
+The contraction root t_star steers nothing, so a root that cannot be
+represented is recorded as nan, with its reason, and is no fault.  Every
 command writes its CSV tables plus a manifest of the resolved config,
 derived constants, and per-check results; the run's result follows from the
 checks it recorded.
@@ -269,8 +271,8 @@ def main(argv=None) -> int:
         except ArithmeticError as exc:
             return _fault(manifest, out, exc)
         return _finish(manifest, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:  # a grid too large to allocate is a config error
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

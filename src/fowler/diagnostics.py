@@ -48,9 +48,10 @@ class DiagnosticsRecord:
     spectral_tail: float
 
     def __post_init__(self):
-        fields = (self.t, self.l2, self.energy_bound, self.mass,
-                  self.mass_drift, self.picard_ratio, self.spectral_tail)
-        if not all(math.isfinite(v) for v in fields):
+        fields = (self.t, self.l2, self.mass, self.mass_drift, self.picard_ratio,
+                  self.spectral_tail)
+        # energy_bound may be +inf: EnergyBoundParams.bound saturates there
+        if not (all(math.isfinite(v) for v in fields) and self.energy_bound >= 0.0):
             raise ValueError(f"diagnostics record has non-finite entries: {self}")
 
 
@@ -61,7 +62,10 @@ class EnergyBoundParams:
     v0_norm: float
 
     def bound(self, t: float) -> float:
-        return math.exp((self.alpha0 + self.c_phi) * t) * self.v0_norm
+        try:
+            return math.exp((self.alpha0 + self.c_phi) * t) * self.v0_norm
+        except OverflowError:  # saturates: a bound that loose bounds nothing, and is no fault
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,8 @@ def energy_bound_check(traj) -> EnergyBoundReport:
     violation beyond BOUND_TOLERANCE * energy_bound.
 
     Each record carries the bound at its own time since the run's start, so
-    restarted trajectories (t_offset > 0) are checked on their own clock.
+    the check reads the records alone: a resumed trajectory, whose records
+    carry the bound of the run it resumes, is checked on that run's clock.
     """
     if not traj.records:
         raise ValueError("empty trajectory")

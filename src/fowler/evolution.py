@@ -17,13 +17,13 @@ is extrapolated from the step's start term N0_hat and the start terms of up
 to three earlier steps of the same size, each ending where the next starts,
 with weights (1), (2, -1), (3, -3, 1) or (4, -6, 4, -1), newest first.  Order
 control works on evidence: a step whose Picard iterate contracted by a ratio
-above RHO_HISTORY drops the history, and a first step, a restart, piece 1 of
-a split step and the step after a split have none, so each of them seeds
-with exponential Euler, N1_hat = N0_hat, and the order climbs back one step
-at a time.  Only the starting iterate depends on the seed, not the fixed
-point.  A step returns the iterate w whose residual met the tolerance and
-N(w, t1), which the next step, or a retry from the same state, takes as its
-N0_hat.
+above RHO_HISTORY drops the history, and a first step, piece 1 of a split
+step and the step after a split have none, so each of them seeds with
+exponential Euler, N1_hat = N0_hat, and the order climbs back one step at a
+time; a resumed run continues the history of the run it resumes.  Only the
+starting iterate depends on the seed, not the fixed point.  A step returns
+the iterate w whose residual met the tolerance and N(w, t1), which the next
+step, or a retry from the same state, takes as its N0_hat.
 
 Step control works on evidence: each dt step is first tried whole and, when
 Picard contracts by a ratio above RHO_MAX, misses picard_tol or goes
@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,6 +210,8 @@ class Trajectory:
     picard_iters_total: int = 0  # over every attempt, failed ones included
     # accepted steps and pieces by the order of their Picard seed, 1..4
     steps_by_seed_order: list[int] = field(default_factory=lambda: [0] * len(SEED_WEIGHTS))
+    # the state after the last step, which evolve(..., resume=) continues from
+    end: _StepState | None = field(default=None, compare=False, repr=False)
 
     @property
     def substepping_engaged(self) -> bool:
@@ -287,7 +289,7 @@ def contraction_time_bound(
         raise ValueError("all-zero inputs: no contraction constraint to solve")
     t_star = (2.0 / (b + math.sqrt(b * b + 4.0 * a))) ** 4
     bound = ContractionBound(M=M, K0=K0, K1=K1, u_phi_norm=u_phi_norm, t_star=t_star)
-    if bound.equation_residual() > 1e-10:
+    if not bound.equation_residual() <= 1e-10:  # a NaN residual fails too
         raise ArithmeticError(
             f"contraction root lost precision: residual {bound.equation_residual():.2e}"
         )
@@ -457,165 +459,163 @@ def _profile_sampler(cfg: SimConfig, tables: _StepTables):
     return _per_step_time(cfg.profile, sample_at)
 
 
-def _advance(cfg: SimConfig, initial: RealField, profile_coupling: bool,
-             t_offset: float, keep_fields: bool) -> Trajectory:
-    """March the state forward; in full-equation mode (profile_coupling off)
-    diagnostics measure the perturbation u - u_phi(t), not u itself."""
-    grid = cfg.grid
-    full_mode = not profile_coupling
-    _, _, alpha0 = unstable_band()
-    u_norm = c1b_norm(cfg.profile, grid)
-    c_phi = 0.5 * u_norm
+@dataclass(frozen=True, eq=False, repr=False)  # arrays: no == or repr of use
+class _StepState:
+    """A run after `step` steps of size dt, at t = step * dt: the band vhat,
+    its term N(vhat, t) (None without the term), the seed's history, the
+    start mass that mass drift is measured against, and whether the band is
+    the perturbation v (coupled to the profile) or u = u_phi + v."""
 
+    vhat: np.ndarray
+    nhat: np.ndarray | None
+    history: tuple[np.ndarray, ...]
+    step: int
+    dt: float
+    mass0: float
+    coupled: bool
+
+
+def _take_step(state: _StepState, cfg: SimConfig, u_of_t, traj: Trajectory):
+    """One dt step from state: whole first, then from the same state in 2,
+    4, 8, ... pieces while Picard reports a fault.  Returns the next state
+    and the step's largest Picard iterations and ratio; traj counts the
+    work."""
+    grid, k, pieces, first_fault = cfg.grid, state.step, 1, None
+    while True:
+        tables = _step_tables(grid.n, grid.length, cfg.dt / pieces, cfg.dealias)
+        # history only from earlier steps of the same size
+        w, N, iters, ratio = state.vhat, state.nhat, 0, 0.0
+        history = state.history if pieces == 1 else ()
+        try:
+            for j in range(pieces):
+                # the last piece of a step ends on the same float the next
+                # step starts on, so the term N(w, t) it ends with is the
+                # next step's start term, bit for bit
+                w, N_end, it, r = _single_step(
+                    w, N, (k + j / pieces) * cfg.dt, (k + (j + 1) / pieces) * cfg.dt,
+                    cfg, tables, u_of_t, history,
+                )
+                traj.picard_iters_total += it
+                traj.steps_by_seed_order[len(history)] += 1
+                keep = len(SEED_WEIGHTS) - 1 if r <= RHO_HISTORY else 0
+                history = ((N,) + history)[:keep] if N is not None else ()
+                N = N_end
+                iters, ratio = max(iters, it), max(ratio, r)
+        except PicardError as exc:
+            traj.picard_iters_total += exc.iterations
+            if pieces >= MAX_SUBSTEPS:
+                raise
+            first_fault = first_fault or exc
+            pieces *= 2
+            continue
+        if pieces > 1:
+            if not traj.substepping_engaged:
+                warnings.warn(f"sub-stepping engaged ({pieces} pieces per dt = {cfg.dt:g} "
+                              f"step): {first_fault}", stacklevel=4)  # at evolve's caller
+            traj.max_substeps = max(traj.max_substeps, pieces)
+            history = ()
+        return _StepState(w, N, history, k + 1, state.dt, state.mass0, state.coupled), iters, ratio
+
+
+def _advance(cfg: SimConfig, v0_override: RealField | None, resume: Trajectory | None,
+             profile_coupling: bool, keep_fields: bool) -> Trajectory:
+    """March the initial data, or resume's end state, forward by cfg.steps
+    steps; in full-equation mode (profile_coupling off) the state is
+    u = u_phi + v and diagnostics measure the perturbation u - u_phi(t)."""
+    grid = cfg.grid
     tables = _step_tables(grid.n, grid.length, cfg.dt, cfg.dealias)
     spectrum = tables.spectrum
     u_of_t = _profile_sampler(cfg, tables) if profile_coupling else None
 
-    vhat = spectrum.forward(initial.values, tables.modes)
-    mass0 = vhat[0].real
-
-    if full_mode:  # ||u - u_phi(t)|| by Parseval against the profile's spectrum
+    if not profile_coupling:  # ||u - u_phi(t)|| by Parseval against the profile's spectrum
         profile_hat = _per_step_time(
             cfg.profile, lambda t: spectrum.forward(cfg.profile.evaluate(t, grid).values)
         )
 
-    def perturbation_norm(t: float) -> float:
-        if not full_mode:
+    def perturbation_norm(vhat: np.ndarray, t: float) -> float:
+        if profile_coupling:
             return spectrum.l2_norm(vhat)
         diff = -profile_hat(t)  # the profile's modes above the band count too
         diff[: vhat.size] += vhat
         return spectrum.l2_norm(diff)
 
-    v0_norm = perturbation_norm(t_offset)
-    if not math.isfinite(v0_norm):
-        raise BlowUpError("initial data norm is not finite")
-    params = EnergyBoundParams(alpha0=alpha0, c_phi=c_phi, v0_norm=v0_norm)
-    traj = Trajectory(params=params)
-
-    def record(t, iters, ratio):
+    def record(state: _StepState, t: float, l2: float, iters: int, ratio: float) -> None:
+        vhat = state.vhat
         energy = spectrum.mode_energy(vhat)
         total = float(energy.sum())
         tail = float(energy[spectrum.dealias_modes:].sum() / total) if total > 0 else 0.0
         f = RealField(grid, spectrum.inverse(vhat)) if keep_fields else None
-        rec = DiagnosticsRecord(
-            t=t,
-            l2=perturbation_norm(t),
-            energy_bound=params.bound(t - t_offset),
-            mass=vhat[0].real,
-            mass_drift=abs(vhat[0].real - mass0),
-            picard_iters=iters,
-            picard_ratio=ratio,
-            spectral_tail=tail,
-        )
-        traj.append(f, rec)
+        traj.append(f, DiagnosticsRecord(
+            t=t, l2=l2, energy_bound=traj.params.bound(t), mass=vhat[0].real,
+            mass_drift=abs(vhat[0].real - state.mass0), picard_iters=iters,
+            picard_ratio=ratio, spectral_tail=tail,
+        ))
 
-    def grid_time(step_index: int, j: int, pieces: int) -> float:
-        # the last piece of a step ends on the same float the next step
-        # starts on, so the term N(w, t) it ends with is the next step's
-        # start term, bit for bit
-        return t_offset + (step_index - 1 + j / pieces) * cfg.dt
-
-    def take_step(step_index: int, history: tuple):
-        """One dt step from vhat: whole first, then from the same state in
-        2, 4, 8, ... pieces while Picard reports a fault.  Returns the end
-        state and term, the next step's seed history, iterations and ratio."""
-        pieces, first_fault = 1, None
-        while True:
-            piece_tables = _step_tables(grid.n, grid.length, cfg.dt / pieces, cfg.dealias)
-            # history only from earlier steps of the same size
-            w, N, iters, ratio = vhat, nhat, 0, 0.0
-            if pieces > 1:
-                history = ()
-            try:
-                for j in range(pieces):
-                    w, N_end, it, r = _single_step(
-                        w, N, grid_time(step_index, j, pieces),
-                        grid_time(step_index, j + 1, pieces),
-                        cfg, piece_tables, u_of_t, history,
-                    )
-                    traj.picard_iters_total += it
-                    traj.steps_by_seed_order[len(history)] += 1
-                    keep = len(SEED_WEIGHTS) - 1 if r <= RHO_HISTORY else 0
-                    history = ((N,) + history)[:keep] if N is not None else ()
-                    N = N_end
-                    iters, ratio = max(iters, it), max(ratio, r)
-            except PicardError as exc:
-                traj.picard_iters_total += exc.iterations
-                if pieces >= MAX_SUBSTEPS:
-                    raise
-                first_fault = first_fault or exc
-                pieces *= 2
-                continue
-            if pieces > 1:
-                if not traj.substepping_engaged:
-                    warnings.warn(
-                        f"sub-stepping engaged ({pieces} pieces per dt = "
-                        f"{cfg.dt:g} step): {first_fault}",
-                        stacklevel=3,
-                    )
-                traj.max_substeps = max(traj.max_substeps, pieces)
-                history = ()
-            return w, N, history, iters, ratio
-
-    record(t_offset, 0, 0.0)
-    # after the finiteness check: N of a non-finite state only raises warnings
-    nhat = None
-    if not cfg.linear_only:
-        u0 = None if u_of_t is None else u_of_t(t_offset)
-        nhat = _nonlinear_hat(vhat, u0, spectrum, tables.modes)
-    history = ()
-    n_steps = cfg.steps
-    for step_index in range(1, n_steps + 1):
-        vhat, nhat, history, iters, ratio = take_step(step_index, history)
-        t = t_offset + step_index * cfg.dt
-        l2_now = perturbation_norm(t)
-        if not math.isfinite(l2_now) or l2_now > BLOWUP_FACTOR * max(
-            params.bound(t - t_offset), 1e-300
-        ):
+    if resume is not None:
+        if v0_override is not None:
+            raise ValueError("a resumed run starts from its end state, not from v0_override")
+        state = resume.end
+        wanted = (tables.modes, cfg.dt, profile_coupling)
+        if (state.vhat.size, state.dt, state.coupled) != wanted:
+            raise ValueError(f"cannot resume a run of (modes, dt, profile coupling) = "
+                             f"{(state.vhat.size, state.dt, state.coupled)} as {wanted}")
+        traj = Trajectory(params=resume.params)
+    else:
+        v0 = (v0_override if v0_override is not None else cfg.v0.build(grid)).values
+        if not profile_coupling:
+            v0 = cfg.profile.evaluate(0.0, grid).values + v0
+        vhat = spectrum.forward(v0, tables.modes)
+        v0_norm = perturbation_norm(vhat, 0.0)
+        if not math.isfinite(v0_norm):
+            raise BlowUpError("initial data norm is not finite")
+        _, _, alpha0 = unstable_band()
+        c_phi = 0.5 * c1b_norm(cfg.profile, grid)
+        traj = Trajectory(params=EnergyBoundParams(alpha0=alpha0, c_phi=c_phi, v0_norm=v0_norm))
+        state = _StepState(vhat, None, (), 0, cfg.dt, vhat[0].real, profile_coupling)
+        record(state, 0.0, v0_norm, 0, 0.0)
+        # after the finiteness check: N of a non-finite state only raises warnings
+        if not cfg.linear_only:
+            u0 = None if u_of_t is None else u_of_t(0.0)
+            state = replace(state, nhat=_nonlinear_hat(vhat, u0, spectrum, tables.modes))
+    last = state.step + cfg.steps
+    while state.step < last:
+        state, iters, ratio = _take_step(state, cfg, u_of_t, traj)
+        t = state.step * cfg.dt
+        l2 = perturbation_norm(state.vhat, t)
+        if not math.isfinite(l2) or l2 > BLOWUP_FACTOR * max(traj.params.bound(t), 1e-300):
             raise BlowUpError(
-                f"norm {l2_now:g} crossed the blow-up guard at t = {t:g}; "
+                f"norm {l2:g} crossed the blow-up guard at t = {t:g}; "
                 "mild solutions exist globally, so this is a numerical fault"
             )
-        if step_index % cfg.output_stride == 0 or step_index == n_steps:
-            record(t, iters, ratio)
+        if state.step % cfg.output_stride == 0 or state.step == last:
+            record(state, t, l2, iters, ratio)
+    traj.end = state
     return traj
 
 
-def evolve(
-    cfg: SimConfig,
-    *,
-    v0_override: RealField | None = None,
-    t_offset: float = 0.0,
-    keep_fields: bool = True,
-) -> Trajectory:
-    """Advance the perturbation equation from 0 to t_end.
+def evolve(cfg: SimConfig, *, v0_override: RealField | None = None,
+           resume: Trajectory | None = None, keep_fields: bool = True) -> Trajectory:
+    """Advance the perturbation equation by t_end.
 
     t_end is a whole number of steps of size dt (cfg.steps of them), so a
     single step is a run with t_end = dt and output_stride = 1.  v0_override
-    replaces the configured initial condition (used for restarts); t_offset
-    shifts the absolute time seen by a moving profile, so evolving to t1 and
-    restarting reproduces a single longer run.  keep_fields off records
-    diagnostics only, without the field at each record time.
+    replaces the configured initial condition.  resume continues a run of
+    the same grid, dt and equation from the state its last step ended in
+    (Trajectory.end), on that run's clock and energy bound, and records no
+    start record: evolving to t1 and resuming for t2 - t1 gives the records
+    and the end state of one run to t2, bit for bit.  keep_fields off
+    records diagnostics only, without the field at each record time.
     """
-    initial = v0_override if v0_override is not None else cfg.v0.build(cfg.grid)
-    return _advance(cfg, initial, profile_coupling=True, t_offset=t_offset,
-                    keep_fields=keep_fields)
+    return _advance(cfg, v0_override, resume, profile_coupling=True, keep_fields=keep_fields)
 
 
-def evolve_full(
-    cfg: SimConfig,
-    *,
-    v0_override: RealField | None = None,
-    t_offset: float = 0.0,
-    keep_fields: bool = True,
-) -> Trajectory:
+def evolve_full(cfg: SimConfig, *, v0_override: RealField | None = None,
+                resume: Trajectory | None = None, keep_fields: bool = True) -> Trajectory:
     """Advance the full equation for u = profile + perturbation directly.
 
     The state is u itself with flux u^2/2 and no coupling term.  Records
     report the perturbation norm ||u - u_phi(t)|| so the energy-bound column
-    stays meaningful; mass is the mass of u.  keep_fields as in evolve.
+    stays meaningful; mass is the mass of u.  v0_override, resume and
+    keep_fields as in evolve.
     """
-    v0 = v0_override if v0_override is not None else cfg.v0.build(cfg.grid)
-    u0 = RealField(cfg.grid, cfg.profile.evaluate(t_offset, cfg.grid).values + v0.values)
-    return _advance(cfg, u0, profile_coupling=False, t_offset=t_offset,
-                    keep_fields=keep_fields)
+    return _advance(cfg, v0_override, resume, profile_coupling=False, keep_fields=keep_fields)

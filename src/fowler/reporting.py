@@ -107,10 +107,13 @@ def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
     u_norm = c1b_norm(sim.profile, sim.grid)
     c_phi = 0.5 * u_norm
     v0_norm = l2_norm(settings.v0_field)
+    t_star = np.inf
     if v0_norm > 0.0 or u_norm > 0.0:
-        t_star = contraction_time_bound(2.0 * v0_norm, STEP_CONSTANTS, u_norm).t_star
-    else:
-        t_star = np.inf
+        try:
+            t_star = contraction_time_bound(2.0 * v0_norm, STEP_CONSTANTS, u_norm).t_star
+        except ArithmeticError as exc:  # t_star steers nothing: record nan and why
+            t_star = np.nan
+            manifest.add("derived.t_star_error", str(exc))
     values = {
         "a_I": coeffs.a_I,
         "b_I": coeffs.b_I,

@@ -89,19 +89,22 @@ def test_energy_bound_zero_trajectory(grid_1024):
 
 
 def test_energy_bound_check_on_restarted_run(grid_1024):
-    # a restart at t_offset = 5 records the bound on its own clock (0.118 at
-    # its last record, where the bound at absolute time 5.02 is 1.5e5): a
-    # norm pushed past the recorded bound must fail the check
+    # a resumed run has no start record and records the bound of the run it
+    # resumes, on that run's clock; the check reads each record's own bound
+    # and nothing else, so a norm pushed past the recorded bound must fail
     cfg = SimConfig(
         grid=grid_1024,
         profile=WaveProfile(kind="tanh-front"),
         v0=InitialCondition(kind="gaussian", amplitude=0.1),
-        t_end=0.02, dt=1e-2,
+        t_end=0.02, dt=1e-2, output_stride=1,
     )
-    traj = evolve(cfg, t_offset=5.0)
+    first = evolve(cfg)
+    traj = evolve(cfg, resume=first)
+    assert traj.times == [3 * cfg.dt, 4 * cfg.dt]
+    assert [r.energy_bound for r in traj.records] == [first.params.bound(t) for t in traj.times]
+    traj.params = None
     assert energy_bound_check(traj).ok
     last = traj.records[-1]
-    assert last.energy_bound < 1e-3 * traj.params.bound(last.t)
     traj.records[-1] = replace(last, l2=1.01 * last.energy_bound)
     report = energy_bound_check(traj)
     assert not report.ok
@@ -186,3 +189,18 @@ def test_record_rejects_non_finite():
         DiagnosticsRecord(t=0.0, l2=math.nan, energy_bound=1.0, mass=0.0,
                           mass_drift=0.0, picard_iters=0, picard_ratio=0.0,
                           spectral_tail=0.0)
+
+
+def test_energy_bound_saturates_at_inf():
+    # e^{(alpha0 + C_phi) t} overflows a double: the bound is +inf, which
+    # still bounds zero data, and a record carries it; a nan or negative
+    # bound is refused
+    params = EnergyBoundParams(alpha0=1.8, c_phi=1000.0, v0_norm=0.5)
+    assert params.bound(0.7) < math.inf and params.bound(0.8) == math.inf
+    assert replace(params, v0_norm=0.0).bound(0.8) == math.inf
+    record = dict(t=0.8, l2=1.0, mass=0.0, mass_drift=0.0, picard_iters=0,
+                  picard_ratio=0.0, spectral_tail=0.0)
+    assert DiagnosticsRecord(energy_bound=params.bound(0.8), **record).energy_bound == math.inf
+    for bad in (math.nan, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="finite"):
+            DiagnosticsRecord(energy_bound=bad, **record)

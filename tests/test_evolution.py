@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from fowler import evolution
@@ -178,18 +180,74 @@ def test_whole_step_when_picard_contracts(grid_1024):
     assert energy_bound_check(traj).ok
 
 
+def assert_resumes_exactly(runs, direct):
+    """runs, each resumed from the one before, give direct's records, fields
+    and end state, bit for bit."""
+    assert [r for run in runs for r in run.records] == direct.records
+    fields = [f for run in runs for f in run.fields]
+    for f, g in zip(fields, direct.fields, strict=True):
+        assert np.array_equal(f.values, g.values)
+    end, want = runs[-1].end, direct.end
+    assert (end.step, end.dt, end.mass0) == (want.step, want.dt, want.mass0)
+    assert np.array_equal(end.vhat, want.vhat) and np.array_equal(end.nhat, want.nhat)
+    assert len(end.history) == len(want.history)
+    assert all(np.array_equal(a, b) for a, b in zip(end.history, want.history))
+
+
 def test_split_restart_matches_direct_run():
-    # no state carries between dt steps: each starts again from one piece
+    # a run that splits its steps resumes as exactly as one that does not:
+    # every step starts again from one piece either way
     grid = make_grid(256, 40.0)
     cfg = lambda t_end: large_gaussian_config(grid, t_end=t_end, output_stride=1)
     with pytest.warns(UserWarning, match="sub-stepping engaged"):
         direct = evolve(cfg(0.04))
         first = evolve(cfg(0.02))
-        second = evolve(cfg(0.02), v0_override=first.fields[-1], t_offset=0.02)
+        second = evolve(cfg(0.02), resume=first)
     assert first.substepping_engaged and second.substepping_engaged
-    diff = l2_norm(RealField(grid, second.fields[-1].values - direct.fields[-1].values))
-    assert diff / l2_norm(direct.fields[-1]) < 1e-12
-    assert second.times[-1] == direct.times[-1]
+    assert_resumes_exactly([first, second], direct)
+
+
+@settings(max_examples=30)
+@given(run=st.sampled_from([evolve, evolve_full]), amplitude=st.sampled_from([0.1, 100.0]),
+       stride=st.integers(1, 3), blocks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       extra=st.integers(1, 4))
+def test_resumed_runs_are_the_direct_run(run, amplitude, stride, blocks, extra):
+    # S(t + s) = S(t) S(s), bit for bit: runs of b * stride steps for each b
+    # in blocks, each resumed from the one before, and a last one of extra
+    # steps give the records, fields and end state of one direct run; at
+    # amplitude 100 every step splits, at 0.1 the seed history crosses each
+    # resume
+    grid = make_grid(128, 40.0)
+    profile = WaveProfile(kind="tanh-front", amplitude=0.8, width=1.5, speed=0.7)
+    cfg = lambda steps: base_config(
+        grid, profile=profile, v0=InitialCondition(kind="gaussian", amplitude=amplitude),
+        dt=1e-2, t_end=steps * 1e-2, output_stride=stride)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # amplitude 100 warns of sub-stepping
+        direct = run(cfg(stride * sum(blocks) + extra))
+        runs = [run(cfg(stride * blocks[0]))]
+        for steps in [stride * b for b in blocks[1:]] + [extra]:
+            runs.append(run(cfg(steps), resume=runs[-1]))
+    assert_resumes_exactly(runs, direct)
+    assert direct.substepping_engaged == (amplitude == 100.0)
+
+
+def test_resume_rejects_another_band_dt_equation_or_initial_data(grid_1024):
+    # the band of evolve is v, that of evolve_full is u = u_phi + v: resuming
+    # one as the other ran on silently, to a norm 27x the direct run's
+    cfg = moving_tanh_config(grid_1024, t_end=0.002, dt=1e-3)
+    first = evolve(cfg)
+    for other in (replace(cfg, dt=5e-4, t_end=0.001), replace(cfg, dealias=False),
+                  replace(cfg, grid=make_grid(512, 40.0))):
+        with pytest.raises(ValueError, match="cannot resume"):
+            evolve(other, resume=first)
+    wrong_equation = r"cannot resume .* \(342, 0.001, True\) as \(342, 0.001, False\)"
+    with pytest.raises(ValueError, match=wrong_equation):
+        evolve_full(cfg, resume=first)
+    with pytest.raises(ValueError, match="cannot resume"):
+        evolve(cfg, resume=evolve_full(cfg))
+    with pytest.raises(ValueError, match="v0_override"):
+        evolve(cfg, resume=first, v0_override=first.fields[-1])
 
 
 def test_max_substeps_exhausted_raises_last_fault():
@@ -425,12 +483,13 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
     # the history passed to a step is the start terms of the calls just
     # before it, newest first and up to three, while each had the same size,
     # ended where the next starts and contracted by a ratio of at most
-    # RHO_HISTORY; it is empty on the first step, on a restart, on piece 1 of
-    # a split step, on the whole step after a split and after a step whose
-    # ratio exceeded RHO_HISTORY.  Amplitude 4 with picard_max = 5 splits
-    # every step in 8 pieces, most seeded at order 4; amplitude 6 with
-    # picard_max = 12 takes 12-13 iterations per whole step at ratios near
-    # 0.3, so some whole steps miss picard_max and split in 2
+    # RHO_HISTORY; it is empty on the first step, on piece 1 of a split step,
+    # on the whole step after a split and after a step whose ratio exceeded
+    # RHO_HISTORY, and a resumed run continues the history of the run it
+    # resumes, as if the two were one run.  Amplitude 4 with picard_max = 5
+    # splits every step in 8 pieces, most seeded at order 4; amplitude 6
+    # with picard_max = 12 takes 12-13 iterations per whole step at ratios
+    # near 0.3, so some whole steps miss picard_max and split in 2
     calls = []
     original = evolution._single_step
 
@@ -442,13 +501,11 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
         return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
-    named = {"first": 0, "restart": 0, "piece 1": 0, "after a split": 0,
+    named = {"first": 0, "piece 1": 0, "after a split": 0,
              "after a ratio above RHO_HISTORY": 0, "with history": 0}
 
-    def check(cfg, calls, restart):
-        on_step_grid = {k * cfg.dt for k in range(int(round(cfg.t_end / cfg.dt)) + 1)}
-        if restart:
-            on_step_grid = {t + restart for t in on_step_grid}
+    def check(cfg, calls):
+        on_step_grid = {k * cfg.dt for k in range(2 * cfg.steps + 1)}
         expected = ()
         for k, call in enumerate(calls):
             before = calls[k - 1] if k else None
@@ -464,7 +521,7 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
             if history:
                 named["with history"] += 1
             elif before is None:
-                named["restart" if restart else "first"] += 1
+                named["first"] += 1
             elif "ratio" in before and before["ratio"] > RHO_HISTORY:
                 named["after a ratio above RHO_HISTORY"] += 1
             elif call["dt"] < cfg.dt and call["t0"] in on_step_grid:
@@ -480,13 +537,16 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
         with pytest.warns(UserWarning, match="sub-stepping engaged"):
             traj = evolve(cfg)
         assert traj.substepping_engaged
-        check(cfg, list(calls), restart=0.0)
-        calls.clear()
+        resumed = len(calls)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a split restart warns again
-            evolve(cfg, v0_override=traj.fields[-1], t_offset=t_end)
-        check(cfg, list(calls), restart=t_end)
-    assert named["first"] == 2 and named["restart"] == 2 and named["piece 1"] >= 2
+            warnings.simplefilter("ignore")  # a split resumed run warns again
+            evolve(cfg, resume=traj)
+        # the resumed run's first call is seeded from the history its
+        # predecessor's last step left, and its steps follow the same rule
+        assert calls[resumed]["t0"] == calls[resumed - 1]["t1"]
+        assert calls[resumed]["history"] is traj.end.history
+        check(cfg, list(calls))
+    assert named["first"] == 2 and named["piece 1"] >= 2
     assert named["after a split"] >= 2 and named["with history"] >= 10
     assert named["after a ratio above RHO_HISTORY"] >= 5
 
@@ -579,6 +639,13 @@ def test_contraction_bound_random_inputs_solve_the_equation():
     assert worst <= 1e-12
 
 
+def test_contraction_bound_nan_residual_fails():
+    # an infinite norm budget makes the root 0 and its residual nan, which
+    # must fail the precision check instead of passing as t_star = 0
+    with pytest.raises(ArithmeticError, match="residual nan"):
+        contraction_time_bound(math.inf, STEP_CONSTANTS, 1.0)
+
+
 def test_contraction_bound_rejects_all_zero():
     with pytest.raises(ValueError, match="all-zero"):
         contraction_time_bound(0.0, synthetic_fit(), 0.0)
@@ -661,16 +728,15 @@ def test_restart_matches_direct_run(grid_1024):
     kw = dict(profile=profile,
               v0=InitialCondition(kind="gaussian", amplitude=0.1),
               dt=1e-3, output_stride=100)
+    # the solution map is a semigroup, S(t + s) = S(t) S(s), and a resumed
+    # run continues the state, seed history included, that the first run
+    # ended in, so first + resumed is the direct run bit for bit
     direct = evolve(base_config(grid_1024, t_end=0.2, **kw))
     first = evolve(base_config(grid_1024, t_end=0.1, **kw))
-    second = evolve(
-        base_config(grid_1024, t_end=0.1, **kw),
-        v0_override=first.fields[-1],
-        t_offset=0.1,
-    )
-    diff = l2_norm(RealField(grid_1024, second.fields[-1].values - direct.fields[-1].values))
-    assert diff / l2_norm(direct.fields[-1]) < 1e-8
-    assert second.times[-1] == pytest.approx(0.2)
+    second = evolve(base_config(grid_1024, t_end=0.1, **kw), resume=first)
+    assert_resumes_exactly([first, second], direct)
+    assert second.times[-1] == pytest.approx(0.2) and second.params == direct.params
+    assert len(second.end.history) == len(SEED_WEIGHTS) - 1
 
 
 def test_moving_profile_run_satisfies_bound(grid_1024):
