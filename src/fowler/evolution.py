@@ -578,17 +578,20 @@ def _advance(cfg: SimConfig, v0_override: RealField | None, resume: Trajectory |
             u0 = None if u_of_t is None else u_of_t(0.0)
             state = replace(state, nhat=_nonlinear_hat(vhat, u0, spectrum, tables.modes))
     last = state.step + cfg.steps
-    while state.step < last:
-        state, iters, ratio = _take_step(state, cfg, u_of_t, traj)
-        t = state.step * cfg.dt
-        l2 = perturbation_norm(state.vhat, t)
-        if not math.isfinite(l2) or l2 > BLOWUP_FACTOR * max(traj.params.bound(t), 1e-300):
-            raise BlowUpError(
-                f"norm {l2:g} crossed the blow-up guard at t = {t:g}; "
-                "mild solutions exist globally, so this is a numerical fault"
-            )
-        if state.step % cfg.output_stride == 0 or state.step == last:
-            record(state, t, l2, iters, ratio)
+    # once per run, not per step: Picard and the blow-up guard detect the
+    # non-finite values whose overflow numpy would otherwise warn about
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.step < last:
+            state, iters, ratio = _take_step(state, cfg, u_of_t, traj)
+            t = state.step * cfg.dt
+            l2 = perturbation_norm(state.vhat, t)
+            if not math.isfinite(l2) or l2 > BLOWUP_FACTOR * max(traj.params.bound(t), 1e-300):
+                raise BlowUpError(
+                    f"norm {l2:g} crossed the blow-up guard at t = {t:g}; "
+                    "mild solutions exist globally, so this is a numerical fault"
+                )
+            if state.step % cfg.output_stride == 0 or state.step == last:
+                record(state, t, l2, iters, ratio)
     traj.end = state
     return traj
 

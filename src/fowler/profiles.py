@@ -63,7 +63,8 @@ class WaveProfile:
         if self.kind == "tanh-front":
             if derivative == 0:
                 return A * np.tanh(u)
-            return (A / w) * (1.0 / np.cosh(u) ** 2)
+            with np.errstate(over="ignore"):  # cosh overflows where sech^2 is 0
+                return (A / w) * (1.0 / np.cosh(u) ** 2)
         # gaussian-bump
         bump = A * np.exp(-(u**2))
         if derivative == 0:

@@ -1,13 +1,17 @@
 """Full-spectrum transforms in FFT storage order: the test oracle for the
 package's half spectrum (grid.RealSpectrum), with the same centring phase and
 dx, 1/L scaling.  The unpaired Nyquist mode sits at index n/2, frequency -n/(2L).
+
+Also the integral route's multiplier summed node by node and mode by mode,
+the oracle for operator._quadrature_multiplier.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from fowler.grid import Grid, RealField, _as_locked_array
+from fowler.grid import Grid, RealField, _as_locked_array, real_spectrum
+from fowler.operator import LEVY_PREFACTOR, QuadratureSpec
 
 # Relative tolerance on the Hermitian-symmetry check; violations beyond this
 # signal a symbol or symmetry bug upstream, not roundoff.
@@ -97,3 +101,30 @@ def spectral_derivative(F: SpectralField, order: int) -> SpectralField:
     if order % 2 == 1:
         multiplier[nyquist_index(grid)] = 0.0
     return SpectralField(grid=grid, coeffs=F.coeffs * multiplier)
+
+
+def quadrature_multiplier_reference(grid: Grid, q: QuadratureSpec) -> np.ndarray:
+    """operator._quadrature_multiplier with two sines per node and mode: the
+    body's real part is -2 sin^2(theta/2), free of the cancellation in
+    cos(theta) - 1, and its imaginary part sin(theta) - theta, summed in
+    blocks of 32 nodes."""
+    spectrum = real_spectrum(grid)
+    z, w = q.nodes_weights()
+    omega = 2.0 * np.pi * spectrum.frequencies
+    versine = np.zeros(len(omega))  # sum_j c_j sin^2(theta_j / 2)
+    odd = np.zeros(len(omega))  # sum_j c_j (sin theta_j - theta_j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = LEVY_PREFACTOR * w * np.abs(z) ** (-7.0 / 3.0)
+        for start in range(0, len(z), 32):
+            block = slice(start, start + 32)
+            theta = np.outer(z[block], omega)
+            half_sine = np.sin(0.5 * theta)
+            versine += weights[block] @ (half_sine * half_sine)
+            odd += weights[block] @ (np.sin(theta) - theta)
+        multiplier = -2.0 * versine + 1j * odd
+        multiplier += LEVY_PREFACTOR * (  # gap Taylor term and closed-form tail
+            0.75 * q.z_min ** (2.0 / 3.0) * spectrum.laplacian - 0.75 * q.z_max ** (-4.0 / 3.0)
+            + 3.0 * q.z_max ** (-1.0 / 3.0) * spectrum.derivative
+        )
+    multiplier[0] = 0.0  # mean removal
+    return multiplier

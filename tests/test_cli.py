@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -460,7 +461,6 @@ def test_kernel_overflow_is_a_numerical_fault(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command", ["operator-check", "kernel-report", "evolve", "evolve-full", "convergence"]
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the stepping's overflow
 def test_contraction_root_underflow_is_recorded_not_raised(tmp_path, capsys, command):
     # C^1_b norm 1e300: t_star underflows to 0, and its residual check fails.
     # t_star steers nothing, so every command records nan and the reason
@@ -483,7 +483,7 @@ def test_contraction_root_underflow_is_recorded_not_raised(tmp_path, capsys, com
     ("[profile]\nkind = tanh-front\nwidth = 1e-300\n", "1.00e+00"),
     ("[initial]\namplitude = 1e300\n", "nan"),  # the data's norm overflows
 ], ids=["constant-1e200", "tanh-width-1e-300", "initial-1e300"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:apply_nonlocal_fourier:UserWarning")
+@pytest.mark.filterwarnings("ignore:apply_nonlocal_fourier:UserWarning")
 def test_unrepresentable_contraction_root_is_nan_in_the_manifest(tmp_path, text, residual):
     # operator-check never steps: an unrepresentable t_star is recorded as
     # nan with its reason, never as a fault or as t_star = 0
@@ -494,6 +494,27 @@ def test_unrepresentable_contraction_root_is_nan_in_the_manifest(tmp_path, text,
     assert manifest["derived.t_star"] == "nan"
     reason = f"contraction root lost precision: residual {residual}"
     assert manifest["derived.t_star_error"] == reason
+
+
+@pytest.mark.parametrize("command, text, code, reason", [
+    ("evolve", "[grid]\nn = 256\n\n[profile]\nkind = gaussian-bump\namplitude = 1e300\n",
+     3, "numerical fault: non-finite Picard iterate"),
+    ("operator-check", "[grid]\nn = 64\n\n[profile]\nkind = tanh-front\nwidth = 1e-300\n", 0, ""),
+    ("operator-check", MINIMAL + "\n[quadrature]\nz_min = 1e-30\n", 0, ""),
+    ("operator-check", MINIMAL + "\n[quadrature]\nz_min = 1e-300\n",
+     3, "numerical fault: integral route produced non-finite values"),
+], ids=["bump-1e300", "tanh-width-1e-300", "z_min-1e-30", "z_min-1e-300"])
+@pytest.mark.filterwarnings("ignore:apply_nonlocal_fourier:UserWarning")
+def test_extreme_values_raise_no_floating_point_warning(tmp_path, capsys, command, text, code,
+                                                        reason):
+    # overflow on the way to a right answer or to a detected fault is the
+    # program's to handle: numpy's RuntimeWarnings must not reach the user
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(reason) and err.count("\n") == (1 if reason else 0)
 
 
 @pytest.mark.parametrize("command", ["evolve", "evolve-full"])

@@ -22,6 +22,7 @@ from fowler.operator import (
 )
 
 from conftest import band_limited_field, gamma_two_thirds_oracle, spy_transforms
+from reference_spectrum import quadrature_multiplier_reference
 
 # 12-digit regression value for Gamma(2/3), derived once from the quadrature
 # oracle below.
@@ -182,6 +183,30 @@ def test_quadrature_spec_validation():
         QuadratureSpec(z_max=1.0, z_min=2.0, panels=32)
     with pytest.raises(ValueError, match="panels"):
         QuadratureSpec(z_max=10.0, z_min=1e-4, panels=8)
+
+
+def test_gauss_legendre_rule_matches_leggauss():
+    # unit panel [1, 2]: the rule's nodes and weights, mapped back to [-1, 1]
+    x, w = QuadratureSpec(z_max=2.0, z_min=1.0, panels=16).nodes_weights()
+    panel = slice(0, operator.GAUSS_ORDER)
+    half = 0.5 * (2.0 ** (1 / 16) - 1.0)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(operator.GAUSS_ORDER)
+    assert np.abs((-x[panel] - 1.0 - half) / half - ref_x).max() < 1e-13
+    assert np.abs(w[panel] / half - ref_w).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [256, 2048, 16384])
+@pytest.mark.parametrize("z_min", [1e-8, 1e-4, 0.1])
+@pytest.mark.parametrize("panels, box_fraction", [(16, 0.5), (96, 0.25)])
+def test_quadrature_multiplier_matches_per_node_reference(n, z_min, panels, box_fraction):
+    # near-node moment series and coarse/fine phase products against two
+    # sines per node and mode
+    g = make_grid(n, 40.0)
+    q = QuadratureSpec(z_max=box_fraction * g.length, z_min=z_min, panels=panels)
+    fast = operator._quadrature_multiplier(g, q)
+    reference = quadrature_multiplier_reference(g, q)
+    assert fast[0] == 0.0
+    assert np.all(np.abs(fast[1:] - reference[1:]) <= 1e-9 * np.abs(reference[1:]))
 
 
 def test_integral_route_rejects_half_box_violation(grid_1024):
