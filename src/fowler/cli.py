@@ -8,7 +8,9 @@ Exit codes are never conflated: 0 all checks pass, 1 usage or config error
 included), 2 a property or tolerance check failed, 3 a numerical fault.
 Every numerical fault is an ArithmeticError: the blow-up guard
 (BlowUpError), a Picard fault in every piece size up to MAX_SUBSTEPS
-(PicardError), a non-finite integral route or kernel (FloatingPointError).
+(PicardError), a non-finite Fourier route, integral route or kernel
+(FloatingPointError).  main runs under one floating-point policy: numpy's
+warnings are silenced, and these checks report the non-finite values.
 The contraction root t_star steers nothing, so a root that cannot be
 represented is recorded as nan, with its reason, and is no fault.  Every
 command writes its CSV tables plus a manifest of the resolved config,
@@ -207,7 +209,7 @@ def cmd_convergence(settings: RunSettings, manifest: RunManifest, out: Path) -> 
     errors = [l2_norm(RealField(f.grid, f.values - reference.values)) for f in finals]
     orders = [float("nan")]
     for a, b in zip(errors, errors[1:]):
-        orders.append(math.log2(a / b) if b > 0 else float("nan"))
+        orders.append(math.log2(a / b) if a > 0 and b > 0 else float("nan"))
     CsvTable(["dt", "error_vs_reference", "observed_order"], [dts, errors, orders]).write(
         out / "convergence.csv"
     )
@@ -246,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     try:

@@ -62,10 +62,13 @@ class EnergyBoundParams:
     v0_norm: float
 
     def bound(self, t: float) -> float:
+        if t == 0.0:  # also for C_phi = inf, where the rate times t is no number
+            return self.v0_norm
         try:
-            return math.exp((self.alpha0 + self.c_phi) * t) * self.v0_norm
+            value = math.exp((self.alpha0 + self.c_phi) * t) * self.v0_norm
         except OverflowError:  # saturates: a bound that loose bounds nothing, and is no fault
             return math.inf
+        return math.inf if math.isnan(value) else value  # inf * 0 saturates too
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,7 @@ class EnergyBoundReport:
 
 def l2_norm(f: RealField) -> float:
     """sqrt(dx * sum f^2); Parseval-consistent with the spectral norm."""
-    with np.errstate(over="ignore"):  # inf propagates to the blow-up guard
-        return float(np.sqrt(f.grid.spacing * np.sum(f.values**2)))
+    return float(np.sqrt(f.grid.spacing * np.sum(f.values**2)))
 
 
 def energy_bound_check(traj) -> EnergyBoundReport:
@@ -98,22 +100,13 @@ def energy_bound_check(traj) -> EnergyBoundReport:
     return EnergyBoundReport(margins=margins, ok=not bad.any(), first_violation=first)
 
 
+@functools.lru_cache(maxsize=1)
 def c1b_norm(p: WaveProfile, grid: Grid) -> float:
     """sup|phi| + sup|phi'|, sups over a 16x oversampled evaluation.
 
     Sampling the oversampled box is the cost, and a run asks twice (its
-    derived constants and its stepping loop), so an analytic profile's norm
-    is kept for the last (profile, grid) asked.  A sampled profile is not
-    hashable (its samples are an array) and is sampled on every call.
+    derived constants and its stepping loop), so the norm is kept for the
+    last (profile, grid) asked; sampled profiles hash their samples by identity.
     """
-    if p.samples is not None:
-        return _c1b_norm(p, grid)
-    return _cached_c1b_norm(p, grid)
-
-
-def _c1b_norm(p: WaveProfile, grid: Grid) -> float:
     s0, s1 = p.sup_values(grid)
     return s0 + s1
-
-
-_cached_c1b_norm = functools.lru_cache(maxsize=1)(_c1b_norm)

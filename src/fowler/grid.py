@@ -98,7 +98,7 @@ def _as_locked_array(values, n: int, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, so a field hashes
 class RealField:
     """A real function sampled on a Grid.  Immutable after construction."""
 
@@ -239,9 +239,8 @@ class RealSpectrum:
         """|coeffs|^2 per entry of a leading band, interior entries counted
         twice (once for their -k partner) and the Nyquist entry, when the band
         reaches it, once; sums to the full-spectrum sum of |coeffs|^2."""
-        with np.errstate(over="ignore"):  # inf propagates to the blow-up guard
-            energy = coeffs.real**2 + coeffs.imag**2
-            energy[1 : self.size - 1] *= 2.0  # the interior, never the Nyquist entry
+        energy = coeffs.real**2 + coeffs.imag**2
+        energy[1 : self.size - 1] *= 2.0  # the interior, never the Nyquist entry
         return energy
 
     def l2_norm(self, coeffs: np.ndarray) -> float:

@@ -90,8 +90,7 @@ def kernel_field(t: float, grid: Grid) -> KernelSnapshot:
     """
     if not (t > 0):
         raise ValueError(f"kernel time must be positive, got {t}")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        values = real_spectrum(grid).inverse(np.exp(-float(t) * symbol_table(grid)))
+    values = real_spectrum(grid).inverse(np.exp(-float(t) * symbol_table(grid)))
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"kernel K(t = {t:g}) is not finite in double precision")
     f = RealField(grid, values)

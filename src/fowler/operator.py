@@ -146,6 +146,8 @@ def apply_nonlocal_fourier(f: RealField) -> RealField:
     band) exceeds BAND_LIMIT_WARN of the spectral peak.  The odd imaginary
     part of the multiplier drops out at the Nyquist entry: irfft keeps only
     the real part of that (real) coefficient times the multiplier.
+
+    Raises FloatingPointError on a non-finite result, e.g. an overflowed transform.
     """
     spectrum = real_spectrum(f.grid)
     coeffs = spectrum.forward(f.values)
@@ -158,8 +160,10 @@ def apply_nonlocal_fourier(f: RealField) -> RealField:
             "evaluation",
             stacklevel=2,
         )
-    mult = nonlocal_multiplier(spectrum.frequencies)
-    return RealField(f.grid, spectrum.inverse(coeffs * mult))
+    values = spectrum.inverse(coeffs * nonlocal_multiplier(spectrum.frequencies))
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("Fourier route produced non-finite values")
+    return RealField(f.grid, values)
 
 
 @dataclass(frozen=True)
@@ -245,39 +249,38 @@ def _quadrature_multiplier(grid: Grid, q: QuadratureSpec) -> np.ndarray:
     z, w = q.nodes_weights()
     omega = 2.0 * np.pi * spectrum.frequencies
     size, omega_max = len(omega), omega[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = LEVY_PREFACTOR * w * np.abs(z) ** (-7.0 / 3.0)
-        near = np.abs(z) * omega_max <= 1.0
-        # series[m - 2] = mu_m omega_max^m / m!, which bounds its term for
-        # every omega <= omega_max: all c_j z_j^m share one sign
-        x = z[near] * omega_max
-        term = weights[near] * (0.5 * x * x)
-        series = [term.sum()]
-        while abs(series[-1]) > np.finfo(np.float64).eps * abs(series[0]):
-            term *= x / (len(series) + 2)
-            series.append(term.sum())
-        s = 1j * omega / omega_max
-        multiplier = np.zeros(size, dtype=np.complex128)
-        for b in reversed(series):
-            multiplier += b
-            multiplier *= s
+    weights = LEVY_PREFACTOR * w * np.abs(z) ** (-7.0 / 3.0)
+    near = np.abs(z) * omega_max <= 1.0
+    # series[m - 2] = mu_m omega_max^m / m!, which bounds its term for
+    # every omega <= omega_max: all c_j z_j^m share one sign
+    x = z[near] * omega_max
+    term = weights[near] * (0.5 * x * x)
+    series = [term.sum()]
+    while abs(series[-1]) > np.finfo(np.float64).eps * abs(series[0]):
+        term *= x / (len(series) + 2)
+        series.append(term.sum())
+    s = 1j * omega / omega_max
+    multiplier = np.zeros(size, dtype=np.complex128)
+    for b in reversed(series):
+        multiplier += b
         multiplier *= s
-        z, weights = z[~near], weights[~near]
-        block = math.isqrt(size - 1) + 1
-        far = np.zeros((-(-size // block), block), dtype=np.complex128)
-        for start in range(0, len(z), NODE_CHUNK):
-            nodes = slice(start, start + NODE_CHUNK)
-            fine = np.exp(1j * np.outer(z[nodes], omega[:block]))
-            coarse = np.exp(1j * np.outer(omega[::block], z[nodes]))
-            coarse *= weights[nodes]
-            for a, row in enumerate(coarse):  # far[a, b] = sum_j c_j coarse_ja fine_jb
-                far[a] += row @ fine
-        multiplier += far.ravel()[:size]
-        multiplier -= weights.sum() + 1j * omega * (weights @ z)
-        multiplier += LEVY_PREFACTOR * (  # gap Taylor term and closed-form tail
-            0.75 * q.z_min ** (2.0 / 3.0) * spectrum.laplacian - 0.75 * q.z_max ** (-4.0 / 3.0)
-            + 3.0 * q.z_max ** (-1.0 / 3.0) * spectrum.derivative
-        )
+    multiplier *= s
+    z, weights = z[~near], weights[~near]
+    block = math.isqrt(size - 1) + 1
+    far = np.zeros((-(-size // block), block), dtype=np.complex128)
+    for start in range(0, len(z), NODE_CHUNK):
+        nodes = slice(start, start + NODE_CHUNK)
+        fine = np.exp(1j * np.outer(z[nodes], omega[:block]))
+        coarse = np.exp(1j * np.outer(omega[::block], z[nodes]))
+        coarse *= weights[nodes]
+        for a, row in enumerate(coarse):  # far[a, b] = sum_j c_j coarse_ja fine_jb
+            far[a] += row @ fine
+    multiplier += far.ravel()[:size]
+    multiplier -= weights.sum() + 1j * omega * (weights @ z)
+    multiplier += LEVY_PREFACTOR * (  # gap Taylor term and closed-form tail
+        0.75 * q.z_min ** (2.0 / 3.0) * spectrum.laplacian - 0.75 * q.z_max ** (-4.0 / 3.0)
+        + 3.0 * q.z_max ** (-1.0 / 3.0) * spectrum.derivative
+    )
     multiplier[0] = 0.0  # mean removal
     multiplier.setflags(write=False)
     return multiplier
@@ -304,8 +307,7 @@ def apply_nonlocal_integral(f: RealField, q: QuadratureSpec) -> RealField:
             "the periodic wrap would double-count"
         )
     spectrum = real_spectrum(grid)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        values = spectrum.inverse(spectrum.forward(f.values) * _quadrature_multiplier(grid, q))
+    values = spectrum.inverse(spectrum.forward(f.values) * _quadrature_multiplier(grid, q))
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(
             f"integral route produced non-finite values (z_min = {q.z_min:g}, "

@@ -325,13 +325,13 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("kind, computed", [("tanh-front", 1), ("sampled", 2)])
-def test_evolve_computes_c1b_norm_once_per_run(tmp_path, monkeypatch, kind, computed):
-    # the derived constants and the stepping loop share an analytic profile's
-    # C^1_b norm; a sampled profile is not hashable and is sampled for each
+@pytest.mark.parametrize("kind", ["tanh-front", "sampled"])
+def test_evolve_computes_c1b_norm_once_per_run(tmp_path, monkeypatch, kind):
+    # the derived constants and the stepping loop share the profile's C^1_b
+    # norm, a sampled profile's too: its samples hash by identity
     from fowler import diagnostics
 
-    diagnostics._cached_c1b_norm.cache_clear()  # an earlier run may have left it
+    diagnostics.c1b_norm.cache_clear()  # an earlier run may have left it
     calls = _count_calls(monkeypatch, "sup_values")
     text = TANH_SHORT
     if kind == "sampled":
@@ -340,7 +340,7 @@ def test_evolve_computes_c1b_norm_once_per_run(tmp_path, monkeypatch, kind, comp
         text = text.replace("kind = tanh-front", f"kind = sampled\nsamples_file = {data}")
     cfg = write_cfg(tmp_path, text)
     assert main(["evolve", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == computed
+    assert len(calls) == 1
 
 
 def test_moving_profile_sampled_once_per_step_time(tmp_path, monkeypatch):
@@ -515,6 +515,62 @@ def test_extreme_values_raise_no_floating_point_warning(tmp_path, capsys, comman
         assert main([command, cfg, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith(reason) and err.count("\n") == (1 if reason else 0)
+
+
+#: C^1_b norm inf: the rate alpha0 + C_phi is inf
+INF_C_PHI = ("[grid]\nn = 64\n\n[profile]\nkind = tanh-front\namplitude = 1e308\n\n"
+             "[time]\ndt = 1e-2\nt_end = 2e-2\n")
+
+
+@pytest.mark.parametrize("command", ["evolve", "convergence"])
+@pytest.mark.parametrize("text, code", [
+    (INF_C_PHI, 3),  # the coupling to a 1e308 profile overflows Picard
+    (INF_C_PHI + "linear_only = true\n\n[initial]\nkind = zero\n", 0),  # inf * 0 at t = 0.02
+], ids=["gaussian", "zero-linear"])
+def test_infinite_c_phi_gives_a_bound_not_nan(tmp_path, capsys, command, text, code):
+    # the bound is ||v0|| at t = 0 and +inf where e^{inf t} ||v0|| is no
+    # number, never a nan record
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "non-finite entries" not in err
+    if code == 0 and command == "evolve":
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in rows[1:]] == ["0", "inf"]
+
+
+@pytest.mark.filterwarnings("ignore:apply_nonlocal_fourier:UserWarning")
+def test_operator_check_non_finite_fourier_route_is_a_numerical_fault(tmp_path, capsys):
+    # the field's transform overflows, as the integral route's does
+    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n\n[initial]\namplitude = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["operator-check", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical fault: Fourier route produced non-finite values\n"
+    assert _manifest(out)["result"] == "numerical-fault"
+
+
+@pytest.mark.parametrize("command", ["evolve", "evolve-full", "convergence"])
+def test_profile_displacement_overflow_exits_1(tmp_path, capsys, command):
+    # speed * t overflows by t = 2: the wrapped profile would be nan
+    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n\n[profile]\nkind = tanh-front\nspeed = 1e308\n\n"
+                              "[initial]\nkind = zero\n\n[time]\nt_end = 2\ndt = 1\n")
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: time.t_end must keep profile.speed * t_end finite")
+
+
+@pytest.mark.filterwarnings("ignore:sub-stepping engaged:UserWarning")
+def test_convergence_order_from_a_zero_error_is_nan(tmp_path, capsys):
+    # the 4 dt run splits into 32 pieces of dt/8, the reference's own step,
+    # so its error is exactly 0 and has no order against the next
+    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n\n[initial]\nkind = white-noise\n\n"
+                              "[time]\ndt = 1e-2\nt_end = 2e-2\npicard_max = 3\n")
+    out = tmp_path / "out"
+    assert main(["convergence", cfg, "--out", str(out)]) in (0, 2)
+    rows = (out / "convergence.csv").read_text().splitlines()
+    assert rows[1].split(",")[1:] == ["0", "nan"] and rows[2].endswith(",nan")
 
 
 @pytest.mark.parametrize("command", ["evolve", "evolve-full"])

@@ -191,6 +191,15 @@ def test_record_rejects_non_finite():
                           spectral_tail=0.0)
 
 
+def test_energy_bound_of_an_infinite_rate_is_never_nan():
+    # C_phi = inf: (alpha0 + C_phi) * 0 and inf * ||v0|| = inf * 0 are no
+    # numbers; the bound is ||v0|| at t = 0 and +inf after, zero data included
+    params = EnergyBoundParams(alpha0=1.8, c_phi=math.inf, v0_norm=0.5)
+    assert params.bound(0.0) == 0.5 and params.bound(0.02) == math.inf
+    zero = replace(params, v0_norm=0.0)
+    assert zero.bound(0.0) == 0.0 and zero.bound(0.02) == math.inf
+
+
 def test_energy_bound_saturates_at_inf():
     # e^{(alpha0 + C_phi) t} overflows a double: the bound is +inf, which
     # still bounds zero data, and a record carries it; a nan or negative
