@@ -4,8 +4,9 @@
         <config-file> [--out DIR] [--snapshots]
 
 Exit codes are never conflated: 0 all checks pass, 1 usage or config error
-(an output file that cannot be written or a grid too large to allocate
-included), 2 a property or tolerance check failed, 3 a numerical fault.
+(an output file that cannot be written, a grid too large to allocate and a
+convergence study whose runs step control split included), 2 a property or
+tolerance check failed, 3 a numerical fault.
 Every numerical fault is an ArithmeticError: the blow-up guard
 (BlowUpError), a Picard fault in every piece size up to MAX_SUBSTEPS
 (PicardError), a non-finite Fourier route, integral route or kernel
@@ -64,10 +65,14 @@ def _finish(manifest: RunManifest, out: Path) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _fault(manifest: RunManifest, out: Path, exc: Exception) -> int:
-    manifest.add("error", str(exc))
-    manifest.add("result", "numerical-fault")
+def _stop(manifest: RunManifest, out: Path, result: str, reason: str) -> None:
+    manifest.add("error", reason)
+    manifest.add("result", result)
     manifest.write(out / "manifest.txt")
+
+
+def _fault(manifest: RunManifest, out: Path, exc: Exception) -> int:
+    _stop(manifest, out, "numerical-fault", str(exc))
     print(f"numerical fault: {exc}", file=sys.stderr)
     return EXIT_NUMERICAL
 
@@ -197,13 +202,23 @@ def cmd_convergence(settings: RunSettings, manifest: RunManifest, out: Path) -> 
     horizon = blocks * dts[0]
     manifest.add("convergence.horizon", horizon)
 
-    def final_field(dt):
+    def run(dt):
         cfg = replace(sim, dt=dt, t_end=horizon)
         cfg = replace(cfg, output_stride=cfg.steps)  # records the start and the end
-        return evolve(cfg, v0_override=settings.v0_field).fields[-1]
+        return evolve(cfg, v0_override=settings.v0_field)
 
-    reference = final_field(sim.dt / 8.0)
-    finals = [final_field(dt) for dt in dts]
+    runs = [run(dt) for dt in [sim.dt / 8.0] + dts]
+    if any(traj.max_substeps > 1 for traj in runs):
+        # a split run stepped at other sizes than its dt: its error measures
+        # no order in dt
+        substeps = " ".join(str(traj.max_substeps) for traj in runs)
+        manifest.add("convergence.max_substeps", substeps)
+        reason = (f"convergence needs whole steps, but step control split its runs "
+                  f"(max_substeps {substeps} at dt/8, 4 dt, 2 dt, dt = {sim.dt:g}), so "
+                  "their errors measure no order in dt; choose a smaller time.dt")
+        _stop(manifest, out, "config-error", reason)
+        raise ConfigError(reason)
+    reference, *finals = (traj.fields[-1] for traj in runs)
 
     floor = 1e-11 * max(l2_norm(reference), 1.0)
     errors = [l2_norm(RealField(f.grid, f.values - reference.values)) for f in finals]

@@ -175,10 +175,14 @@ class RealSpectrum:
         """Half-spectrum coefficients dx * sum_j e^{-2 i pi x_j xi_k} f(x_j) of
         the leading band k = 0..modes-1, all n/2 + 1 of them by default.  With
         modes = dealias_modes the band is the 2/3 rule: the same entries as the
-        full spectrum times dealias_mask, without the zeros."""
-        coeffs = np.fft.rfft(values)[:modes]
-        coeffs *= self._to_coeffs[:modes]  # in place: no second temporary
-        return coeffs
+        full spectrum times dealias_mask, without the zeros.  Either way the
+        result is a new array that owns its memory."""
+        coeffs = np.fft.rfft(values)
+        if modes is None or modes >= self.size:
+            coeffs *= self._to_coeffs  # in place: no second temporary
+            return coeffs
+        # a compact band: a view of the rfft output would pin all of it
+        return coeffs[:modes] * self._to_coeffs[:modes]
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Real samples of the field whose half-spectrum coefficients are
@@ -247,13 +251,15 @@ class RealSpectrum:
         """L2 norm by Parseval, sqrt(sum_k |coeffs(k)|^2 / L), of the field
         whose leading band is coeffs; the unpaired Nyquist entry counts once
         when the band reaches it.  One pass (einsum: np.dot would load BLAS
-        and its buffers)."""
+        and its buffers).  The rest is Python float arithmetic, where inf and
+        nan propagate without a floating-point warning."""
         v = np.ascontiguousarray(coeffs, dtype=np.complex128).view(np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf propagates
-            energy = 2.0 * np.einsum("i,i->", v, v) - v[0] * v[0] - v[1] * v[1]
-            if v.size == 2 * self.size:
-                energy = energy - v[-2] * v[-2] - v[-1] * v[-1]
-            return float(np.sqrt(energy / self.grid.length))
+        re0, im0 = float(v[0]), float(v[1])
+        energy = 2.0 * float(np.einsum("i,i->", v, v)) - re0 * re0 - im0 * im0
+        if v.size == 2 * self.size:
+            re, im = float(v[-2]), float(v[-1])
+            energy = energy - re * re - im * im
+        return math.sqrt(energy / self.grid.length)
 
 
 @functools.lru_cache(maxsize=16)

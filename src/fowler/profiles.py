@@ -22,8 +22,9 @@ PROFILE_KINDS = ("constant", "tanh-front", "gaussian-bump", "sampled")
 #: sup_values samples the profile on a box this many times finer than the grid
 SUP_OVERSAMPLING = 16
 
-#: sup_values evaluates an analytic kind this many points (1 MiB) at a time
-SUP_CHUNK = 1 << 17
+#: sup_values evaluates an analytic kind this many points (64 KiB arrays) at a
+#: time: its temporaries stay cache-sized and never set a command's peak memory
+SUP_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,11 @@ class WaveProfile:
             # irfft keeps only the real part of the (real) Nyquist coefficient
             # times its phase, which is the cosine of the real interpolant
             spectrum = real_spectrum(grid)
-            shift = np.exp(-2j * np.pi * spectrum.frequencies * (self.speed * t))
+            # the phase is periodic in c t with period L: wrap it into the box
+            # first (exactly, and unchanged inside it), so that 2 pi xi c t
+            # cannot overflow for a finite c t
+            shift = np.exp(-2j * np.pi * spectrum.frequencies
+                           * math.remainder(self.speed * t, grid.length))
             coeffs = spectrum.forward(self.samples.values)
             return RealField(grid, spectrum.inverse(coeffs * shift))
         y = grid.points - self.speed * t

@@ -26,10 +26,18 @@ def format_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_output(path: Path, text: str) -> Path:
-    """Write one output file; one that cannot be written is a usage error."""
+#: CsvTable formats and writes this many rows at a time, so a table is never
+#: held whole as text
+ROWS_PER_BLOCK = 512
+
+
+def _write_output(path: Path, pieces) -> Path:
+    """Write one output file from an iterable of text pieces, in order; a
+    file that cannot be written is a usage error."""
     try:
-        path.write_text(text)
+        with path.open("w") as stream:
+            for piece in pieces:
+                stream.write(piece)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
@@ -43,13 +51,21 @@ class CsvTable:
     columns: list
 
     def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        rows = np.column_stack([np.asarray(c, dtype=float) for c in self.columns])
-        if rows.shape[1] != len(self.header):
-            raise ValueError(f"{rows.shape[1]} columns, header has {len(self.header)}")
-        row_format = ",".join(["%.17g"] * len(self.header))  # same text as format_float
-        lines = [",".join(self.header)] + [row_format % tuple(row) for row in rows.tolist()]
-        return _write_output(path, "\n".join(lines) + "\n")
+        columns = [np.asarray(c, dtype=float) for c in self.columns]
+        if len(columns) != len(self.header):
+            raise ValueError(f"{len(columns)} columns, header has {len(self.header)}")
+        if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+            raise ValueError(f"columns must be 1-D and of one length, got shapes "
+                             f"{[c.shape for c in columns]}")
+        return _write_output(Path(path), self._text(columns))
+
+    def _text(self, columns: list[np.ndarray]):
+        """The header line, then the rows ROWS_PER_BLOCK at a time."""
+        yield ",".join(self.header) + "\n"
+        row_format = ",".join(["%.17g"] * len(columns)) + "\n"  # same text as format_float
+        for start in range(0, len(columns[0]), ROWS_PER_BLOCK):
+            block = np.column_stack([c[start : start + ROWS_PER_BLOCK] for c in columns])
+            yield "".join(row_format % tuple(row) for row in block.tolist())
 
 
 @dataclass
@@ -74,7 +90,7 @@ class RunManifest:
         print(f"[{'PASS' if passed else 'FAIL'}] {label}" + (f": {detail}" if detail else ""))
 
     def write(self, path: str | Path) -> Path:
-        return _write_output(Path(path), "".join(f"{k} = {v}\n" for k, v in self.entries))
+        return _write_output(Path(path), ["".join(f"{k} = {v}\n" for k, v in self.entries)])
 
 
 def echo_config(manifest: RunManifest, settings: RunSettings) -> None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -58,6 +59,17 @@ def spy_transforms(monkeypatch) -> list[str]:
                             lambda self, a, *rest, _f=original, _n=name:
                             calls.append(_n) or _f(self, a, *rest))
     return calls
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn(*args, **kwargs)
+    runs; numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

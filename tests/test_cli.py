@@ -561,16 +561,47 @@ def test_profile_displacement_overflow_exits_1(tmp_path, capsys, command):
     assert err.startswith("config error: time.t_end must keep profile.speed * t_end finite")
 
 
-@pytest.mark.filterwarnings("ignore:sub-stepping engaged:UserWarning")
 def test_convergence_order_from_a_zero_error_is_nan(tmp_path, capsys):
-    # the 4 dt run splits into 32 pieces of dt/8, the reference's own step,
-    # so its error is exactly 0 and has no order against the next
+    # zero data stays exactly 0 on every run, so every error is 0 and has
+    # no order against the next
+    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n\n[initial]\nkind = zero\n\n"
+                              "[time]\ndt = 1e-2\nt_end = 4e-2\n")
+    out = tmp_path / "out"
+    assert main(["convergence", cfg, "--out", str(out)]) == 0
+    rows = (out / "convergence.csv").read_text().splitlines()
+    assert [row.split(",")[1:] for row in rows[1:]] == [["0", "nan"]] * 3
+
+
+@pytest.mark.filterwarnings("ignore:sub-stepping engaged:UserWarning")
+def test_convergence_refuses_split_runs(tmp_path, capsys):
+    # three Picard iterations are too few for steps of dt = 1e-2 on white
+    # noise: the 4 dt, 2 dt and dt runs are all cut to the reference's own
+    # step dt/8, so their errors measure no order in dt
     cfg = write_cfg(tmp_path, "[grid]\nn = 64\n\n[initial]\nkind = white-noise\n\n"
                               "[time]\ndt = 1e-2\nt_end = 2e-2\npicard_max = 3\n")
     out = tmp_path / "out"
-    assert main(["convergence", cfg, "--out", str(out)]) in (0, 2)
-    rows = (out / "convergence.csv").read_text().splitlines()
-    assert rows[1].split(",")[1:] == ["0", "nan"] and rows[2].endswith(",nan")
+    assert main(["convergence", cfg, "--out", str(out)]) == 1
+    reason = ("convergence needs whole steps, but step control split its runs "
+              "(max_substeps 1 32 16 8 at dt/8, 4 dt, 2 dt, dt = 0.01), so their errors "
+              "measure no order in dt; choose a smaller time.dt")
+    assert capsys.readouterr().err == f"config error: {reason}\n"
+    manifest = _manifest(out)
+    assert manifest["convergence.max_substeps"] == "1 32 16 8"
+    assert manifest["error"] == reason and manifest["result"] == "config-error"
+    assert not (out / "convergence.csv").exists()
+
+
+def test_sampled_profile_displacement_past_the_phase_range_runs(tmp_path, capsys):
+    # 2 pi xi c t overflows a double for c t = 1e308 although c t does not:
+    # the shift is wrapped into the box first, as the analytic kinds' is
+    x = -20.0 + 40.0 / 64 * np.arange(64)
+    samples = tmp_path / "samples.csv"
+    samples.write_text("".join(f"{v!r}\n" for v in np.exp(-x**2).tolist()))
+    cfg = write_cfg(tmp_path, f"[grid]\nn = 64\n\n[profile]\nkind = sampled\nspeed = 1e308\n"
+                              f"samples_file = {samples}\n\n[time]\ndt = 0.5\nt_end = 1\n")
+    out = tmp_path / "out"
+    assert main(["evolve", cfg, "--out", str(out)]) == 0
+    assert _manifest(out)["result"] == "pass"
 
 
 @pytest.mark.parametrize("command", ["evolve", "evolve-full"])

@@ -7,6 +7,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ EXTREMES = st.sampled_from([1e308, -1e308, 1e154, -1e154, 1e-300, -1e-300, 0.0])
 REASONS = {1: "config error: ", 3: "numerical fault: "}
 
 
-def config_text(profile: str, initial: str, values: dict[str, float]) -> str:
+def config_text(profile: str, initial: str, values: dict) -> str:
     """n = 64, at most three Picard iterations and two steps of dt = 1e-2, or
     of the dt set in values; zero data runs linear only."""
     sections = {"grid": {"n": 64}, "profile": {"kind": profile}, "initial": {"kind": initial},
@@ -38,7 +39,7 @@ def config_text(profile: str, initial: str, values: dict[str, float]) -> str:
 
 @settings(max_examples=300)
 @given(command=st.sampled_from(sorted(COMMANDS)),
-       profile=st.sampled_from(["constant", "tanh-front", "gaussian-bump"]),
+       profile=st.sampled_from(["constant", "tanh-front", "gaussian-bump", "sampled"]),
        initial=st.sampled_from(["gaussian", "zero", "white-noise"]),
        values=st.dictionaries(st.sampled_from(NUMERIC_KEYS), EXTREMES, max_size=3))
 # C_phi = inf, with and without data: the bound is never nan
@@ -59,11 +60,18 @@ def config_text(profile: str, initial: str, values: dict[str, float]) -> str:
 @example("evolve", "constant", "white-noise", {"initial.amplitude": 1e308})
 # the step table's exponential overflows
 @example("evolve", "constant", "gaussian", {"time.dt": 1e3})
+# the phase of a sampled profile's shift would overflow
+@example("evolve", "sampled", "gaussian", {"profile.speed": 1e308, "time.dt": 0.5})
 def test_extreme_values_end_in_an_exit_code(command, profile, initial, values):
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # sub-stepping, band limit
         warnings.simplefilter("error", RuntimeWarning)
+        if profile == "sampled":  # a Gaussian bump on the default box, one row per point
+            samples = Path(tmp) / "samples.csv"
+            x = -20.0 + 40.0 / 64 * np.arange(64)
+            samples.write_text("".join(f"{v!r}\n" for v in np.exp(-(x**2)).tolist()))
+            values = {**values, "profile.samples_file": samples}
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(config_text(profile, initial, values))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):

@@ -739,6 +739,22 @@ def test_restart_matches_direct_run(grid_1024):
     assert len(second.end.history) == len(SEED_WEIGHTS) - 1
 
 
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("stepper", [evolve, evolve_full])
+def test_end_state_bands_own_their_memory(grid_1024, stepper, dealias):
+    # a band that is a view of a transform's output would keep all n/2 + 1
+    # entries alive for as long as the state holds it
+    cfg = base_config(grid_1024, profile=WaveProfile(kind="tanh-front", amplitude=0.8),
+                      v0=InitialCondition(kind="gaussian", amplitude=0.1),
+                      dt=1e-3, t_end=5e-3, dealias=dealias)
+    state = stepper(cfg, keep_fields=False).end
+    bands = [state.vhat, state.nhat, *state.history]
+    assert len(bands) == 5
+    modes = real_spectrum(grid_1024).dealias_modes if dealias else grid_1024.n // 2 + 1
+    for band in bands:
+        assert band.shape == (modes,) and band.base is None and band.flags.owndata
+
+
 def test_moving_profile_run_satisfies_bound(grid_1024):
     cfg = base_config(
         grid_1024,

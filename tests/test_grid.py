@@ -1,5 +1,6 @@
 """The half-spectrum transform convention, spectral calculus, and exactness."""
 
+import math
 import warnings
 
 import numpy as np
@@ -279,6 +280,36 @@ def test_l2_norm_overflow_is_non_finite_without_warning():
         assert not np.isfinite(spectrum.l2_norm(c))
         c[1:-1] = 0.0
         assert not np.isfinite(spectrum.l2_norm(c))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("modes", [None, 22])
+def test_l2_norm_of_non_finite_band_is_non_finite_without_warning(bad, modes):
+    # the sum after einsum is Python float arithmetic: inf and nan pass
+    # through math.sqrt, which neither raises nor warns on them
+    spectrum = real_spectrum(make_grid(64, 13.0))
+    for entry in (0, 1, 21, 32):
+        c = np.ones(33, dtype=np.complex128)[:modes]
+        if entry >= c.size:
+            continue
+        for value in (bad, complex(1.0, bad)):
+            c[entry] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                norm = spectrum.l2_norm(c)
+            assert math.isnan(norm) or norm == math.inf
+
+
+@pytest.mark.parametrize("modes", [None, 3, 342, 513, 600])
+def test_forward_returns_arrays_that_own_their_memory(modes):
+    # a band is a compact product, not a view that pins the whole rfft
+    # output; the full spectrum is the rfft output itself
+    spectrum = real_spectrum(make_grid(1024, 13.0))
+    v = np.random.default_rng(5).standard_normal(1024)
+    coeffs = spectrum.forward(v, modes)
+    assert coeffs.base is None and coeffs.flags.owndata
+    assert coeffs.shape == (min(modes or 513, 513),)
+    assert np.array_equal(coeffs, spectrum.forward(v)[: coeffs.size])
 
 
 #: random even n >= 8, box length and field seed; no draw allocates much

@@ -21,7 +21,7 @@ from fowler.operator import (
     unstable_band,
 )
 
-from conftest import band_limited_field, gamma_two_thirds_oracle, spy_transforms
+from conftest import band_limited_field, gamma_two_thirds_oracle, spy_transforms, traced_peak
 from reference_spectrum import quadrature_multiplier_reference
 
 # 12-digit regression value for Gamma(2/3), derived once from the quadrature
@@ -337,8 +337,6 @@ def test_integral_route_memory_is_linear_in_n():
     # the quadrature body is one multiplier summed in node blocks: no
     # nodes x n matrix, so doubling the rule adds only its O(nodes) node
     # arrays to the peak
-    import tracemalloc
-
     from fowler.operator import _quadrature_multiplier
 
     g = make_grid(8192, 40.0)
@@ -347,11 +345,7 @@ def test_integral_route_memory_is_linear_in_n():
     peaks = []
     for panels in (48, 96):
         _quadrature_multiplier.cache_clear()
-        tracemalloc.start()
-        try:
-            apply_nonlocal_integral(f, QuadratureSpec(z_max=20.0, z_min=1e-4, panels=panels))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(apply_nonlocal_integral, f,
+                                 QuadratureSpec(z_max=20.0, z_min=1e-4, panels=panels)))
     assert peaks[0] <= 8 * 2**20
     assert peaks[1] - peaks[0] <= 64 * 2**10

@@ -6,6 +6,8 @@ import pytest
 from fowler.grid import RealField, make_grid
 from fowler.profiles import SUP_CHUNK, SUP_OVERSAMPLING, WaveProfile
 
+from conftest import traced_peak
+
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
@@ -59,6 +61,19 @@ def test_sampled_profile_shift_matches_roll():
     assert np.allclose(shifted.values, np.roll(base, 8), atol=1e-10)
 
 
+@pytest.mark.parametrize("speed", [2.0**40 + 1.0, 1e308])
+def test_sampled_profile_shift_wraps_into_the_box(speed):
+    # c t is wrapped into the box before it enters the phase, as the analytic
+    # kinds wrap x - c t: 2^40 + 1 is 8 cells past a whole number of periods,
+    # and a c t near the double range gives finite samples, not nan
+    g = make_grid(128, 16.0)
+    base = np.random.default_rng(2).standard_normal(128)
+    shifted = WaveProfile(kind="sampled", samples=RealField(g, base), speed=speed).evaluate(1.0, g)
+    assert np.all(np.isfinite(shifted.values))
+    if speed == 2.0**40 + 1.0:
+        assert np.allclose(shifted.values, np.roll(base, 8), atol=1e-10)
+
+
 def test_sup_values_orders():
     g = make_grid(512, 40.0)
     p = WaveProfile(kind="tanh-front", amplitude=2.0, width=0.5)
@@ -67,16 +82,26 @@ def test_sup_values_orders():
     assert s1 == pytest.approx(4.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("n", [8192, 12288, 16384])
+@pytest.mark.parametrize("n", [512, 1000, 16384])
 def test_sup_values_in_chunks_match_one_pass(n):
-    # one chunk at n = 8192, a partial last chunk at 12288, two at 16384:
-    # the same nodes, so the same maxima to the bit
+    # one chunk at n = 512, a partial last chunk at 1000, 32 chunks at
+    # 16384: the same nodes, so the same maxima to the bit
     g = make_grid(n, 40.0)
     m = n * SUP_OVERSAMPLING
-    assert (m + SUP_CHUNK - 1) // SUP_CHUNK == {8192: 1, 12288: 2, 16384: 2}[n]
+    assert (m + SUP_CHUNK - 1) // SUP_CHUNK == {512: 1, 1000: 2, 16384: 32}[n]
+    assert m % SUP_CHUNK == (0 if n != 1000 else 16000 - SUP_CHUNK)
     x = -0.5 * g.length + (g.length / m) * np.arange(m)
     for kind in ("tanh-front", "gaussian-bump", "constant"):
         p = WaveProfile(kind=kind, amplitude=1.3, width=0.7, offset=0.31)
         assert p.sup_values(g) == tuple(
             float(np.abs(p._analytic(x, order)).max()) for order in (0, 1)
         )
+
+
+@pytest.mark.parametrize("kind", ["tanh-front", "gaussian-bump", "constant"])
+def test_sup_values_memory_is_a_few_chunks(kind):
+    # 16 n = 262144 points are sampled in chunks of SUP_CHUNK, so the peak
+    # is a few 64 KiB temporaries, not one array per sampled point
+    g = make_grid(16384, 40.0)
+    p = WaveProfile(kind=kind, amplitude=1.3, width=0.7, offset=0.31)
+    assert traced_peak(p.sup_values, g) <= 0.5 * 2**20
