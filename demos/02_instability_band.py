@@ -10,16 +10,15 @@ a-priori growth estimate.
 
 import numpy as np
 
-from fowler import psi_symbol, unstable_band
+from fowler import ALPHA0, XI_C, XI_STAR, psi_symbol
 
-xi_c, xi_star, alpha0 = unstable_band()
-print(f"band edge        xi_c    = {xi_c:.6f}")
-print(f"fastest mode     xi_star = {xi_star:.6f}  (wavelength {1 / xi_star:.3f})")
-print(f"maximal rate     alpha0  = {alpha0:.6f}")
+print(f"band edge        xi_c    = {XI_C:.6f}")
+print(f"fastest mode     xi_star = {XI_STAR:.6f}  (wavelength {1 / XI_STAR:.3f})")
+print(f"maximal rate     alpha0  = {ALPHA0:.6f}")
 
-xi = np.linspace(0, 2 * xi_c, 400)
+xi = np.linspace(0, 2 * XI_C, 400)
 rate = -psi_symbol(xi).real
-assert rate.max() <= alpha0 * (1 + 1e-12)
+assert rate.max() <= ALPHA0 * (1 + 1e-12)
 
 try:
     import matplotlib
@@ -30,8 +29,8 @@ try:
     fig, ax = plt.subplots(figsize=(7, 4.5))
     ax.plot(xi, rate)
     ax.axhline(0.0, color="k", lw=0.8)
-    ax.axvline(xi_c, color="gray", ls=":", label=f"$\\xi_c$ = {xi_c:.3f}")
-    ax.plot([xi_star], [alpha0], "o", label=f"$\\alpha_0$ = {alpha0:.3f}")
+    ax.axvline(XI_C, color="gray", ls=":", label=f"$\\xi_c$ = {XI_C:.3f}")
+    ax.plot([XI_STAR], [ALPHA0], "o", label=f"$\\alpha_0$ = {ALPHA0:.3f}")
     ax.set_xlabel("frequency $\\xi$")
     ax.set_ylabel("linear growth rate $-\\mathrm{Re}\\,\\psi(\\xi)$")
     ax.legend()

@@ -16,14 +16,16 @@ from .grid import (
     make_grid,
 )
 from .operator import (
+    A_I,
+    ALPHA0,
+    B_I,
+    XI_C,
+    XI_STAR,
     QuadratureSpec,
-    SymbolCoefficients,
     apply_nonlocal_fourier,
     apply_nonlocal_integral,
     psi_symbol,
     sobolev_norm,
-    symbol_coefficients,
-    unstable_band,
 )
 from .kernel import (
     KernelNormFit,

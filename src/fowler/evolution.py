@@ -58,7 +58,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, EnergyBoundParams, c1b_norm
 from .grid import Grid, RealField, RealSpectrum, load_samples, make_grid, real_spectrum
 from .kernel import KernelNormFit, grad_kernel_norms
-from .operator import symbol_table, unstable_band
+from .operator import ALPHA0, symbol_table
 from .profiles import WaveProfile
 
 __all__ = [
@@ -442,11 +442,12 @@ def _single_step(
 
 
 def _per_step_time(profile: WaveProfile, fn):
-    """Callable t -> fn(t), cached for the last time asked: a static profile
-    is computed once, a moving one once per step time."""
-    cached = functools.lru_cache(maxsize=1)(fn)
-    static = profile.speed == 0.0
-    return lambda t: cached(0.0 if static else float(t))
+    """Callable t -> fn(t).  A moving profile gets fn itself, since a run asks
+    each step time once; a static one, fn(0.0) computed here, once a run."""
+    if profile.speed != 0.0:
+        return fn
+    value = fn(0.0)
+    return lambda t: value
 
 
 def _profile_sampler(cfg: SimConfig, tables: _StepTables):
@@ -527,7 +528,6 @@ def _advance(cfg: SimConfig, v0_override: RealField | None, resume: Trajectory |
     grid = cfg.grid
     tables = _step_tables(grid.n, grid.length, cfg.dt, cfg.dealias)
     spectrum = tables.spectrum
-    u_of_t = _profile_sampler(cfg, tables) if profile_coupling else None
 
     if not profile_coupling:  # ||u - u_phi(t)|| by Parseval against the profile's spectrum
         profile_hat = _per_step_time(
@@ -570,15 +570,15 @@ def _advance(cfg: SimConfig, v0_override: RealField | None, resume: Trajectory |
         v0_norm = perturbation_norm(vhat, 0.0)
         if not math.isfinite(v0_norm):
             raise BlowUpError("initial data norm is not finite")
-        _, _, alpha0 = unstable_band()
         c_phi = 0.5 * c1b_norm(cfg.profile, grid)
-        traj = Trajectory(params=EnergyBoundParams(alpha0=alpha0, c_phi=c_phi, v0_norm=v0_norm))
+        traj = Trajectory(params=EnergyBoundParams(alpha0=ALPHA0, c_phi=c_phi, v0_norm=v0_norm))
         state = _StepState(vhat, None, (), 0, cfg.dt, vhat[0].real, profile_coupling)
         record(state, 0.0, v0_norm, 0, 0.0)
-        # after the finiteness check: an overflow in N is Picard's to report
-        if not cfg.linear_only:
-            u0 = None if u_of_t is None else u_of_t(0.0)
-            state = replace(state, nhat=_nonlinear_hat(vhat, u0, spectrum, tables.modes))
+    u_of_t = _profile_sampler(cfg, tables) if profile_coupling and not cfg.linear_only else None
+    # after the finiteness check: an overflow in N is Picard's to report
+    if resume is None and not cfg.linear_only:
+        u0 = None if u_of_t is None else u_of_t(0.0)
+        state = replace(state, nhat=_nonlinear_hat(state.vhat, u0, spectrum, tables.modes))
     last = state.step + cfg.steps
     while state.step < last:
         state, iters, ratio = _take_step(state, cfg, u_of_t, traj)

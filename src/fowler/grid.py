@@ -111,13 +111,6 @@ class RealField:
         )
 
 
-def _centering_phase(n: int) -> np.ndarray:
-    # e^{-2 i pi x_0 xi_k} = (-1)^k accounts for the grid starting at -L/2.
-    phase = np.ones(n)
-    phase[1::2] = -1.0
-    return phase
-
-
 def circular_convolve(f: RealField, g: RealField) -> RealField:
     """Periodic physical-space convolution (f * g)(x_i) = dx * sum_j f(x_i - x_j) g(x_j).
 
@@ -138,13 +131,14 @@ class RealSpectrum:
 
     Entry k = 0..n/2 of a coefficient array approximates the continuous
     transform at xi_k = k/L (the k < 0 half is its conjugate and is never
-    stored).  The Nyquist entry
-    is real for real fields; `derivative` zeroes it, `laplacian` keeps it.
-    A coefficient array may also be a leading band k = 0..m-1, whose modes
-    above the band are zero: forward, inverse, mode_energy and l2_norm take
-    one, and dealias_modes is the 2/3 rule's band.
-    Stored tables are read-only; build instances through real_spectrum,
-    which caches them.
+    stored).  The Nyquist entry is real for real fields; `derivative`
+    zeroes it, `laplacian` keeps it.  A coefficient array may also be a
+    leading band k = 0..m-1, whose modes above the band are zero: forward,
+    inverse, mode_energy and l2_norm take one, and dealias_modes is the 2/3
+    rule's band.  Off-grid samples come from the same tables: `shifted`
+    translates the grid, `oversampled` refines it, `evaluate` takes any
+    points.  Stored tables are read-only; build instances through
+    real_spectrum, which caches them.
     """
 
     def __init__(self, grid: Grid):
@@ -152,7 +146,9 @@ class RealSpectrum:
         self.grid = grid
         self.size = n // 2 + 1
         self.frequencies = np.fft.rfftfreq(n, d=grid.spacing)
-        phase = _centering_phase(self.size)
+        # e^{-2 i pi x_0 xi_k} = (-1)^k accounts for the grid starting at -L/2
+        phase = np.ones(self.size)
+        phase[1::2] = -1.0
         # complex: the same bits as the real tables, without a cast per multiply
         self._to_coeffs = (grid.spacing * phase).astype(np.complex128)
         self._to_values = (phase / grid.spacing).astype(np.complex128)
@@ -226,18 +222,25 @@ class RealSpectrum:
         on the factor-times finer grid of the same box.
 
         The Nyquist coefficient is split evenly over +n/2 and -n/2 (irfft
-        supplies the -n/2 half), the standard choice for real fields.  Only
-        the first n/2 + 1 padded entries are nonzero, so only they take the
-        fine grid's centring phase and 1/dx.
+        supplies the -n/2 half), the standard choice for real fields.  The
+        fine grid has the same x_0 and factor times the 1/dx, so the band
+        takes factor * _to_values, and irfft pads the modes above it.
         """
         if factor < 2 or factor != int(factor):
             raise ValueError(f"oversampling factor must be an integer >= 2, got {factor}")
-        n, m = self.grid.n, self.grid.n * int(factor)
-        padded = np.zeros(m // 2 + 1, dtype=np.complex128)
-        padded[: n // 2] = coeffs[:-1]
-        padded[n // 2] = 0.5 * coeffs[-1]
-        padded[: n // 2 + 1] *= _centering_phase(n // 2 + 1) / (self.grid.length / m)
-        return np.fft.irfft(padded, m)
+        band = coeffs * (int(factor) * self._to_values)
+        band[-1] *= 0.5
+        return np.fft.irfft(band, int(factor) * self.grid.n)
+
+    def shifted(self, coeffs: np.ndarray, s: float) -> np.ndarray:
+        """Samples at x_j + s of the interpolant with half-spectrum
+        coefficients coeffs: the translation is the phase e^{2 i pi xi_k s}.
+        The phase has period L in s, so s is first wrapped into the box
+        (exactly, and unchanged inside it): a finite s cannot overflow it.
+        irfft keeps only the real part of the (real) Nyquist coefficient
+        times its phase, the cosine of the real interpolant."""
+        s = math.remainder(s, self.grid.length)
+        return self.inverse(coeffs * np.exp(2j * np.pi * self.frequencies * s))
 
     def mode_energy(self, coeffs: np.ndarray) -> np.ndarray:
         """|coeffs|^2 per entry of a leading band, interior entries counted

@@ -142,11 +142,11 @@ def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float
     grid = spectrum.grid
     dvals = spectrum.oversampled(dF, 8)
     dx_fine = grid.length / len(dvals)
-    after = np.roll(dvals, -1)
-    flip = (dvals >= 0) != (after >= 0)
-    if not flip.any():
+    sign = dvals >= 0
+    nodes = np.flatnonzero(sign != np.roll(sign, -1))  # f' changes sign after these
+    if not nodes.size:
         return 0.0
-    lo = -0.5 * grid.length + dx_fine * np.flatnonzero(flip)  # fine-grid nodes
+    lo = -0.5 * grid.length + dx_fine * nodes  # fine-grid nodes
     hi = lo + dx_fine
     m = len(lo)
     derivatives = np.stack([dF, spectrum.derivative * dF])  # f', f''
@@ -157,7 +157,7 @@ def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float
     rising = f_hi > 0
     straddle = (f_lo > 0) != rising
     x = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
-    secant = lo + dx_fine * dvals[flip] / (dvals[flip] - after[flip])
+    secant = lo + dx_fine * dvals[nodes] / (dvals[nodes] - dvals[(nodes + 1) % len(dvals)])
     x[straddle] = np.clip(secant[straddle], lo[straddle], hi[straddle])
     last_step = np.full(m, dx_fine)
     tol = ROOT_TOL * dx_fine

@@ -79,17 +79,9 @@ class WaveProfile:
                 raise ValueError("sampled profile lives on a different grid")
             if self.speed * t == 0.0:
                 return self.samples
-            # translation is a phase in the spectrum (periodic by nature);
-            # irfft keeps only the real part of the (real) Nyquist coefficient
-            # times its phase, which is the cosine of the real interpolant
             spectrum = real_spectrum(grid)
-            # the phase is periodic in c t with period L: wrap it into the box
-            # first (exactly, and unchanged inside it), so that 2 pi xi c t
-            # cannot overflow for a finite c t
-            shift = np.exp(-2j * np.pi * spectrum.frequencies
-                           * math.remainder(self.speed * t, grid.length))
             coeffs = spectrum.forward(self.samples.values)
-            return RealField(grid, spectrum.inverse(coeffs * shift))
+            return RealField(grid, spectrum.shifted(coeffs, -self.speed * t))
         y = grid.points - self.speed * t
         half = 0.5 * grid.length
         y = (y + half) % grid.length - half
@@ -97,13 +89,16 @@ class WaveProfile:
 
     def sup_values(self, grid: Grid) -> tuple[float, float]:
         """(sup|phi|, sup|phi'|) over a SUP_OVERSAMPLING x finer box: the two
-        terms of the C^1_b norm."""
+        terms of the C^1_b norm.  A sampled profile's finer box is
+        SUP_OVERSAMPLING shifted copies of the grid, n points each."""
         if self.kind == "sampled":
             spectrum = real_spectrum(grid)
             F = spectrum.forward(self.samples.values)
+            step = grid.spacing / SUP_OVERSAMPLING
             return tuple(
-                float(np.abs(spectrum.oversampled(multiplier * F, SUP_OVERSAMPLING)).max())
-                for multiplier in (1.0, spectrum.derivative)
+                max(float(np.abs(spectrum.shifted(coeffs, i * step)).max())
+                    for i in range(SUP_OVERSAMPLING))
+                for coeffs in (F, spectrum.derivative * F)
             )
         m = grid.n * SUP_OVERSAMPLING
         sups = [0.0, 0.0]

@@ -17,7 +17,7 @@ from . import __version__
 from .config import CONFIG_SCHEMA, ConfigError, RunSettings
 from .diagnostics import c1b_norm, l2_norm
 from .evolution import STEP_CONSTANTS, contraction_time_bound
-from .operator import symbol_coefficients, unstable_band
+from .operator import A_I, ALPHA0, B_I, GAMMA_TWO_THIRDS, XI_C, XI_STAR
 
 __all__ = ["CsvTable", "RunManifest", "format_float", "derived_constants"]
 
@@ -117,8 +117,6 @@ def echo_config(manifest: RunManifest, settings: RunSettings) -> None:
 
 def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
     """Compute and record every constant derivable from the config alone."""
-    coeffs = symbol_coefficients()
-    xi_c, xi_star, alpha0 = unstable_band()
     sim = settings.sim
     u_norm = c1b_norm(sim.profile, sim.grid)
     c_phi = 0.5 * u_norm
@@ -131,12 +129,12 @@ def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
             t_star = np.nan
             manifest.add("derived.t_star_error", str(exc))
     values = {
-        "a_I": coeffs.a_I,
-        "b_I": coeffs.b_I,
-        "gamma_two_thirds": coeffs.gamma_two_thirds,
-        "alpha0": alpha0,
-        "xi_c": xi_c,
-        "xi_star": xi_star,
+        "a_I": A_I,
+        "b_I": B_I,
+        "gamma_two_thirds": GAMMA_TWO_THIRDS,
+        "alpha0": ALPHA0,
+        "xi_c": XI_C,
+        "xi_star": XI_STAR,
         "K0": STEP_CONSTANTS.K0,
         "K1": STEP_CONSTANTS.K1,
         "C_phi": c_phi,

@@ -31,14 +31,17 @@ from fowler.kernel import (
     semigroup_residual,
 )
 from fowler.operator import (
+    A_I,
+    ALPHA0,
+    B_I,
     GAMMA_TWO_THIRDS,
+    XI_C,
+    XI_STAR,
     QuadratureSpec,
     apply_nonlocal_fourier,
     apply_nonlocal_integral,
     psi_symbol,
     sobolev_norm,
-    symbol_coefficients,
-    unstable_band,
 )
 from fowler.profiles import WaveProfile
 
@@ -108,19 +111,17 @@ def test_criterion_01_operator_equivalence(grid_2048):
 def test_criterion_02_symbol_anchors():
     assert psi_symbol(0.0) == 0.0 + 0.0j
     gamma_oracle = gamma_two_thirds_oracle()
-    c = symbol_coefficients()
-    assert abs(c.a_I - 2.0 * math.pi**2 * gamma_oracle) <= 1e-10
-    assert abs(c.b_I - 2.0 * math.sqrt(3.0) * math.pi**2 * gamma_oracle) <= 1e-10
-    xi_c, _, alpha0 = unstable_band()
+    assert abs(A_I - 2.0 * math.pi**2 * gamma_oracle) <= 1e-10
+    assert abs(B_I - 2.0 * math.sqrt(3.0) * math.pi**2 * gamma_oracle) <= 1e-10
     res = optimize.minimize_scalar(
         lambda x: psi_symbol(x).real,
-        bracket=(0.1, 0.3, xi_c),
+        bracket=(0.1, 0.3, XI_C),
         method="golden",
         options={"xtol": 1e-13},
     )
-    assert abs(alpha0 - (-res.fun)) <= 1e-8
+    assert abs(ALPHA0 - (-res.fun)) <= 1e-8
     report(2, f"psi(0) = 0 exactly; a, b match the Gamma quadrature to 1e-10; "
-              f"alpha0 = {alpha0:.10f} matches golden-section search to 1e-8")
+              f"alpha0 = {ALPHA0:.10f} matches golden-section search to 1e-8")
 
 
 def test_criterion_03_kernel_semigroup(grid_1024):
@@ -158,13 +159,12 @@ def test_criterion_05_kernel_sign(grid_1024):
 
 
 def test_criterion_06_linear_semigroup_bound(grid_1024):
-    _, _, alpha0 = unstable_band()
     rng = np.random.default_rng(99)
     violations = 0
     for t in (0.1, 1.0):
         for _ in range(50):
             f = RealField(grid_1024, rng.standard_normal(grid_1024.n))
-            if l2_norm(convolve_kernel(t, f)) > math.exp(alpha0 * t) * l2_norm(f) * (1 + 1e-12):
+            if l2_norm(convolve_kernel(t, f)) > math.exp(ALPHA0 * t) * l2_norm(f) * (1 + 1e-12):
                 violations += 1
     assert violations == 0
     report(6, "||K(t)*f|| <= e^{alpha0 t} ||f|| for 50 random fields at "
@@ -244,8 +244,7 @@ def test_criterion_10_picard_contraction(grid_1024):
 
 def test_criterion_11_constant_state_instability(grid_1024):
     g = grid_1024
-    xi_c, xi_star, alpha0 = unstable_band()
-    k_star = int(round(xi_star * g.length))
+    k_star = int(round(XI_STAR * g.length))
     base = dict(
         grid=g,
         profile=WaveProfile(kind="constant", amplitude=0.5),
@@ -260,15 +259,15 @@ def test_criterion_11_constant_state_instability(grid_1024):
     C0 = forward_transform(traj.fields[0]).coefficient(k_star)
     C1 = forward_transform(traj.fields[-1]).coefficient(k_star)
     rate = math.log(abs(C1 / C0)) / (traj.times[-1] - traj.times[0])
-    assert abs(rate - alpha0) <= 0.01 * alpha0
+    assert abs(rate - ALPHA0) <= 0.01 * ALPHA0
 
-    k_decay = int(round(2.0 * xi_c * g.length))
+    k_decay = int(round(2.0 * XI_C * g.length))
     cfg2 = SimConfig(v0=InitialCondition(kind="mode", mode_k=k_decay, amplitude=1e-6), **base)
     traj2 = evolve(cfg2)
     D0 = forward_transform(traj2.fields[0]).coefficient(k_decay)
     D1 = forward_transform(traj2.fields[-1]).coefficient(k_decay)
     assert abs(D1) < abs(D0)
-    report(11, f"seeded mode grows at {rate:.5f} vs alpha0 {alpha0:.5f} "
+    report(11, f"seeded mode grows at {rate:.5f} vs alpha0 {ALPHA0:.5f} "
                f"(within 1%); mode at 2 xi_c decays by {abs(D1 / D0):.3f}")
 
 

@@ -194,6 +194,8 @@ def test_config_error_exits_1(tmp_path, capsys):
         ("[initial]\nkind = file\n", "initial.file: file initial condition requires a path"),
         ("[profile]\nkind = sampled\n", "profile.samples_file is required for kind = sampled"),
         ("[quadrature]\npanels = 4\n", "panels must be at least 16, got 4"),
+        ("[quadrature]\npanels = 4611686018427387904\n",
+         "quadrature: panels must be at most 4096, got 4611686018427387904"),
         ("[time]\ndt = 1e-320\n", "time.dt must leave a finite step count"),
         ("[grid]\nn = 8\n\n[initial]\nkind = zero\n\n[time]\ndt = 1e-300\n",
          "time.dt must leave a finite step count of at most 2**53"),

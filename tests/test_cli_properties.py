@@ -13,12 +13,19 @@ from hypothesis import strategies as st
 
 from fowler.cli import COMMANDS, main
 from fowler.config import CONFIG_SCHEMA
+from fowler.operator import MAX_PANELS
 
 #: every float key of the sections a run's arithmetic reads
 NUMERIC_KEYS = [f"{section}.{key}"
                 for section in ("profile", "initial", "grid", "quadrature", "time")
                 for key, (parse, _) in CONFIG_SCHEMA[section].items() if parse is float]
 EXTREMES = st.sampled_from([1e308, -1e308, 1e154, -1e154, 1e-300, -1e-300, 0.0])
+#: every integer key, with values that either run within the budget below or
+#: are refused before an array is built; an n or a panels count between about
+#: 2**20 and 2**60 would really be allocated, so none is drawn
+INTEGER_KEYS = [f"{section}.{key}" for section, keys in CONFIG_SCHEMA.items()
+                for key, (parse, _) in keys.items() if parse is int]
+INTEGER_EXTREMES = st.sampled_from([0, 1, -1, 6, 7, 2**62, -2**62, MAX_PANELS, MAX_PANELS + 1])
 REASONS = {1: "config error: ", 3: "numerical fault: "}
 
 
@@ -26,7 +33,7 @@ def config_text(profile: str, initial: str, values: dict) -> str:
     """n = 64, at most three Picard iterations and two steps of dt = 1e-2, or
     of the dt set in values; zero data runs linear only."""
     sections = {"grid": {"n": 64}, "profile": {"kind": profile}, "initial": {"kind": initial},
-                "time": {"dt": 1e-2, "picard_max": 3}, "quadrature": {}}
+                "time": {"dt": 1e-2, "picard_max": 3}, "quadrature": {}, "output": {}}
     if initial == "zero":
         sections["time"]["linear_only"] = "true"
     for name, value in values.items():
@@ -40,8 +47,10 @@ def config_text(profile: str, initial: str, values: dict) -> str:
 @settings(max_examples=300)
 @given(command=st.sampled_from(sorted(COMMANDS)),
        profile=st.sampled_from(["constant", "tanh-front", "gaussian-bump", "sampled"]),
-       initial=st.sampled_from(["gaussian", "zero", "white-noise"]),
-       values=st.dictionaries(st.sampled_from(NUMERIC_KEYS), EXTREMES, max_size=3))
+       initial=st.sampled_from(["gaussian", "zero", "white-noise", "mode"]),
+       values=st.lists(st.one_of(st.tuples(st.sampled_from(NUMERIC_KEYS), EXTREMES),
+                                 st.tuples(st.sampled_from(INTEGER_KEYS), INTEGER_EXTREMES)),
+                       max_size=3).map(dict))
 # C_phi = inf, with and without data: the bound is never nan
 @example("evolve", "tanh-front", "gaussian", {"profile.amplitude": 1e308})
 @example("convergence", "tanh-front", "zero", {"profile.amplitude": 1e308})
@@ -62,6 +71,8 @@ def config_text(profile: str, initial: str, values: dict) -> str:
 @example("evolve", "constant", "gaussian", {"time.dt": 1e3})
 # the phase of a sampled profile's shift would overflow
 @example("evolve", "sampled", "gaussian", {"profile.speed": 1e308, "time.dt": 0.5})
+# a quadrature rule too large to allocate
+@example("operator-check", "constant", "gaussian", {"quadrature.panels": 2**62})
 def test_extreme_values_end_in_an_exit_code(command, profile, initial, values):
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():

@@ -32,7 +32,7 @@ from fowler.evolution import (
 )
 from fowler.grid import RealField, RealSpectrum, make_grid, real_spectrum
 from fowler.kernel import KernelNormFit, grad_kernel_norms
-from fowler.operator import psi_symbol, unstable_band
+from fowler.operator import ALPHA0, XI_STAR, psi_symbol
 from fowler.profiles import WaveProfile
 
 
@@ -674,8 +674,7 @@ def test_unstable_mode_growth_rate(grid_1024):
     # constant background, tiny seed at the most amplified grid frequency:
     # e-folding matches -Re psi within 1%
     g = grid_1024
-    _, xi_star, alpha0 = unstable_band()
-    k = int(round(xi_star * g.length))
+    k = int(round(XI_STAR * g.length))
     xi = k / g.length
     cfg = base_config(
         g,
@@ -690,7 +689,7 @@ def test_unstable_mode_growth_rate(grid_1024):
     C1 = real_spectrum(g).forward(traj.fields[-1].values)[k]
     rate = math.log(abs(C1 / C0)) / (traj.times[-1] - traj.times[0])
     assert rate == pytest.approx(-psi_symbol(xi).real, rel=1e-2)
-    assert rate == pytest.approx(alpha0, rel=1e-2)
+    assert rate == pytest.approx(ALPHA0, rel=1e-2)
 
 
 def test_energy_bound_on_tanh_run(grid_1024):

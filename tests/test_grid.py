@@ -169,6 +169,18 @@ def test_translation_phase():
     assert np.abs(lhs - rhs).max() < 1e-11 * np.abs(rhs).max() + 1e-13
 
 
+@pytest.mark.parametrize("n", [64, 1000])
+def test_shifted_translates_the_samples(n):
+    g = make_grid(n, 40.0)
+    spectrum = real_spectrum(g)
+    f = np.random.default_rng(n).standard_normal(n)
+    coeffs = spectrum.forward(f)
+    assert np.array_equal(spectrum.shifted(coeffs, 0.0), spectrum.inverse(coeffs))
+    # the samples at x_j + k dx are f_{j+k}
+    for k in (1, -3, 7):
+        assert np.abs(spectrum.shifted(coeffs, k * g.spacing) - np.roll(f, -k)).max() <= 1e-13
+
+
 def test_circular_convolve_gaussians():
     # e^{-pi x^2} * e^{-pi x^2} = 2^{-1/2} e^{-pi x^2 / 2}
     g = make_grid(1024, 40.0)

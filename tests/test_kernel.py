@@ -12,9 +12,9 @@ from fowler.kernel import (
     nyquist_resolution_defect,
     semigroup_residual,
 )
-from fowler.operator import psi_symbol, symbol_table, unstable_band
+from fowler.operator import ALPHA0, XI_STAR, psi_symbol, symbol_table
 
-from conftest import band_limited_field, spy_transforms
+from conftest import band_limited_field, spy_transforms, traced_peak
 from reference_spectrum import forward_transform, hermitian_defect
 
 
@@ -75,18 +75,16 @@ def test_convolve_preserves_constants(grid_1024):
 
 
 def test_convolve_linear_growth_bound(grid_1024):
-    _, _, alpha0 = unstable_band()
     rng = np.random.default_rng(29)
     for t in (0.1, 1.0):
         for _ in range(10):
             f = RealField(grid_1024, rng.standard_normal(grid_1024.n))
-            assert l2(convolve_kernel(t, f)) <= np.exp(alpha0 * t) * l2(f) * (1 + 1e-12)
+            assert l2(convolve_kernel(t, f)) <= np.exp(ALPHA0 * t) * l2(f) * (1 + 1e-12)
 
 
 def test_single_unstable_mode_growth(grid_1024):
     g = grid_1024
-    _, xi_star, _ = unstable_band()
-    k = int(round(xi_star * g.length))
+    k = int(round(XI_STAR * g.length))
     xi = k / g.length
     assert psi_symbol(xi).real < 0
     f = RealField(g, np.cos(2 * np.pi * xi * g.points))
@@ -194,6 +192,13 @@ def test_grad_norms_cache_no_fine_grid(fine_grid):
     grad_kernel_norms([1e-4, 3e-4], fine_grid)
     real_spectrum(fine_grid)  # a hit: the one cached entry is the input grid
     assert real_spectrum.cache_info().currsize == 1
+
+
+def test_grad_norms_memory_is_the_fine_grid_once(fine_grid):
+    # the 8x oversampled derivative (512 KiB at n = 8192) is the one large
+    # array: no padded spectrum beside it, and no rolled copy of it
+    grad_kernel_norms(np.logspace(-4, 0, 17), fine_grid)  # tables cached
+    assert traced_peak(grad_kernel_norms, np.logspace(-4, 0, 17), fine_grid) <= 1.1 * 2**20
 
 
 def test_grad_norms_self_converged(fine_grid):

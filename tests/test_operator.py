@@ -9,16 +9,19 @@ from scipy import integrate, optimize
 from fowler import operator
 from fowler.grid import RealField, make_grid
 from fowler.operator import (
+    A_I,
+    ALPHA0,
+    B_I,
     GAMMA_TWO_THIRDS,
+    XI_C,
+    XI_STAR,
     QuadratureSpec,
     apply_nonlocal_fourier,
     apply_nonlocal_integral,
     nonlocal_multiplier,
     psi_symbol,
     sobolev_norm,
-    symbol_coefficients,
     symbol_table,
-    unstable_band,
 )
 
 from conftest import band_limited_field, gamma_two_thirds_oracle, spy_transforms, traced_peak
@@ -37,10 +40,9 @@ def test_gamma_against_independent_quadrature():
 
 def test_symbol_coefficients_from_gamma_oracle():
     oracle = gamma_two_thirds_oracle()
-    c = symbol_coefficients()
-    assert abs(c.a_I - 2.0 * math.pi**2 * oracle) < 1e-10
-    assert abs(c.b_I - 2.0 * math.sqrt(3.0) * math.pi**2 * oracle) < 1e-10
-    assert c.b_I == pytest.approx(math.sqrt(3.0) * c.a_I, rel=1e-15)
+    assert abs(A_I - 2.0 * math.pi**2 * oracle) < 1e-10
+    assert abs(B_I - 2.0 * math.sqrt(3.0) * math.pi**2 * oracle) < 1e-10
+    assert B_I == pytest.approx(math.sqrt(3.0) * A_I, rel=1e-15)
 
 
 def test_psi_at_zero_is_exactly_zero():
@@ -48,9 +50,8 @@ def test_psi_at_zero_is_exactly_zero():
 
 
 def test_psi_at_one():
-    c = symbol_coefficients()
     val = psi_symbol(1.0)
-    assert val == pytest.approx(complex(4.0 * math.pi**2 - c.a_I, c.b_I), rel=1e-14)
+    assert val == pytest.approx(complex(4.0 * math.pi**2 - A_I, B_I), rel=1e-14)
     # frozen anchor, derived from the Gamma quadrature oracle
     assert val.real == pytest.approx(12.749200855243721, abs=1e-10)
     assert val.imag == pytest.approx(46.29636145598596, abs=1e-10)
@@ -62,29 +63,27 @@ def test_psi_hermitian():
 
 
 def test_unstable_band_against_search_oracles():
-    xi_c, xi_star, alpha0 = unstable_band()
     # bisection oracle for the band edge
     xi_c_oracle = optimize.brentq(lambda x: psi_symbol(x).real, 0.1, 1.0, xtol=1e-14)
-    assert abs(xi_c - xi_c_oracle) < 1e-12
+    assert abs(XI_C - xi_c_oracle) < 1e-12
     # golden-section oracle for the maximal growth rate
     res = optimize.minimize_scalar(
         lambda x: psi_symbol(x).real,
-        bracket=(0.1, 0.3, xi_c),
+        bracket=(0.1, 0.3, XI_C),
         method="golden",
         options={"xtol": 1e-13},
     )
-    assert abs(alpha0 - (-res.fun)) < 1e-8
-    assert abs(xi_star - res.x) < 1e-6
+    assert abs(ALPHA0 - (-res.fun)) < 1e-8
+    assert abs(XI_STAR - res.x) < 1e-6
     # frozen anchors
-    assert xi_c == pytest.approx(0.5571084478374956, abs=1e-12)
-    assert alpha0 == pytest.approx(1.8152458474729194, abs=1e-12)
+    assert XI_C == pytest.approx(0.5571084478374956, abs=1e-12)
+    assert ALPHA0 == pytest.approx(1.8152458474729194, abs=1e-12)
 
 
 def test_band_sign_structure():
-    xi_c, xi_star, alpha0 = unstable_band()
-    assert psi_symbol(2.0 * xi_c).real > 0
-    assert psi_symbol(0.5 * xi_c).real < 0
-    assert psi_symbol(xi_star).real == pytest.approx(-alpha0, rel=1e-12)
+    assert psi_symbol(2.0 * XI_C).real > 0
+    assert psi_symbol(0.5 * XI_C).real < 0
+    assert psi_symbol(XI_STAR).real == pytest.approx(-ALPHA0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 64, 1024])

@@ -1,7 +1,8 @@
 """Source guards over the package: one spectral convention (only grid.py
 touches numpy.fft), no cache on a method, which would keep every instance
-and argument it saw alive for the whole process, and numpy as the only
-runtime dependency outside the standard library."""
+and argument it saw alive for the whole process, no cache built inside a
+function body, which would be a new cache on every call, and numpy as the
+only runtime dependency outside the standard library."""
 
 import ast
 import sys
@@ -46,6 +47,13 @@ def test_only_grid_calls_numpy_fft():
     assert offenders == []
 
 
+def is_cache(expr) -> bool:
+    """expr is functools.lru_cache or cache, bare or called."""
+    target = expr.func if isinstance(expr, ast.Call) else expr
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name in ("lru_cache", "cache")
+
+
 def cached_methods(tree) -> list[str]:
     """Class.method names decorated with functools.lru_cache or cache."""
     found = []
@@ -55,11 +63,7 @@ def cached_methods(tree) -> list[str]:
         for fn in cls.body:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for dec in fn.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-                if name in ("lru_cache", "cache"):
-                    found.append(f"{cls.name}.{fn.name}")
+            found += [f"{cls.name}.{fn.name}" for dec in fn.decorator_list if is_cache(dec)]
     return found
 
 
@@ -77,6 +81,38 @@ def test_guard_detects_cached_methods():
 
 def test_no_method_is_cached():
     offenders = [f"{name}: {m}" for name, tree in modules() for m in cached_methods(tree)]
+    assert offenders == []
+
+
+def caches_built_per_call(tree) -> list[str]:
+    """Functions whose body calls functools.lru_cache or cache, directly or
+    as the decorator of a nested function."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = [node for stmt in fn.body for node in ast.walk(stmt)]
+        if any(isinstance(node, ast.Call) and is_cache(node.func)
+               or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(map(is_cache, node.decorator_list)) for node in inner):
+            found.append(fn.name)
+    return found
+
+
+def test_guard_detects_caches_built_per_call():
+    source = (
+        "@functools.lru_cache(maxsize=16)\ndef table(n): ...\n"
+        "def wrap(fn):\n    return functools.lru_cache(maxsize=1)(fn)\n"
+        "def bare(fn):\n    return cache(fn)\n"
+        "def nested():\n    @functools.cache\n    def g(x): ...\n    return g\n"
+        "def plain(x):\n    return cached(x)\n"
+        "class A:\n    @functools.cache\n    def h(self): ...\n"
+    )
+    assert caches_built_per_call(ast.parse(source)) == ["wrap", "bare", "nested"]
+
+
+def test_no_cache_is_built_per_call():
+    offenders = [f"{name}: {f}" for name, tree in modules() for f in caches_built_per_call(tree)]
     assert offenders == []
 
 
