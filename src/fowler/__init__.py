@@ -40,15 +40,14 @@ from .evolution import (
     BlowUpError,
     ContractionBound,
     InitialCondition,
+    K0,
+    K1,
     PicardError,
-    STEP_CONSTANTS,
     SimConfig,
-    StepConstants,
     Trajectory,
     contraction_time_bound,
     evolve,
     evolve_full,
-    stepping_norm_fit,
 )
 from .diagnostics import (
     DiagnosticsRecord,

@@ -45,6 +45,10 @@ def _times(raw: str) -> tuple[float, ...]:
         raise ValueError(f"not a list of times: {raw!r}") from None
 
 
+#: kernel-report holds one kernel field per time and writes each as a CSV column, so
+#: memory and file grow as count x n (500 times at n = 8192: 96 MiB and 96 MB)
+MAX_KERNEL_TIMES = 32
+
 #: section -> key -> (type, default); a type parses the raw text or raises
 #: ValueError
 CONFIG_SCHEMA = {
@@ -174,5 +178,8 @@ def parse_config(path: str | Path) -> RunSettings:
     kernel_times = values["output"]["kernel_times"]
     if not kernel_times or not all(0 < t < math.inf for t in kernel_times):
         raise ConfigError("output.kernel_times must be positive and finite")
+    if len(kernel_times) > MAX_KERNEL_TIMES:
+        raise ConfigError(f"output.kernel_times must hold at most {MAX_KERNEL_TIMES} times, "
+                          f"got {len(kernel_times)}")
 
     return RunSettings(sim=sim, v0_field=v0_field, quadrature=quadrature, **values["output"])

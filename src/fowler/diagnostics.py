@@ -102,9 +102,9 @@ def energy_bound_check(traj) -> EnergyBoundReport:
 
 @functools.lru_cache(maxsize=1)
 def c1b_norm(p: WaveProfile, grid: Grid) -> float:
-    """sup|phi| + sup|phi'|, sups over a 16x oversampled evaluation.
+    """sup|phi| + sup|phi'|, sups over the 16x finer box (profiles.sup_values).
 
-    Sampling the oversampled box is the cost, and a run asks twice (its
+    Sampling the finer box is the cost, and a run asks twice (its
     derived constants and its stepping loop), so the norm is kept for the
     last (profile, grid) asked; sampled profiles hash their samples by identity.
     """

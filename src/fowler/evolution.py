@@ -41,9 +41,6 @@ products carry n//3 + 1 entries and the modes above are zero by
 construction, and all of k = 0..n/2 without it.  Every transform is an
 rfft/irfft pair, every spectral array of a step holds the band, and norms
 use the half-spectrum Parseval sum.
-The kernel constants K0 and K1 that enter t_star are pinned in
-STEP_CONSTANTS rather than refitted per run; stepping_norm_fit() is the
-refit, and the test suite checks the two agree to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, EnergyBoundParams, c1b_norm
 from .grid import Grid, RealField, RealSpectrum, load_samples, make_grid, real_spectrum
-from .kernel import KernelNormFit, grad_kernel_norms
 from .operator import ALPHA0, symbol_table
 from .profiles import WaveProfile
 
@@ -69,9 +65,8 @@ __all__ = [
     "BlowUpError",
     "PicardError",
     "contraction_time_bound",
-    "StepConstants",
-    "STEP_CONSTANTS",
-    "stepping_norm_fit",
+    "K0",
+    "K1",
     "evolve",
     "evolve_full",
 ]
@@ -79,11 +74,6 @@ __all__ = [
 #: the a-priori bound is exact for true solutions; exceeding it by this
 #: factor can only be a numerical fault
 BLOWUP_FACTOR = 1e6
-
-#: reference window for the kernel constants entering the step-size control;
-#: the constants grow with the horizon, and the per-step bound needs them at
-#: the dt scale, not at T = O(1)
-CONTROL_WINDOW = (1e-4, 1e-2)
 
 #: an unconverged Picard iterate contracting by a ratio above this aborts
 #: the step, which is then retried in smaller pieces
@@ -241,8 +231,6 @@ class ContractionBound:
     """
 
     M: float
-    K0: float
-    K1: float
     u_phi_norm: float
     t_star: float
 
@@ -252,29 +240,19 @@ class ContractionBound:
     def ratio_bound(self, dt: float) -> float:
         """Contraction factor the lemma guarantees for steps of size dt."""
         return (
-            2.0 * self.M * self.K0 * dt**0.25
-            + 2.0 * self.K1 * math.sqrt(dt) * self.u_phi_norm
+            2.0 * self.M * K0 * dt**0.25
+            + 2.0 * K1 * math.sqrt(dt) * self.u_phi_norm
         )
 
 
-@dataclass(frozen=True)
-class StepConstants:
-    """Kernel gradient constants of the contraction bound: K0 bounds
-    t^{3/4} ||dK/dx||_L2 and K1 bounds t^{1/2} ||dK/dx||_L1."""
-
-    K0: float
-    K1: float
+#: kernel constants of the contraction bound, max t^{3/4} ||dK/dx||_L2 and
+#: max t^{1/2} ||dK/dx||_L1 over t in [1e-4, 1e-2], the dt scale (they grow
+#: with the horizon); constants of the continuous kernel, so pinned
+K0 = 0.34418969225222185
+K1 = 0.808638649332362
 
 
-#: K0 and K1 of stepping_norm_fit(), pinned: they are constants of the
-#: continuous kernel over CONTROL_WINDOW, so step control never refits them.
-#: tests/test_evolution.py refits them and compares to 1e-12 relative.
-STEP_CONSTANTS = StepConstants(K0=0.34418969225222185, K1=0.808638649332362)
-
-
-def contraction_time_bound(
-    M: float, fit: KernelNormFit | StepConstants, u_phi_norm: float
-) -> ContractionBound:
+def contraction_time_bound(M: float, u_phi_norm: float) -> ContractionBound:
     """Closed-form positive root of 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1.
 
     In y = t^{1/4} this is a y^2 + b y - 1 = 0, whose positive root is taken
@@ -282,7 +260,6 @@ def contraction_time_bound(
     and never subtracts nearly equal numbers, which the textbook form
     (-b + sqrt(b^2 + 4 a)) / (2 a) does whenever 4 a << b^2.
     """
-    K0, K1 = fit.K0, fit.K1
     if M < 0 or u_phi_norm < 0:
         raise ValueError("norm budgets cannot be negative")
     a = 2.0 * K1 * u_phi_norm  # quadratic coefficient in y = t^{1/4}
@@ -290,24 +267,12 @@ def contraction_time_bound(
     if a == 0.0 and b == 0.0:
         raise ValueError("all-zero inputs: no contraction constraint to solve")
     t_star = (2.0 / (b + math.sqrt(b * b + 4.0 * a))) ** 4
-    bound = ContractionBound(M=M, K0=K0, K1=K1, u_phi_norm=u_phi_norm, t_star=t_star)
+    bound = ContractionBound(M=M, u_phi_norm=u_phi_norm, t_star=t_star)
     if not bound.equation_residual() <= 1e-10:  # a NaN residual fails too
         raise ArithmeticError(
             f"contraction root lost precision: residual {bound.equation_residual():.2e}"
         )
     return bound
-
-
-@functools.lru_cache(maxsize=1)
-def stepping_norm_fit() -> KernelNormFit:
-    """Kernel gradient constants over the small-t control window, fitted on a
-    dedicated grid fine enough to resolve the smallest time: the reference
-    that STEP_CONSTANTS pins."""
-    grid = make_grid(8192, 40.0)
-    times = np.logspace(
-        math.log10(CONTROL_WINDOW[0]), math.log10(CONTROL_WINDOW[1]), 9
-    )
-    return grad_kernel_norms(times, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +281,20 @@ def stepping_norm_fit() -> KernelNormFit:
 
 def _phi_functions(z: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2, given ez = e^z, with
-    series fallback near z = 0 where the direct formulas cancel."""
+    series on |z| < 0.25, where the direct formulas cancel (and z = 0)."""
     small = np.abs(z) < 0.25
-    with np.errstate(invalid="ignore", divide="ignore"):  # z = 0 takes the series
-        phi1 = (ez - 1.0) / z
-        phi2 = (ez - 1.0 - z) / z**2
-    s1 = np.zeros_like(z)
-    s2 = np.zeros_like(z)
-    term = np.ones_like(z)
+    phi1, phi2 = np.empty_like(z), np.empty_like(z)
+    zd, ed = z[~small], ez[~small]
+    phi1[~small] = (ed - 1.0) / zd
+    phi2[~small] = (ed - 1.0 - zd) / zd**2
+    zs = z[small]
+    s1, s2, term = np.zeros_like(zs), np.zeros_like(zs), np.ones_like(zs)
     for k in range(13):
         s1 += term / math.factorial(k + 1)
         s2 += term / math.factorial(k + 2)
-        term = term * z
-    return np.where(small, s1, phi1), np.where(small, s2, phi2)
+        term = term * zs
+    phi1[small], phi2[small] = s1, s2
+    return phi1, phi2
 
 
 @dataclass(frozen=True)

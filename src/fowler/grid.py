@@ -136,9 +136,10 @@ class RealSpectrum:
     leading band k = 0..m-1, whose modes above the band are zero: forward,
     inverse, mode_energy and l2_norm take one, and dealias_modes is the 2/3
     rule's band.  Off-grid samples come from the same tables: `shifted`
-    translates the grid, `oversampled` refines it, `evaluate` takes any
-    points.  Stored tables are read-only; build instances through
-    real_spectrum, which caches them.
+    translates the grid (m copies shifted by dx/m sample the m times finer
+    grid, with no transform longer than n), `evaluate` takes any points.
+    Stored tables are read-only; build instances through real_spectrum,
+    which caches them.
     """
 
     def __init__(self, grid: Grid):
@@ -162,17 +163,12 @@ class RealSpectrum:
                     self.derivative, self.laplacian):
             arr.setflags(write=False)
 
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        """1.0 on the 2/3 rule's band k < dealias_modes, 0.0 above it."""
-        return (np.arange(self.size) < self.dealias_modes).astype(np.float64)
-
     def forward(self, values: np.ndarray, modes: int | None = None) -> np.ndarray:
         """Half-spectrum coefficients dx * sum_j e^{-2 i pi x_j xi_k} f(x_j) of
         the leading band k = 0..modes-1, all n/2 + 1 of them by default.  With
-        modes = dealias_modes the band is the 2/3 rule: the same entries as the
-        full spectrum times dealias_mask, without the zeros.  Either way the
-        result is a new array that owns its memory."""
+        modes = dealias_modes the band is the 2/3 rule: the entries of the full
+        spectrum that the rule keeps, without the zeros above them.  Either way
+        the result is a new array that owns its memory."""
         coeffs = np.fft.rfft(values)
         if modes is None or modes >= self.size:
             coeffs *= self._to_coeffs  # in place: no second temporary
@@ -192,7 +188,7 @@ class RealSpectrum:
 
         The sum is the DC term, twice the real part of the interior modes,
         and the unpaired Nyquist mode through its cosine only, matching the
-        real interpolant that oversampled produces.  A 2-D coeffs (one
+        real interpolant that shifted samples.  A 2-D coeffs (one
         spectrum per row) returns one row of values per spectrum.
 
         Mode k = a*B + b is split into a coarse and a fine phase,
@@ -216,21 +212,6 @@ class RealSpectrum:
         sums = np.einsum("pa,...pa->...p", coarse, partial).real
         nyquist = np.cos(2 * np.pi * x * xi[-1]) * coeffs[..., -1:].real
         return (coeffs[..., :1].real + 2.0 * sums + nyquist) / self.grid.length
-
-    def oversampled(self, coeffs: np.ndarray, factor: int) -> np.ndarray:
-        """Samples of the interpolant with half-spectrum coefficients coeffs
-        on the factor-times finer grid of the same box.
-
-        The Nyquist coefficient is split evenly over +n/2 and -n/2 (irfft
-        supplies the -n/2 half), the standard choice for real fields.  The
-        fine grid has the same x_0 and factor times the 1/dx, so the band
-        takes factor * _to_values, and irfft pads the modes above it.
-        """
-        if factor < 2 or factor != int(factor):
-            raise ValueError(f"oversampling factor must be an integer >= 2, got {factor}")
-        band = coeffs * (int(factor) * self._to_values)
-        band[-1] *= 0.5
-        return np.fft.irfft(band, int(factor) * self.grid.n)
 
     def shifted(self, coeffs: np.ndarray, s: float) -> np.ndarray:
         """Samples at x_j + s of the interpolant with half-spectrum

@@ -42,8 +42,10 @@ __all__ = [
 #: count as resolved on the grid.
 RESOLUTION_LIMIT = 1e-12
 
-#: Newton polish of the extrema in _gradient_l1 stops once its step or its
-#: bracket is below this fraction of the 8x oversampled grid spacing.
+#: _gradient_l1 brackets extrema on the FINE x finer grid, held as FINE shifted
+#: n-point copies, and polishes them until a Newton step or a bracket is below
+#: ROOT_TOL fine spacings dx / FINE
+FINE = 8
 ROOT_TOL = 1e-9
 
 
@@ -121,12 +123,29 @@ def semigroup_residual(s: float, t: float, grid: Grid) -> float:
     return l2_norm(RealField(grid, conv.values - Kst.field.values)) / l2_norm(Kst.field)
 
 
+def _brackets(dF: np.ndarray, spectrum: RealSpectrum):
+    """Fine nodes after which f' changes sign, ascending, and f' at each and
+    at the next fine node.  Fine node j FINE + i is sample j of the copy
+    shifted by i dx / FINE; the copy after the last is copy 0 rolled by one."""
+    dx_fine = spectrum.grid.spacing / FINE
+    first = cur = spectrum.shifted(dF, 0.0)
+    found = []
+    for i in range(FINE):
+        nxt = spectrum.shifted(dF, (i + 1) * dx_fine) if i + 1 < FINE else np.roll(first, -1)
+        j = np.flatnonzero((cur >= 0) != (nxt >= 0))
+        found.append((j * FINE + i, cur[j], nxt[j]))
+        cur = nxt
+    nodes, d_lo, d_hi = map(np.concatenate, zip(*found))
+    order = np.argsort(nodes)
+    return nodes[order], d_lo[order], d_hi[order]
+
+
 def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float:
     """||f'||_{L1} of the trig interpolant, as the total variation of f.
 
     Between consecutive extrema f is monotone, so int |f'| = sum |delta f|
-    over extrema.  Sign changes of f' are bracketed on an 8x oversampled
-    grid and polished by safeguarded Newton (Numerical Recipes' rtsafe),
+    over extrema.  Sign changes of f' are bracketed on the FINE x finer grid
+    and polished by safeguarded Newton (Numerical Recipes' rtsafe),
     vectorised over the brackets: the start is the secant of the two
     samples, f' and f'' come from one dense evaluation per iteration, and a
     bisection step replaces any Newton step that would leave the bracket or
@@ -139,14 +158,11 @@ def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float
     crossings, which for sharply peaked kernels never reaches the 1e-8
     self-convergence target.
     """
-    grid = spectrum.grid
-    dvals = spectrum.oversampled(dF, 8)
-    dx_fine = grid.length / len(dvals)
-    sign = dvals >= 0
-    nodes = np.flatnonzero(sign != np.roll(sign, -1))  # f' changes sign after these
+    nodes, d_lo, d_hi = _brackets(dF, spectrum)
     if not nodes.size:
         return 0.0
-    lo = -0.5 * grid.length + dx_fine * nodes  # fine-grid nodes
+    dx_fine = spectrum.grid.spacing / FINE
+    lo = -0.5 * spectrum.grid.length + dx_fine * nodes  # fine-grid nodes
     hi = lo + dx_fine
     m = len(lo)
     derivatives = np.stack([dF, spectrum.derivative * dF])  # f', f''
@@ -157,7 +173,7 @@ def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float
     rising = f_hi > 0
     straddle = (f_lo > 0) != rising
     x = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
-    secant = lo + dx_fine * dvals[nodes] / (dvals[nodes] - dvals[(nodes + 1) % len(dvals)])
+    secant = lo + dx_fine * d_lo / (d_lo - d_hi)
     x[straddle] = np.clip(secant[straddle], lo[straddle], hi[straddle])
     last_step = np.full(m, dx_fine)
     tol = ROOT_TOL * dx_fine

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .config import CONFIG_SCHEMA, ConfigError, RunSettings
 from .diagnostics import c1b_norm, l2_norm
-from .evolution import STEP_CONSTANTS, contraction_time_bound
+from .evolution import K0, K1, contraction_time_bound
 from .operator import A_I, ALPHA0, B_I, GAMMA_TWO_THIRDS, XI_C, XI_STAR
 
 __all__ = ["CsvTable", "RunManifest", "format_float", "derived_constants"]
@@ -124,7 +124,7 @@ def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
     t_star = np.inf
     if v0_norm > 0.0 or u_norm > 0.0:
         try:
-            t_star = contraction_time_bound(2.0 * v0_norm, STEP_CONSTANTS, u_norm).t_star
+            t_star = contraction_time_bound(2.0 * v0_norm, u_norm).t_star
         except ArithmeticError as exc:  # t_star steers nothing: record nan and why
             t_star = np.nan
             manifest.add("derived.t_star_error", str(exc))
@@ -135,8 +135,8 @@ def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
         "alpha0": ALPHA0,
         "xi_c": XI_C,
         "xi_star": XI_STAR,
-        "K0": STEP_CONSTANTS.K0,
-        "K1": STEP_CONSTANTS.K1,
+        "K0": K0,
+        "K1": K1,
         "C_phi": c_phi,
         "t_star": t_star,
     }

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from fowler.grid import RealField, RealSpectrum, make_grid
+from fowler.kernel import grad_kernel_norms
 
 # the same examples on every run, and no per-example time limit: a first
 # call may warm numpy or a cache
@@ -50,6 +51,14 @@ def band_limited_field(grid, rng, k_lo=8, k_hi=48, envelope_width=3.5, amplitude
     return RealField(grid, values)
 
 
+def fine_samples(spectrum, coeffs, factor) -> np.ndarray:
+    """Samples of the interpolant with half-spectrum coeffs on the factor x
+    finer grid of the same box, from factor shifted n-point copies: fine
+    node j * factor + i is sample j of the copy shifted by i dx / factor."""
+    step = spectrum.grid.spacing / factor
+    return np.stack([spectrum.shifted(coeffs, i * step) for i in range(factor)], axis=1).ravel()
+
+
 def spy_transforms(monkeypatch) -> list[str]:
     """Record each RealSpectrum.forward / inverse call by name, in order."""
     calls = []
@@ -80,3 +89,16 @@ def grid_1024():
 @pytest.fixture(scope="session")
 def grid_2048():
     return make_grid(2048, 40.0)
+
+
+#: the small-time window over which evolution.K0 and K1 are pinned: the dt
+#: scale, where the per-step contraction bound needs them
+CONTROL_WINDOW = (1e-4, 1e-2)
+
+
+@pytest.fixture(scope="session")
+def stepping_norm_fit():
+    """The refit that evolution.K0 and K1 pin: 9 log-spaced times over
+    CONTROL_WINDOW, on a grid fine enough to resolve the smallest."""
+    times = np.logspace(math.log10(CONTROL_WINDOW[0]), math.log10(CONTROL_WINDOW[1]), 9)
+    return grad_kernel_norms(times, make_grid(8192, 40.0))

@@ -2,15 +2,17 @@
 package's half spectrum (grid.RealSpectrum), with the same centring phase and
 dx, 1/L scaling.  The unpaired Nyquist mode sits at index n/2, frequency -n/(2L).
 
-Also the integral route's multiplier summed node by node and mode by mode,
-the oracle for operator._quadrature_multiplier.
+Also samples on a finer grid by zero padding, the oracle for shifted
+copies of a field (grid.RealSpectrum.shifted), and the integral route's
+multiplier summed node by node and mode by mode, the oracle for
+operator._quadrature_multiplier.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from fowler.grid import Grid, RealField, _as_locked_array, real_spectrum
+from fowler.grid import Grid, RealField, _as_locked_array, make_grid, real_spectrum
 from fowler.operator import LEVY_PREFACTOR, QuadratureSpec
 
 # Relative tolerance on the Hermitian-symmetry check; violations beyond this
@@ -101,6 +103,19 @@ def spectral_derivative(F: SpectralField, order: int) -> SpectralField:
     if order % 2 == 1:
         multiplier[nyquist_index(grid)] = 0.0
     return SpectralField(grid=grid, coeffs=F.coeffs * multiplier)
+
+
+def reference_oversample(F: SpectralField, factor: int) -> np.ndarray:
+    """Samples on the factor x finer grid of the same box of the field with
+    full spectrum F: the spectrum padded with zeros, its Nyquist coefficient
+    split evenly over +n/2 and -n/2, and one inverse transform of length
+    factor * n."""
+    n, m = F.grid.n, F.grid.n * factor
+    padded = np.zeros(m, dtype=np.complex128)
+    padded[: n // 2] = F.coeffs[: n // 2]
+    padded[m - n // 2 + 1 :] = F.coeffs[n // 2 + 1 :]
+    padded[n // 2] = padded[m - n // 2] = 0.5 * F.coeffs[n // 2].real
+    return inverse_transform(SpectralField(make_grid(m, F.grid.length), padded)).values
 
 
 def quadrature_multiplier_reference(grid: Grid, q: QuadratureSpec) -> np.ndarray:

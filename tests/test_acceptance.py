@@ -20,7 +20,6 @@ from fowler.evolution import (
     contraction_time_bound,
     evolve,
     evolve_full,
-    stepping_norm_fit,
 )
 from fowler.grid import RealField, make_grid
 from reference_spectrum import forward_transform
@@ -212,8 +211,8 @@ def test_criterion_09_mass_conservation(tanh_trajectory, consistency_runs):
               f"(worst {worst:.2e})")
 
 
-def test_criterion_10_picard_contraction(grid_1024):
-    fit = stepping_norm_fit()
+def test_criterion_10_picard_contraction(grid_1024, stepping_norm_fit):
+    fit = stepping_norm_fit
     profile = WaveProfile(kind="tanh-front", amplitude=1.0, width=1.0)
     cfg = SimConfig(
         grid=grid_1024,
@@ -225,8 +224,8 @@ def test_criterion_10_picard_contraction(grid_1024):
     v = cfg.v0.build(grid_1024)
     u_norm = c1b_norm(profile, grid_1024)
     M = 2.0 * l2_norm(v)
-    bound = contraction_time_bound(M, fit, u_norm)
-    # closed form vs bisection
+    bound = contraction_time_bound(M, u_norm)
+    # closed form on the pinned constants vs bisection on the refitted ones
     f = lambda t: 2 * M * fit.K0 * t**0.25 + 2 * fit.K1 * math.sqrt(t) * u_norm - 1.0
     oracle = optimize.brentq(f, 1e-12, 10.0, xtol=1e-14)
     assert abs(bound.t_star - oracle) <= 1e-10

@@ -190,6 +190,8 @@ def test_config_error_exits_1(tmp_path, capsys):
         ("[output]\nstride = 0\n", "output.stride must be >= 1"),
         ("[time]\ndealias = maybe\n", "time.dealias: not a boolean: 'maybe'"),
         ("[output]\nkernel_times = 0.1, abc\n", "output.kernel_times: not a list of times"),
+        ("[output]\nkernel_times = " + ", ".join(["0.1"] * 33) + "\n",
+         "output.kernel_times must hold at most 32 times, got 33"),
         ("[initial]\nkind = sawtooth\n", "unknown initial condition kind 'sawtooth'"),
         ("[initial]\nkind = file\n", "initial.file: file initial condition requires a path"),
         ("[profile]\nkind = sampled\n", "profile.samples_file is required for kind = sampled"),

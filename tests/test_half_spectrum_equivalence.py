@@ -11,17 +11,24 @@ import numpy as np
 import pytest
 
 from fowler.grid import RealField, make_grid, real_spectrum
-from fowler.kernel import kernel_field
-from fowler.operator import QuadratureSpec, apply_nonlocal_integral, psi_symbol
+from fowler.kernel import (
+    FINE,
+    RESOLUTION_LIMIT,
+    _brackets,
+    kernel_field,
+    nyquist_resolution_defect,
+)
+from fowler.operator import QuadratureSpec, apply_nonlocal_integral, psi_symbol, symbol_table
 from fowler.profiles import WaveProfile
 
-from conftest import band_limited_field
+from conftest import band_limited_field, fine_samples
 from reference_spectrum import (
     SpectralField,
     forward_transform,
     frequencies,
     inverse_transform,
     nyquist_index,
+    reference_oversample,
     spectral_derivative,
 )
 
@@ -30,11 +37,15 @@ def rel_err(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-def reference_kernel(t, grid):
+def reference_kernel_spectrum(t, grid):
     psi = psi_symbol(frequencies(grid))
     ny = nyquist_index(grid)
     psi[ny] = psi[ny].real
-    return inverse_transform(SpectralField(grid, np.exp(-t * psi))).values
+    return SpectralField(grid, np.exp(-t * psi))
+
+
+def reference_kernel(t, grid):
+    return inverse_transform(reference_kernel_spectrum(t, grid)).values
 
 
 def reference_integral(f, q):
@@ -59,19 +70,6 @@ def reference_integral(f, q):
         -0.75 * q.z_max ** (-4.0 / 3.0) * centered + 3.0 * q.z_max ** (-1.0 / 3.0) * dphi
     )
     return body + inner + outer
-
-
-def reference_oversample(f, factor):
-    """Pad the full spectrum with zeros, splitting the Nyquist coefficient
-    evenly over +n/2 and -n/2."""
-    n, m = f.grid.n, f.grid.n * factor
-    fine = make_grid(m, f.grid.length)
-    C = forward_transform(f).coeffs
-    padded = np.zeros(m, dtype=np.complex128)
-    padded[: n // 2] = C[: n // 2]
-    padded[m - n // 2 + 1 :] = C[n // 2 + 1 :]
-    padded[n // 2] = padded[m - n // 2] = 0.5 * C[n // 2].real
-    return inverse_transform(SpectralField(fine, padded)).values
 
 
 def reference_shift(samples, a):
@@ -108,8 +106,31 @@ def test_oversample_matches_full_spectrum(n, factor):
     rng = np.random.default_rng(n)
     f = RealField(make_grid(n, 13.0), rng.standard_normal(n))
     spectrum = real_spectrum(f.grid)
-    values = spectrum.oversampled(spectrum.forward(f.values), factor)
-    assert rel_err(values, reference_oversample(f, factor)) <= 1e-13
+    values = fine_samples(spectrum, spectrum.forward(f.values), factor)
+    assert rel_err(values, reference_oversample(forward_transform(f), factor)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, length", [(1024, 40.0), (2048, 10.0), (8192, 40.0), (16384, 40.0)])
+def test_kernel_brackets_match_full_spectrum(n, length):
+    # the sign changes of dK/dx on FINE shifted n-point copies are those of
+    # the FINE x zero-padded full spectrum, at every time kernel-report
+    # tabulates that the grid resolves, and so are the bracket-end values
+    grid = make_grid(n, length)
+    spectrum = real_spectrum(grid)
+    times = [t for t in np.logspace(-4, 0, 17)
+             if nyquist_resolution_defect(t, grid) <= RESOLUTION_LIMIT]
+    assert len(times) >= 9
+    for t in times:
+        dF = spectrum.derivative * np.exp(-t * symbol_table(grid))
+        nodes, d_lo, d_hi = _brackets(dF, spectrum)
+        fine = reference_oversample(spectral_derivative(reference_kernel_spectrum(t, grid), 1),
+                                    FINE)
+        sign = fine >= 0
+        expected = np.flatnonzero(sign != np.roll(sign, -1))
+        assert np.array_equal(nodes, expected), (n, length, t)
+        scale = np.abs(fine).max()
+        assert np.abs(d_lo - fine[expected]).max() <= 1e-13 * scale
+        assert np.abs(d_hi - np.roll(fine, -1)[expected]).max() <= 1e-13 * scale
 
 
 def test_sampled_profile_shift_matches_full_spectrum():

@@ -5,6 +5,7 @@ import pytest
 
 from fowler.grid import RealField, RealSpectrum, circular_convolve, make_grid, real_spectrum
 from fowler.kernel import (
+    FINE,
     _gradient_l1,
     grad_kernel_norms,
     kernel_field,
@@ -165,17 +166,21 @@ def test_grad_norms_reject_bad_sample_times(fine_grid, times, reason):
 
 
 def test_grad_norms_l2_by_parseval(fine_grid, monkeypatch):
-    # ||dK/dx||_L2 comes from the half spectrum: no inverse transform
-    # (the norm of the sampled derivative, sqrt(dx sum |K'|^2), is the same
-    # by the discrete Parseval identity)
+    # ||dK/dx||_L2 comes from the half spectrum (the norm of the sampled
+    # derivative, sqrt(dx sum |K'|^2), is the same by the discrete Parseval
+    # identity): the only inverse transforms are the FINE shifted n-point
+    # copies that the L1 norm brackets its extrema on, and no forward one
     times = [1e-4, 3e-4]
     spectrum = real_spectrum(fine_grid)
     sampled = [l2(RealField(fine_grid, spectrum.inverse(
         spectrum.derivative * spectrum.forward(kernel_field(t, fine_grid).field.values))))
         for t in times]
     calls = spy_transforms(monkeypatch)
+    shifted = RealSpectrum.shifted
+    monkeypatch.setattr(RealSpectrum, "shifted",
+                        lambda self, *args: calls.append("shifted") or shifted(self, *args))
     fit = grad_kernel_norms(times, fine_grid)
-    assert "inverse" not in calls
+    assert calls == ["shifted", "inverse"] * (FINE * len(times))
     assert fit.l2_grad == pytest.approx(sampled, rel=1e-12)
 
 
@@ -186,19 +191,19 @@ def test_grad_norms_need_two_times_in_fitting_decade(fine_grid):
 
 
 def test_grad_norms_cache_no_fine_grid(fine_grid):
-    # the 8x oversampled extrema search must not leave a RealSpectrum of the
-    # fine grid in the cache: only the input grid's spectrum stays
+    # the extrema search on the FINE x finer grid must not leave a
+    # RealSpectrum of another grid in the cache: only the input grid's stays
     real_spectrum.cache_clear()
     grad_kernel_norms([1e-4, 3e-4], fine_grid)
     real_spectrum(fine_grid)  # a hit: the one cached entry is the input grid
     assert real_spectrum.cache_info().currsize == 1
 
 
-def test_grad_norms_memory_is_the_fine_grid_once(fine_grid):
-    # the 8x oversampled derivative (512 KiB at n = 8192) is the one large
-    # array: no padded spectrum beside it, and no rolled copy of it
+def test_grad_norms_memory_is_a_few_copies(fine_grid):
+    # the FINE x finer grid is held as n-point copies (64 KiB at n = 8192),
+    # three alive at a time: never the 512 KiB fine derivative in one piece
     grad_kernel_norms(np.logspace(-4, 0, 17), fine_grid)  # tables cached
-    assert traced_peak(grad_kernel_norms, np.logspace(-4, 0, 17), fine_grid) <= 1.1 * 2**20
+    assert traced_peak(grad_kernel_norms, np.logspace(-4, 0, 17), fine_grid) <= 0.6 * 2**20
 
 
 def test_grad_norms_self_converged(fine_grid):
@@ -212,7 +217,7 @@ def test_grad_norms_self_converged(fine_grid):
 
 @pytest.mark.parametrize("kind", [np.cos, np.sin])
 def test_gradient_l1_of_pure_modes(kind):
-    # the zeros of f' sit on or within roundoff of the 8x fine-grid nodes,
+    # the zeros of f' sit on or within roundoff of the fine-grid nodes,
     # where the FFT samples and the dense sum may disagree in sign
     g = make_grid(64, 40.0)
     spectrum = real_spectrum(g)

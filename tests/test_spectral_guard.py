@@ -1,8 +1,10 @@
 """Source guards over the package: one spectral convention (only grid.py
-touches numpy.fft), no cache on a method, which would keep every instance
-and argument it saw alive for the whole process, no cache built inside a
-function body, which would be a new cache on every call, and numpy as the
-only runtime dependency outside the standard library."""
+touches numpy.fft, and every inverse transform there is n points long), no
+cache on a method, which would keep every instance and argument it saw alive
+for the whole process, no cache built inside a function body, which would be
+a new cache on every call, only the command layer importing the kernel
+module, and numpy as the only runtime dependency outside the standard
+library."""
 
 import ast
 import sys
@@ -45,6 +47,62 @@ def test_guard_detects_both_patterns():
 def test_only_grid_calls_numpy_fft():
     offenders = [name for name, tree in modules() if name != "grid.py" and uses_numpy_fft(tree)]
     assert offenders == []
+
+
+def irfft_lengths(tree) -> list[str]:
+    """Source text of the length argument of each irfft call, '' where the
+    call gives none."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "irfft" in (getattr(node.func, "attr", None),
+                                                      getattr(node.func, "id", None)):
+            length = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "n"), None)
+            found.append("" if length is None else ast.unparse(length))
+    return found
+
+
+def test_guard_detects_irfft_lengths():
+    source = ("np.fft.irfft(a, self.grid.n)\nnp.fft.irfft(b, 8 * self.grid.n)\n"
+              "np.fft.irfft(c)\nirfft(d, n=m)\nnp.fft.rfft(e, 9)\n")
+    assert irfft_lengths(ast.parse(source)) == ["self.grid.n", "8 * self.grid.n", "", "m"]
+
+
+def test_every_inverse_transform_is_n_points_long():
+    # off-grid samples come from shifted n-point copies, never from a longer
+    # transform and its plan
+    lengths = irfft_lengths(dict(modules())["grid.py"])
+    assert lengths and set(lengths) == {"self.grid.n"}
+
+
+def package_imports(tree) -> set[str]:
+    """Names of the package's modules (and of names in them) that tree
+    imports, relatively or as fowler.x, without the fowler. prefix."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["fowler", node.module])) if node.level else node.module
+            found |= {module} | {f"{module}.{a.name}" for a in node.names}
+    return {m.removeprefix("fowler.") for m in found if m.startswith("fowler.")}
+
+
+def test_guard_detects_module_imports():
+    for source in ("from .kernel import grad_kernel_norms\n", "from . import kernel\n",
+                   "import fowler.kernel\n", "from fowler.kernel import kernel_field\n",
+                   "from fowler import grid, kernel\n", "def f():\n    from .kernel import x\n"):
+        assert "kernel" in package_imports(ast.parse(source)), source
+    for source in ("from .operator import kernel\n", "from .kernels import x\n",
+                   "import kernel\n", "from . import grid\n"):
+        assert "kernel" not in package_imports(ast.parse(source)), source
+
+
+def test_only_the_command_layer_imports_kernel():
+    # the stepper and the rest of the package use the pinned constants of
+    # evolution, not the kernel's norm fit
+    importers = [name for name, tree in modules() if "kernel" in package_imports(tree)]
+    assert importers == ["__init__.py", "cli.py"]
 
 
 def is_cache(expr) -> bool:
