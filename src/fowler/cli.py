@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -203,8 +202,8 @@ def cmd_convergence(settings: RunSettings, manifest: RunManifest, out: Path) -> 
     manifest.add("convergence.horizon", horizon)
 
     def run(dt):
-        cfg = replace(sim, dt=dt, t_end=horizon)
-        cfg = replace(cfg, output_stride=cfg.steps)  # records the start and the end
+        cfg = sim._replace(dt=dt, t_end=horizon)
+        cfg = cfg._replace(output_stride=cfg.steps)  # records the start and the end
         return evolve(cfg, v0_override=settings.v0_field)
 
     runs = [run(dt) for dt in [sim.dt / 8.0] + dts]
@@ -275,7 +274,7 @@ def main(argv=None) -> int:
     try:
         settings = parse_config(args.config)
         if args.snapshots:
-            settings = replace(settings, snapshots=True)
+            settings = settings._replace(snapshots=True)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

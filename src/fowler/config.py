@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .evolution import InitialCondition, SimConfig
 from .grid import RealField, load_samples, make_grid
@@ -73,8 +73,7 @@ CONFIG_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class RunSettings:
+class RunSettings(NamedTuple):
     """A SimConfig plus the I/O options that do not affect the dynamics, and
     the initial field built once from sim.v0 for every consumer."""
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import Grid, RealField
 from .profiles import WaveProfile
+from .record import Record
 
 __all__ = [
     "DiagnosticsRecord",
@@ -34,20 +35,17 @@ __all__ = [
 BOUND_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+class DiagnosticsRecord(Record):
     """Per-time diagnostics attached to a trajectory record."""
 
-    t: float
-    l2: float
-    energy_bound: float
-    mass: float
-    mass_drift: float
-    picard_iters: int
-    picard_ratio: float
-    spectral_tail: float
+    __slots__ = ("t", "l2", "energy_bound", "mass", "mass_drift", "picard_iters",
+                 "picard_ratio", "spectral_tail")
 
-    def __post_init__(self):
+    def __init__(self, t: float, l2: float, energy_bound: float, mass: float,
+                 mass_drift: float, picard_iters: int, picard_ratio: float,
+                 spectral_tail: float):
+        self._fill(t, l2, energy_bound, mass, mass_drift, picard_iters, picard_ratio,
+                   spectral_tail)
         fields = (self.t, self.l2, self.mass, self.mass_drift, self.picard_ratio,
                   self.spectral_tail)
         # energy_bound may be +inf: EnergyBoundParams.bound saturates there
@@ -55,8 +53,7 @@ class DiagnosticsRecord:
             raise ValueError(f"diagnostics record has non-finite entries: {self}")
 
 
-@dataclass(frozen=True)
-class EnergyBoundParams:
+class EnergyBoundParams(NamedTuple):
     alpha0: float
     c_phi: float
     v0_norm: float
@@ -71,11 +68,11 @@ class EnergyBoundParams:
         return math.inf if math.isnan(value) else value  # inf * 0 saturates too
 
 
-@dataclass(frozen=True)
-class EnergyBoundReport:
-    margins: np.ndarray
-    ok: bool
-    first_violation: int | None
+class EnergyBoundReport(Record):
+    __slots__ = ("margins", "ok", "first_violation")
+
+    def __init__(self, margins: np.ndarray, ok: bool, first_violation: int | None):
+        self._fill(margins, ok, first_violation)
 
 
 def l2_norm(f: RealField) -> float:

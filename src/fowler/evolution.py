@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from .diagnostics import DiagnosticsRecord, EnergyBoundParams, c1b_norm
 from .grid import Grid, RealField, RealSpectrum, load_samples, make_grid, real_spectrum
 from .operator import ALPHA0, symbol_table
 from .profiles import WaveProfile
+from .record import Record
 
 __all__ = [
     "InitialCondition",
@@ -106,8 +107,7 @@ class PicardError(ArithmeticError):
         self.iterations = iterations  # nonlinear terms the failed loop evaluated
 
 
-@dataclass(frozen=True)
-class InitialCondition:
+class InitialCondition(NamedTuple):
     """Initial perturbation: a preset shape or samples read from a file."""
 
     kind: str = "gaussian"
@@ -144,22 +144,19 @@ class InitialCondition:
         raise ValueError(f"unknown initial condition kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Complete description of one evolution run."""
+class SimConfig(Record):
+    """Complete description of one evolution run.  linear_only is a test
+    hook: it drops the nonlinear term entirely."""
 
-    grid: Grid
-    profile: WaveProfile
-    v0: InitialCondition
-    t_end: float = 1.0
-    dt: float = 1e-3
-    picard_tol: float = 1e-10
-    picard_max: int = 25
-    dealias: bool = True
-    output_stride: int = 10
-    linear_only: bool = False  # test hook: drop the nonlinear term entirely
+    __slots__ = ("grid", "profile", "v0", "t_end", "dt", "picard_tol", "picard_max",
+                 "dealias", "output_stride", "linear_only")
 
-    def __post_init__(self):
+    def __init__(self, grid: Grid, profile: WaveProfile, v0: InitialCondition,
+                 t_end: float = 1.0, dt: float = 1e-3, picard_tol: float = 1e-10,
+                 picard_max: int = 25, dealias: bool = True, output_stride: int = 10,
+                 linear_only: bool = False):
+        self._fill(grid, profile, v0, t_end, dt, picard_tol, picard_max, dealias,
+                   output_stride, linear_only)
         if not (self.dt > 0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not math.isfinite(self.t_end):
@@ -190,20 +187,29 @@ class SimConfig:
         return round(self.t_end / self.dt)
 
 
-@dataclass
 class Trajectory:
     """Recorded time series: diagnostics at each record time, the fields
-    appended with them, and the run's Picard work."""
+    appended with them, and the run's Picard work.  A list left None starts
+    empty (steps_by_seed_order at one zero per seed order)."""
 
-    fields: list[RealField] = field(default_factory=list)
-    records: list[DiagnosticsRecord] = field(default_factory=list)
-    params: EnergyBoundParams | None = None
-    max_substeps: int = 1  # most pieces any dt step was cut into
-    picard_iters_total: int = 0  # over every attempt, failed ones included
-    # accepted steps and pieces by the order of their Picard seed, 1..4
-    steps_by_seed_order: list[int] = field(default_factory=lambda: [0] * len(SEED_WEIGHTS))
-    # the state after the last step, which evolve(..., resume=) continues from
-    end: _StepState | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("fields", "records", "params", "max_substeps", "picard_iters_total",
+                 "steps_by_seed_order", "end")
+
+    def __init__(self, fields: list[RealField] | None = None,
+                 records: list[DiagnosticsRecord] | None = None,
+                 params: EnergyBoundParams | None = None, max_substeps: int = 1,
+                 picard_iters_total: int = 0, steps_by_seed_order: list[int] | None = None,
+                 end: _StepState | None = None):
+        self.fields = [] if fields is None else fields
+        self.records = [] if records is None else records
+        self.params = params
+        self.max_substeps = max_substeps  # most pieces any dt step was cut into
+        self.picard_iters_total = picard_iters_total  # over every attempt, failed ones included
+        # accepted steps and pieces by the order of their Picard seed, 1..4
+        self.steps_by_seed_order = ([0] * len(SEED_WEIGHTS) if steps_by_seed_order is None
+                                    else steps_by_seed_order)
+        # the state after the last step, which evolve(..., resume=) continues from
+        self.end = end
 
     @property
     def substepping_engaged(self) -> bool:
@@ -221,8 +227,7 @@ class Trajectory:
         self.records.append(record)
 
 
-@dataclass(frozen=True)
-class ContractionBound:
+class ContractionBound(NamedTuple):
     """Safe step size from the uniqueness lemma's contraction constant.
 
     t_star solves ratio_bound(t) = 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1 in
@@ -297,14 +302,16 @@ def _phi_functions(z: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return phi1, phi2
 
 
-@dataclass(frozen=True)
-class _StepTables:
-    spectrum: RealSpectrum
-    dt: float
-    E: np.ndarray
-    A0: np.ndarray  # dt * D * (phi1 - phi2), weight of the s = 0 sample
-    A1: np.ndarray  # dt * D * phi2, weight of the s = dt sample
-    modes: int  # the stepped band k = 0..modes-1, the 2/3 rule's under dealias
+class _StepTables(Record):
+    """E = e^{-psi dt}; A0 = dt D (phi1 - phi2) and A1 = dt D phi2, the
+    weights of the s = 0 and s = dt samples; the stepped band k =
+    0..modes-1, the 2/3 rule's under dealias."""
+
+    __slots__ = ("spectrum", "dt", "E", "A0", "A1", "modes")
+
+    def __init__(self, spectrum: RealSpectrum, dt: float, E: np.ndarray, A0: np.ndarray,
+                 A1: np.ndarray, modes: int):
+        self._fill(spectrum, dt, E, A0, A1, modes)
 
 
 @functools.lru_cache(maxsize=64)
@@ -428,20 +435,19 @@ def _profile_sampler(cfg: SimConfig, tables: _StepTables):
     return _per_step_time(cfg.profile, sample_at)
 
 
-@dataclass(frozen=True, eq=False, repr=False)  # arrays: no == or repr of use
-class _StepState:
+class _StepState(Record):
     """A run after `step` steps of size dt, at t = step * dt: the band vhat,
     its term N(vhat, t) (None without the term), the seed's history, the
     start mass that mass drift is measured against, and whether the band is
     the perturbation v (coupled to the profile) or u = u_phi + v."""
 
-    vhat: np.ndarray
-    nhat: np.ndarray | None
-    history: tuple[np.ndarray, ...]
-    step: int
-    dt: float
-    mass0: float
-    coupled: bool
+    __slots__ = ("vhat", "nhat", "history", "step", "dt", "mass0", "coupled")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # arrays: no value == of use
+
+    def __init__(self, vhat: np.ndarray, nhat: np.ndarray | None,
+                 history: tuple[np.ndarray, ...], step: int, dt: float, mass0: float,
+                 coupled: bool):
+        self._fill(vhat, nhat, history, step, dt, mass0, coupled)
 
 
 def _take_step(state: _StepState, cfg: SimConfig, u_of_t, traj: Trajectory):
@@ -544,7 +550,7 @@ def _advance(cfg: SimConfig, v0_override: RealField | None, resume: Trajectory |
     # after the finiteness check: an overflow in N is Picard's to report
     if resume is None and not cfg.linear_only:
         u0 = None if u_of_t is None else u_of_t(0.0)
-        state = replace(state, nhat=_nonlinear_hat(state.vhat, u0, spectrum, tables.modes))
+        state = state._replace(nhat=_nonlinear_hat(state.vhat, u0, spectrum, tables.modes))
     last = state.step + cfg.steps
     while state.step < last:
         state, iters, ratio = _take_step(state, cfg, u_of_t, traj)

@@ -22,9 +22,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+from .record import Record
 
 __all__ = [
     "Grid",
@@ -37,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """Uniform periodic 1-D grid with n points on a box of length L."""
 
     n: int
@@ -98,17 +99,17 @@ def _as_locked_array(values, n: int, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)  # identity ==, so a field hashes
-class RealField:
+class RealField(Record):
     """A real function sampled on a Grid.  Immutable after construction."""
 
-    grid: Grid
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("grid", "values")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity ==, so a field hashes
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _as_locked_array(self.values, self.grid.n, np.float64)
-        )
+    def __init__(self, grid: Grid, values: np.ndarray):
+        self._fill(grid, _as_locked_array(values, grid.n, np.float64))
+
+    def __repr__(self) -> str:
+        return f"RealField(grid={self.grid!r})"
 
 
 def circular_convolve(f: RealField, g: RealField) -> RealField:

@@ -14,7 +14,7 @@ the property suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .grid import (
     real_spectrum,
 )
 from .operator import psi_symbol, symbol_table
+from .record import Record
 
 __all__ = [
     "KernelSnapshot",
@@ -49,8 +50,7 @@ FINE = 8
 ROOT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class KernelSnapshot:
+class KernelSnapshot(NamedTuple):
     """Sampled kernel at one time, with its discrete mass dx * sum(K)."""
 
     t: float
@@ -58,8 +58,7 @@ class KernelSnapshot:
     mass: float
 
 
-@dataclass(frozen=True)
-class KernelNormFit:
+class KernelNormFit(Record):
     """Tabulated gradient norms of the kernel with fitted constants.
 
     K0 and K1 are the envelope constants max_t t^{3/4} ||dK/dx||_L2 and
@@ -67,13 +66,12 @@ class KernelNormFit:
     are fitted over the decade of smallest sampled t.
     """
 
-    times: np.ndarray = field(repr=False)
-    l1_grad: np.ndarray = field(repr=False)
-    l2_grad: np.ndarray = field(repr=False)
-    K0: float = 0.0
-    K1: float = 0.0
-    slope_l2: float = 0.0
-    slope_l1: float = 0.0
+    __slots__ = ("times", "l1_grad", "l2_grad", "K0", "K1", "slope_l2", "slope_l1")
+
+    def __init__(self, times: np.ndarray, l1_grad: np.ndarray, l2_grad: np.ndarray,
+                 K0: float = 0.0, K1: float = 0.0, slope_l2: float = 0.0,
+                 slope_l1: float = 0.0):
+        self._fill(times, l1_grad, l2_grad, K0, K1, slope_l2, slope_l1)
 
 
 def nyquist_resolution_defect(t: float, grid: Grid) -> float:

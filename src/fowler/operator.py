@@ -33,11 +33,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, RealField, real_spectrum
+from .record import Record
 
 __all__ = [
     "GAMMA_TWO_THIRDS",
@@ -151,8 +151,7 @@ def apply_nonlocal_fourier(f: RealField) -> RealField:
     return RealField(f.grid, values)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Graded-panel quadrature for the singular integral form.
 
     The integral over [-z_max, -z_min] is split into `panels` geometrically
@@ -160,11 +159,10 @@ class QuadratureSpec:
     Gauss-Legendre rule per panel.
     """
 
-    z_max: float
-    z_min: float
-    panels: int
+    __slots__ = ("z_max", "z_min", "panels")
 
-    def __post_init__(self):
+    def __init__(self, z_max: float, z_min: float, panels: int):
+        self._fill(z_max, z_min, panels)
         if not (0 < self.z_min < self.z_max):
             raise ValueError(
                 f"need 0 < z_min < z_max, got z_min={self.z_min}, z_max={self.z_max}"

@@ -9,11 +9,11 @@ constructs travelling waves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, RealField, real_spectrum
+from .record import Record
 
 __all__ = ["WaveProfile", "PROFILE_KINDS"]
 
@@ -27,22 +27,18 @@ SUP_OVERSAMPLING = 16
 SUP_CHUNK = 1 << 13
 
 
-@dataclass(frozen=True)
-class WaveProfile:
+class WaveProfile(Record):
     """Background profile phi and its wave speed.
 
     amplitude/width/offset parametrize the analytic kinds; `samples` carries
     the field for kind="sampled" (width and offset are ignored there).
     """
 
-    kind: str
-    amplitude: float = 1.0
-    width: float = 1.0
-    offset: float = 0.0
-    speed: float = 0.0
-    samples: RealField | None = None
+    __slots__ = ("kind", "amplitude", "width", "offset", "speed", "samples")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, amplitude: float = 1.0, width: float = 1.0,
+                 offset: float = 0.0, speed: float = 0.0, samples: RealField | None = None):
+        self._fill(kind, amplitude, width, offset, speed, samples)
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}; expected one of {PROFILE_KINDS}")
         if self.kind == "sampled" and self.samples is None:

@@ -8,7 +8,6 @@ byte-identical files.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +42,14 @@ def _write_output(path: Path, pieces) -> Path:
     return path
 
 
-@dataclass
 class CsvTable:
     """Numeric table with a fixed column layout, built from whole columns."""
 
-    header: list[str]
-    columns: list
+    __slots__ = ("header", "columns")
+
+    def __init__(self, header: list[str], columns: list):
+        self.header = header
+        self.columns = columns
 
     def write(self, path: str | Path) -> Path:
         columns = [np.asarray(c, dtype=float) for c in self.columns]
@@ -68,12 +69,14 @@ class CsvTable:
             yield "".join(row_format % tuple(row) for row in block.tolist())
 
 
-@dataclass
 class RunManifest:
     """Flat key/value record of one run: config echo, derived constants,
     versions and seeds, and a pass/fail line per executed check."""
 
-    entries: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[tuple[str, str]] | None = None):
+        self.entries = [] if entries is None else entries
 
     def add(self, key: str, value) -> None:
         if isinstance(value, bool):

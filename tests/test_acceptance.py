@@ -7,7 +7,6 @@ to see the per-criterion lines.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,7 +230,7 @@ def test_criterion_10_picard_contraction(grid_1024, stepping_norm_fit):
     assert abs(bound.t_star - oracle) <= 1e-10
     assert bound.equation_residual() <= 1e-10
     dt = bound.t_star / 4.0
-    step = evolve(replace(cfg, dt=dt, t_end=dt, output_stride=1))  # one step, taken whole
+    step = evolve(cfg._replace(dt=dt, t_end=dt, output_stride=1))  # one step, taken whole
     assert not step.substepping_engaged
     ratio = step.records[-1].picard_ratio
     assert ratio < 1.0

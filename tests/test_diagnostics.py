@@ -1,7 +1,6 @@
 """Norms, bound checks, profile sup-norms, and the spectral-tail record."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +59,7 @@ def test_trajectory_rejects_non_increasing_times():
     last = traj.records[-1]
     for t in (last.t, last.t - 0.05):
         with pytest.raises(ValueError, match="strictly increasing"):
-            traj.append(traj.fields[-1], replace(last, t=t))
+            traj.append(traj.fields[-1], last._replace(t=t))
     assert traj.times == [0.0, 0.1, 0.2]
     assert len(traj.fields) == len(traj.records) == 3
 
@@ -105,7 +104,7 @@ def test_energy_bound_check_on_restarted_run(grid_1024):
     traj.params = None
     assert energy_bound_check(traj).ok
     last = traj.records[-1]
-    traj.records[-1] = replace(last, l2=1.01 * last.energy_bound)
+    traj.records[-1] = last._replace(l2=1.01 * last.energy_bound)
     report = energy_bound_check(traj)
     assert not report.ok
     assert report.first_violation == len(traj.records) - 1
@@ -196,7 +195,7 @@ def test_energy_bound_of_an_infinite_rate_is_never_nan():
     # numbers; the bound is ||v0|| at t = 0 and +inf after, zero data included
     params = EnergyBoundParams(alpha0=1.8, c_phi=math.inf, v0_norm=0.5)
     assert params.bound(0.0) == 0.5 and params.bound(0.02) == math.inf
-    zero = replace(params, v0_norm=0.0)
+    zero = params._replace(v0_norm=0.0)
     assert zero.bound(0.0) == 0.0 and zero.bound(0.02) == math.inf
 
 
@@ -206,7 +205,7 @@ def test_energy_bound_saturates_at_inf():
     # bound is refused
     params = EnergyBoundParams(alpha0=1.8, c_phi=1000.0, v0_norm=0.5)
     assert params.bound(0.7) < math.inf and params.bound(0.8) == math.inf
-    assert replace(params, v0_norm=0.0).bound(0.8) == math.inf
+    assert params._replace(v0_norm=0.0).bound(0.8) == math.inf
     record = dict(t=0.8, l2=1.0, mass=0.0, mass_drift=0.0, picard_iters=0,
                   picard_ratio=0.0, spectral_tail=0.0)
     assert DiagnosticsRecord(energy_bound=params.bound(0.8), **record).energy_bound == math.inf

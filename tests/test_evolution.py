@@ -3,7 +3,6 @@
 import math
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,7 +85,7 @@ def test_flux_output_has_zero_mean(grid_1024):
 
 def one_step(cfg, dt):
     """The end field and record of a single dt step from cfg.v0, taken whole."""
-    traj = evolve(replace(cfg, dt=dt, t_end=dt, output_stride=1))
+    traj = evolve(cfg._replace(dt=dt, t_end=dt, output_stride=1))
     assert not traj.substepping_engaged
     return traj.fields[-1], traj.records[-1]
 
@@ -235,8 +234,8 @@ def test_resume_rejects_another_band_dt_equation_or_initial_data(grid_1024):
     # one as the other ran on silently, to a norm 27x the direct run's
     cfg = moving_tanh_config(grid_1024, t_end=0.002, dt=1e-3)
     first = evolve(cfg)
-    for other in (replace(cfg, dt=5e-4, t_end=0.001), replace(cfg, dealias=False),
-                  replace(cfg, grid=make_grid(512, 40.0))):
+    for other in (cfg._replace(dt=5e-4, t_end=0.001), cfg._replace(dealias=False),
+                  cfg._replace(grid=make_grid(512, 40.0))):
         with pytest.raises(ValueError, match="cannot resume"):
             evolve(other, resume=first)
     wrong_equation = r"cannot resume .* \(342, 0.001, True\) as \(342, 0.001, False\)"

@@ -3,10 +3,13 @@ touches numpy.fft, and every inverse transform there is n points long), no
 cache on a method, which would keep every instance and argument it saw alive
 for the whole process, no cache built inside a function body, which would be
 a new cache on every call, only the command layer importing the kernel
-module, and numpy as the only runtime dependency outside the standard
-library."""
+module, numpy as the only runtime dependency outside the standard
+library, and no import of dataclasses, whose classes generate and exec their
+methods at every start-up (records are NamedTuple or record.Record classes)."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -205,3 +208,41 @@ def test_guard_detects_third_party_imports():
 def test_runtime_dependency_is_numpy_only():
     offenders = [f"{name}: {m}" for name, tree in modules() for m in third_party_imports(tree)]
     assert offenders == []
+
+
+def imports_module(tree, module: str) -> bool:
+    """tree imports module, or a name from it, anywhere (absolute imports)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            return True
+    return False
+
+
+def test_guard_detects_dataclasses_imports():
+    for source in ("import dataclasses\n", "from dataclasses import dataclass, field\n",
+                   "import math, dataclasses as dc\n",
+                   "def f():\n    from dataclasses import replace\n"):
+        assert imports_module(ast.parse(source), "dataclasses"), source
+    for source in ("from .dataclasses import x\n", "import dataclasses_json\n",
+                   "from typing import NamedTuple\n", "from .record import Record\n"):
+        assert not imports_module(ast.parse(source), "dataclasses"), source
+
+
+def test_no_module_imports_dataclasses():
+    offenders = [name for name, tree in modules() if imports_module(tree, "dataclasses")]
+    assert offenders == []
+
+
+def test_fresh_import_leaves_dataclasses_unloaded():
+    # nothing the package imports at start-up pulls dataclasses in either
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, fowler.cli; print(sorted({'fowler.cli', 'dataclasses'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert result.stdout.strip() == "['fowler.cli']"
