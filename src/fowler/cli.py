@@ -40,7 +40,7 @@ from .kernel import (
     semigroup_residual,
 )
 from .operator import apply_nonlocal_fourier, apply_nonlocal_integral
-from .reporting import CsvTable, RunManifest, derived_constants, echo_config
+from .reporting import CsvTable, RunManifest, contraction_bound, derived_constants, echo_config
 
 __all__ = ["main"]
 
@@ -174,7 +174,14 @@ def _run_evolution(settings: RunSettings, manifest: RunManifest, out: Path, full
     manifest.add("run.final_l2", records[-1].l2)
     manifest.add("run.max_mass_drift", max_drift)
     manifest.add("run.min_bound_margin", float(report.margins.min()))
+    try:
+        ratio_bound = contraction_bound(settings).ratio_bound(sim.dt)
+    except ArithmeticError:  # derived.t_star is nan, and derived.t_star_error says why
+        ratio_bound = math.nan
     manifest.add("stats.picard_iters_total", traj.picard_iters_total)
+    manifest.add("stats.picard_iters_max", traj.picard_iters_max)
+    manifest.add("stats.picard_ratio_max", traj.picard_ratio_max)
+    manifest.add("stats.picard_ratio_bound", ratio_bound)
     manifest.add("stats.steps_by_seed_order", " ".join(map(str, traj.steps_by_seed_order)))
     manifest.check("energy_bound", report.ok, "energy bound",
                    f"min margin {report.margins.min():.3e}")
@@ -246,19 +253,22 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command is a positional choice, and the commands'
+    docstrings are the epilog."""
+    commands = "\n".join(f"  {name:<16}{func.__doc__}" for name, func in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="fowler",
         description="Pseudo-spectral checks and simulations for the Fowler dune equation",
+        epilog=f"commands:\n{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in COMMANDS.items():
-        p = sub.add_parser(name, help=func.__doc__)
-        p.add_argument("config", help="run configuration file")
-        p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument(
-            "--snapshots", action="store_true",
-            help="also write field snapshots (t, x, v)",
-        )
+    parser.add_argument("command", choices=COMMANDS, help="what to run (see commands below)")
+    parser.add_argument("config", help="run configuration file")
+    parser.add_argument("--out", default=".", help="output directory (default: .)")
+    parser.add_argument(
+        "--snapshots", action="store_true",
+        help="also write field snapshots (t, x, v)",
+    )
     return parser
 
 

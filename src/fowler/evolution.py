@@ -12,18 +12,24 @@ for the full equation.  Per spectral mode the map reads
 where E = e^{-psi dt}, D = 2 i pi xi, and phi1, phi2 are the exponential
 integrals of the two-point (endpoint) product rule in s - a second-order
 exponential-trapezoid.  The implicit N1_hat is resolved by Picard iteration
-seeded with an exponential Adams-Bashforth prediction of order q <= 4: N1_hat
+seeded with an exponential Adams-Bashforth prediction of order q <= 6: N1_hat
 is extrapolated from the step's start term N0_hat and the start terms of up
-to three earlier steps of the same size, each ending where the next starts,
-with weights (1), (2, -1), (3, -3, 1) or (4, -6, 4, -1), newest first.  Order
-control works on evidence: a step whose Picard iterate contracted by a ratio
-above RHO_HISTORY drops the history, and a first step, piece 1 of a split
-step and the step after a split have none, so each of them seeds with
-exponential Euler, N1_hat = N0_hat, and the order climbs back one step at a
-time; a resumed run continues the history of the run it resumes.  Only the
-starting iterate depends on the seed, not the fixed point.  A step returns
-the iterate w whose residual met the tolerance and N(w, t1), which the next
-step, or a retry from the same state, takes as its N0_hat.
+to five earlier steps of the same size, each ending where the next starts,
+with weights (1), (2, -1), (3, -3, 1), (4, -6, 4, -1), (5, -10, 10, -5, 1) or
+(6, -15, 20, -15, 6, -1), newest first.  Order control works on evidence.
+The order climbs from 1 to 4 one step at a time.  Order 4 moves up after a
+step that took more than two Picard iterations; above it the order moves up,
+to at most 6, after a step whose seed missed the tolerance, and down, to no
+less than 4, after a step whose seed met it.  So a run whose order-4 steps
+take at most two iterations never seeds above order 4.  A step whose Picard
+iterate contracted by a ratio above RHO_HISTORY drops the history, and a
+first step, piece 1 of a split step and the step after a split have none, so
+each of them seeds with exponential Euler, N1_hat = N0_hat, and the order
+climbs back one step at a time; a resumed run continues the history of the
+run it resumes.  Only the starting iterate depends on the seed, not the fixed
+point.  A step returns the iterate w whose residual met the tolerance and
+N(w, t1), which the next step, or a retry from the same state, takes as its
+N0_hat.
 
 Step control works on evidence: each dt step is first tried whole and, when
 Picard contracts by a ratio above RHO_MAX, misses picard_tol or goes
@@ -86,8 +92,13 @@ RHO_MAX = 0.5
 RHO_HISTORY = 0.2
 
 #: weights of the order-q Picard seed on the start terms (N0, N_-1, ...),
-#: newest first, for q = 1..4
-SEED_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+#: newest first, for q = 1..6: (-1)^j binomial(q, j + 1) on N_-j
+SEED_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
+                (5.0, -10.0, 10.0, -5.0, 1.0), (6.0, -15.0, 20.0, -15.0, 6.0, -1.0))
+
+#: the seed's history grows one term per step up to this length (order 4),
+#: and moves on evidence above it, up to len(SEED_WEIGHTS) - 1 terms
+HISTORY_FLOOR = 3
 
 #: a dt step that still fails when cut into this many pieces is a numerical
 #: fault
@@ -193,19 +204,24 @@ class Trajectory:
     empty (steps_by_seed_order at one zero per seed order)."""
 
     __slots__ = ("fields", "records", "params", "max_substeps", "picard_iters_total",
-                 "steps_by_seed_order", "end")
+                 "steps_by_seed_order", "end", "picard_iters_max", "picard_ratio_max")
 
     def __init__(self, fields: list[RealField] | None = None,
                  records: list[DiagnosticsRecord] | None = None,
                  params: EnergyBoundParams | None = None, max_substeps: int = 1,
                  picard_iters_total: int = 0, steps_by_seed_order: list[int] | None = None,
-                 end: _StepState | None = None):
+                 end: _StepState | None = None, picard_iters_max: int = 0,
+                 picard_ratio_max: float = 0.0):
         self.fields = [] if fields is None else fields
         self.records = [] if records is None else records
         self.params = params
         self.max_substeps = max_substeps  # most pieces any dt step was cut into
         self.picard_iters_total = picard_iters_total  # over every attempt, failed ones included
-        # accepted steps and pieces by the order of their Picard seed, 1..4
+        # the most iterations and the largest contraction ratio of any
+        # accepted step or piece
+        self.picard_iters_max = picard_iters_max
+        self.picard_ratio_max = picard_ratio_max
+        # accepted steps and pieces by the order of their Picard seed, 1..6
         self.steps_by_seed_order = ([0] * len(SEED_WEIGHTS) if steps_by_seed_order is None
                                     else steps_by_seed_order)
         # the state after the last step, which evolve(..., resume=) continues from
@@ -361,7 +377,7 @@ def _single_step(
     (full-equation flux).  Returns (w, N(w, t1), iterations, ratio) for the
     first iterate w with |Theta w - w| <= tol.  An unconverged iterate
     contracting by a ratio above RHO_MAX, or going non-finite, aborts the
-    loop with a PicardError.  history holds the start terms of up to three
+    loop with a PicardError.  history holds the start terms of up to five
     earlier same-size steps, newest first (see the module docstring); the
     seed's order is 1 + len(history)."""
     E, A0, A1 = tables.E, tables.A0, tables.A1
@@ -450,6 +466,23 @@ class _StepState(Record):
         self._fill(vhat, nhat, history, step, dt, mass0, coupled)
 
 
+def _next_history(history: tuple[np.ndarray, ...], N0: np.ndarray | None, iters: int,
+                  ratio: float) -> tuple[np.ndarray, ...]:
+    """The history the next same-size step seeds from, after a step that
+    started on N0 with history, took iters iterations and contracted by
+    ratio (see the module docstring)."""
+    if N0 is None or ratio > RHO_HISTORY:
+        return ()
+    size = len(history)
+    if size < HISTORY_FLOOR or iters > (2 if size == HISTORY_FLOOR else 1):
+        keep = min(size + 1, len(SEED_WEIGHTS) - 1)
+    elif iters == 1:  # the seed met the tolerance: one order less may serve
+        keep = max(size - 1, HISTORY_FLOOR)
+    else:
+        keep = size
+    return ((N0,) + history)[:keep]
+
+
 def _take_step(state: _StepState, cfg: SimConfig, u_of_t, traj: Trajectory):
     """One dt step from state: whole first, then from the same state in 2,
     4, 8, ... pieces while Picard reports a fault.  Returns the next state
@@ -472,8 +505,7 @@ def _take_step(state: _StepState, cfg: SimConfig, u_of_t, traj: Trajectory):
                 )
                 traj.picard_iters_total += it
                 traj.steps_by_seed_order[len(history)] += 1
-                keep = len(SEED_WEIGHTS) - 1 if r <= RHO_HISTORY else 0
-                history = ((N,) + history)[:keep] if N is not None else ()
+                history = _next_history(history, N, it, r)
                 N = N_end
                 iters, ratio = max(iters, it), max(ratio, r)
         except PicardError as exc:
@@ -554,6 +586,8 @@ def _advance(cfg: SimConfig, v0_override: RealField | None, resume: Trajectory |
     last = state.step + cfg.steps
     while state.step < last:
         state, iters, ratio = _take_step(state, cfg, u_of_t, traj)
+        traj.picard_iters_max = max(traj.picard_iters_max, iters)
+        traj.picard_ratio_max = max(traj.picard_ratio_max, ratio)
         t = state.step * cfg.dt
         l2 = perturbation_norm(state.vhat, t)
         if not math.isfinite(l2) or l2 > BLOWUP_FACTOR * max(traj.params.bound(t), 1e-300):

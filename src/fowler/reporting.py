@@ -15,10 +15,10 @@ import numpy as np
 from . import __version__
 from .config import CONFIG_SCHEMA, ConfigError, RunSettings
 from .diagnostics import c1b_norm, l2_norm
-from .evolution import K0, K1, contraction_time_bound
+from .evolution import K0, K1, ContractionBound, contraction_time_bound
 from .operator import A_I, ALPHA0, B_I, GAMMA_TWO_THIRDS, XI_C, XI_STAR
 
-__all__ = ["CsvTable", "RunManifest", "format_float", "derived_constants"]
+__all__ = ["CsvTable", "RunManifest", "format_float", "contraction_bound", "derived_constants"]
 
 
 def format_float(x) -> str:
@@ -118,19 +118,28 @@ def echo_config(manifest: RunManifest, settings: RunSettings) -> None:
             manifest.add(f"{section}.{key}", value)
 
 
+def contraction_bound(settings: RunSettings) -> ContractionBound:
+    """The uniqueness lemma's bound for the configured data, with the norm
+    budget M = 2 ||v0|| of two iterates; t_star is inf when v0 and the
+    profile are both zero, which leaves nothing to contract.  Raises
+    ArithmeticError when the root cannot be represented."""
+    sim = settings.sim
+    u_norm = c1b_norm(sim.profile, sim.grid)
+    v0_norm = l2_norm(settings.v0_field)
+    if v0_norm > 0.0 or u_norm > 0.0:
+        return contraction_time_bound(2.0 * v0_norm, u_norm)
+    return ContractionBound(M=0.0, u_phi_norm=0.0, t_star=np.inf)
+
+
 def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
     """Compute and record every constant derivable from the config alone."""
     sim = settings.sim
-    u_norm = c1b_norm(sim.profile, sim.grid)
-    c_phi = 0.5 * u_norm
-    v0_norm = l2_norm(settings.v0_field)
-    t_star = np.inf
-    if v0_norm > 0.0 or u_norm > 0.0:
-        try:
-            t_star = contraction_time_bound(2.0 * v0_norm, u_norm).t_star
-        except ArithmeticError as exc:  # t_star steers nothing: record nan and why
-            t_star = np.nan
-            manifest.add("derived.t_star_error", str(exc))
+    c_phi = 0.5 * c1b_norm(sim.profile, sim.grid)
+    try:
+        t_star = contraction_bound(settings).t_star
+    except ArithmeticError as exc:  # t_star steers nothing: record nan and why
+        t_star = np.nan
+        manifest.add("derived.t_star_error", str(exc))
     values = {
         "a_I": A_I,
         "b_I": B_I,

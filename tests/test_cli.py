@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import fowler
-from fowler.cli import main
+from fowler.cli import COMMANDS, main
 from fowler.config import CONFIG_SCHEMA, ConfigError, parse_config
+from fowler.diagnostics import c1b_norm, l2_norm
+from fowler.evolution import RHO_HISTORY, contraction_time_bound
 from fowler.reporting import RunManifest, echo_config
 
 
@@ -166,6 +168,18 @@ def test_readme_config_block_states_the_defaults(tmp_path):
 def test_usage_error_exits_1(capsys):
     assert main([]) == 1
     assert main(["no-such-command", "x.cfg"]) == 1
+    assert main(["evolve"]) == 1
+    assert main(["evolve", "x.cfg", "--no-such-option"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["evolve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    # one parser: its help names every command with its docstring
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: fowler ")
+    for name, func in COMMANDS.items():
+        assert f"  {name} " in text and func.__doc__ in text
 
 
 def test_config_error_exits_1(tmp_path, capsys):
@@ -720,17 +734,54 @@ def test_evolve_snapshots_flag(tmp_path):
 
 @pytest.mark.parametrize("command", ["evolve", "evolve-full"])
 def test_evolve_reports_picard_work(tmp_path, command):
-    # 50 whole steps: the seed climbs from order 1 to 4.  The full equation
-    # runs on a constant profile, a steady state of it
+    # 50 whole steps: the seed climbs from order 1 to 4, whose steps take at
+    # most two iterations, so it stays there.  The full equation runs on a
+    # constant profile, a steady state of it.  The largest observed ratio
+    # stays below the lemma's bound at dt for the bound behind t_star
     text = TANH_SHORT if command == "evolve" else TANH_SHORT.replace("tanh-front", "constant")
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main([command, cfg, "--out", str(out)]) == 0
     manifest = _manifest(out)
-    assert manifest["stats.steps_by_seed_order"] == "1 1 1 47"
+    assert manifest["stats.steps_by_seed_order"] == "1 1 1 47 0 0"
     iterations = int(manifest["stats.picard_iters_total"])
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
     assert 50 <= iterations <= 60 and iterations >= rows[:, 4].sum()
+    assert int(manifest["stats.picard_iters_max"]) == 3 >= rows[:, 4].max()
+    ratio_max = float(manifest["stats.picard_ratio_max"])
+    assert 0.0 < ratio_max <= RHO_HISTORY and ratio_max >= rows[:, 5].max()
+    settings = parse_config(cfg)
+    bound = contraction_time_bound(2.0 * l2_norm(settings.v0_field),
+                                   c1b_norm(settings.sim.profile, settings.sim.grid))
+    assert bound.t_star == float(manifest["derived.t_star"])
+    assert float(manifest["stats.picard_ratio_bound"]) == bound.ratio_bound(1e-3) > ratio_max
+
+
+@pytest.mark.parametrize("command", ["evolve", "evolve-full"])
+def test_ratio_bound_is_nan_with_t_star(tmp_path, command):
+    # a tanh front of width 1e-300: its C^1_b norm is inf, so t_star is nan,
+    # and so is the ratio bound beside the observed ratio, while the run
+    # steps the sharp front and passes
+    cfg = write_cfg(tmp_path, "[grid]\nn = 64\n\n[profile]\nkind = tanh-front\n"
+                              "width = 1e-300\n\n[time]\nt_end = 0.01\n")
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out", str(out)]) == 0
+    manifest = _manifest(out)
+    assert manifest["derived.t_star"] == manifest["stats.picard_ratio_bound"] == "nan"
+    assert 0.0 < float(manifest["stats.picard_ratio_max"]) <= RHO_HISTORY
+
+
+def test_ratio_bound_without_data_to_contract(tmp_path):
+    # zero data on a zero profile: t_star is inf and the bound 0, which the
+    # observed ratio of the zero fixed point meets
+    cfg = write_cfg(tmp_path, "[profile]\namplitude = 0\n\n[initial]\nkind = zero\n\n"
+                              "[time]\nt_end = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["evolve", cfg, "--out", str(out)]) == 0
+    manifest = _manifest(out)
+    assert manifest["derived.t_star"] == "inf"
+    assert manifest["stats.picard_ratio_bound"] == manifest["stats.picard_ratio_max"] == "0"
+    assert manifest["stats.picard_iters_max"] == "1"
 
 
 def test_snapshots_leave_the_trajectory_unchanged(tmp_path):

@@ -316,11 +316,18 @@ def count_transforms(monkeypatch) -> list:
     return calls
 
 
+def order4_tanh_config(grid):
+    return base_config(grid, profile=WaveProfile(kind="tanh-front", amplitude=1.0, width=1.0),
+                       v0=InitialCondition(kind="gaussian", amplitude=0.1),
+                       t_end=0.1, dt=1e-3)
+
+
 def test_order4_seed_takes_one_picard_iteration(grid_1024, monkeypatch):
     # the tanh front of the ETD2 test: steps 1-3 climb through seed orders
-    # 1-3, every later step is seeded at order 4, and from step 6 on each
-    # step meets the tolerance with its seed, one nonlinear term per step
-    # (2.28 transforms per step with the record fields, 4.18 with ETD2)
+    # 1-3, every later step is seeded at order 4, whose steps take at most
+    # two iterations, so the order never moves above 4, and from step 6 on
+    # each step meets the tolerance with its seed, one nonlinear term per
+    # step (2.28 transforms per step with the record fields, 4.18 with ETD2)
     transforms = count_transforms(monkeypatch)
     iterations = []
     original = evolution._single_step
@@ -331,13 +338,39 @@ def test_order4_seed_takes_one_picard_iteration(grid_1024, monkeypatch):
         return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
-    cfg = base_config(grid_1024, profile=WaveProfile(kind="tanh-front", amplitude=1.0, width=1.0),
-                      v0=InitialCondition(kind="gaussian", amplitude=0.1),
-                      t_end=0.1, dt=1e-3)
-    traj = evolve(cfg)
-    assert traj.steps_by_seed_order == [1, 1, 1, 97]
-    assert set(iterations[5:]) == {1}
+    traj = evolve(order4_tanh_config(grid_1024))
+    assert traj.steps_by_seed_order == [1, 1, 1, 97, 0, 0]
+    assert max(iterations[3:]) == 2 and set(iterations[5:]) == {1}
     assert len(transforms) <= 2.3 * 100
+
+
+def test_order4_run_is_the_order4_stepper(grid_1024, monkeypatch):
+    # where order 4 meets the tolerance within two iterations, the stepper
+    # is the one whose seed stops at order 4, bit for bit: the same records,
+    # fields, end state and Picard work, and no step seeded above order 4
+    cfg = order4_tanh_config(grid_1024)
+    traj = evolve(cfg)
+    monkeypatch.setattr(evolution, "SEED_WEIGHTS", SEED_WEIGHTS[:4])
+    order4 = evolve(cfg)
+    assert traj.steps_by_seed_order == order4.steps_by_seed_order + [0, 0]
+    assert traj.picard_iters_total == order4.picard_iters_total
+    assert_resumes_exactly([traj], order4)
+
+
+def test_higher_seed_orders_cut_the_picard_work_of_a_full_run():
+    # the full-substep-1k workload at n = 256 and 100 steps: order-4 steps
+    # take 2-3 iterations there, and the run evaluated 267 nonlinear terms
+    # with its seed stopped at order 4; orders 5 and 6 cut that by more than
+    # a quarter, and the end state is the same fixed point to Picard's
+    # tolerance (6.148225942161546 at order 4)
+    cfg = base_config(make_grid(256, 40.0), profile=WaveProfile(kind="constant", amplitude=1.0),
+                      v0=InitialCondition(kind="gaussian", amplitude=5.0),
+                      t_end=0.1, dt=1e-3)
+    traj = evolve_full(cfg, keep_fields=False)
+    assert traj.max_substeps == 1
+    assert traj.picard_iters_total <= 0.75 * 267
+    assert sum(traj.steps_by_seed_order[4:]) >= 50
+    assert traj.records[-1].l2 == pytest.approx(6.148225942161546, rel=1e-10)
 
 
 def test_slow_contraction_drops_history_and_splits_nothing(monkeypatch):
@@ -352,7 +385,7 @@ def test_slow_contraction_drops_history_and_splits_nothing(monkeypatch):
         warnings.simplefilter("error")
         traj = evolve(cfg)
     assert traj.max_substeps == 1
-    assert traj.steps_by_seed_order == [60, 0, 0, 0]
+    assert traj.steps_by_seed_order == [60, 0, 0, 0, 0, 0]
     assert len(transforms) <= 45 * 60
 
 
@@ -364,7 +397,7 @@ def test_picard_iters_total_counts_every_nonlinear_term(grid_1024, monkeypatch, 
     if config == "moving-tanh":
         cfg = moving_tanh_config(grid_1024, t_end=0.05, dt=1e-3)
         traj = evolve(cfg)
-        assert traj.steps_by_seed_order == [1, 1, 1, 47]
+        assert traj.steps_by_seed_order == [1, 1, 1, 41, 2, 4]
     else:
         with pytest.warns(UserWarning, match="sub-stepping engaged"):
             traj = evolve(large_gaussian_config(make_grid(256, 40.0), t_end=0.02))
@@ -424,26 +457,40 @@ def test_unsplit_run_evaluates_one_nonlinear_term_per_iteration(grid_1024, monke
     assert len(seen) == 1 + sum(r.picard_iters for r in traj.records)
 
 
+def kept_terms(size: int, iterations: int) -> int:
+    """The seed order rule on the history length: after a step seeded from
+    size terms that took iterations at a ratio of at most RHO_HISTORY, one
+    term more up to 3; at 3, one more after more than two iterations; above
+    3, one more after more than one iteration and one fewer after one; 3 to
+    5 terms."""
+    if size < 3:
+        return size + 1
+    if iterations > (2 if size == 3 else 1):
+        return min(size + 1, 5)
+    return max(size - 1, 3) if iterations == 1 else size
+
+
 @pytest.mark.parametrize("run", [evolve, evolve_full])
 def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
     # a moving profile under evolve, no coupling under evolve_full: every
     # step's start term is the previous step's end term, and both equal a
     # fresh evaluation at the state and time they belong to, bit for bit;
     # the seed's history is the start terms of the previous steps, newest
-    # first, up to three of them
+    # first, as many as the order rule keeps (kept_terms)
     steps = []
     original = evolution._single_step
 
     def spy(vhat, N0, t0, t1, cfg, tables, u_of_t, history=()):
         out = original(vhat, N0, t0, t1, cfg, tables, u_of_t, history)
-        steps.append((vhat, N0, t0, out[0], out[1], t1, tables, u_of_t, history))
+        steps.append((vhat, N0, t0, out[0], out[1], t1, tables, u_of_t, history, out[2]))
         return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
     cfg = moving_tanh_config(grid_1024, t_end=0.02, dt=1e-3, output_stride=1)
     run(cfg)
     assert len(steps) == 20
-    for k, (vhat, N0, t0, w, N1, t1, tables, u_of_t, history) in enumerate(steps):
+    assert max(len(step[8]) for step in steps) == 5  # the order reaches 6
+    for k, (vhat, N0, t0, w, N1, t1, tables, u_of_t, history, _) in enumerate(steps):
         sampler = None if u_of_t is None else evolution._profile_sampler(cfg, tables)
         for state, term, t in ((vhat, N0, t0), (w, N1, t1)):
             fresh = _nonlinear_hat(state, None if sampler is None else sampler(t),
@@ -451,7 +498,7 @@ def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
             assert np.array_equal(term, fresh), (k, t)
         if k:
             assert N0 is steps[k - 1][4] and t0 == steps[k - 1][5]
-        assert len(history) == min(k, len(SEED_WEIGHTS) - 1), k
+            assert len(history) == kept_terms(len(steps[k - 1][8]), steps[k - 1][9]), k
         for i, term in enumerate(history):
             assert np.array_equal(term, steps[k - 1 - i][1]), (k, i)
 
@@ -478,7 +525,8 @@ def test_steps_carry_only_the_retained_band(grid_1024, monkeypatch, run, dealias
 
 def test_history_is_the_previous_same_size_start_term(monkeypatch):
     # the history passed to a step is the start terms of the calls just
-    # before it, newest first and up to three, while each had the same size,
+    # before it, newest first and as many as the order rule keeps
+    # (kept_terms), while each had the same size,
     # ended where the next starts and contracted by a ratio of at most
     # RHO_HISTORY; it is empty on the first step, on piece 1 of a split step,
     # on the whole step after a split and after a step whose ratio exceeded
@@ -486,7 +534,9 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
     # resumes, as if the two were one run.  Amplitude 4 with picard_max = 5
     # splits every step in 8 pieces, most seeded at order 4; amplitude 6
     # with picard_max = 12 takes 12-13 iterations per whole step at ratios
-    # near 0.3, so some whole steps miss picard_max and split in 2
+    # near 0.3, so some whole steps miss picard_max and split in 2.  The
+    # moving front splits nothing: its order climbs to 6 on steps 1-6, and
+    # the resume after step 6 falls back to order 4 one order at a time
     calls = []
     original = evolution._single_step
 
@@ -494,12 +544,13 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
         call = {"N0": N0, "history": history, "t0": t0, "t1": t1, "dt": tables.dt}
         calls.append(call)
         out = original(vhat, N0, t0, t1, cfg, tables, u_of_t, history)
-        call["ratio"] = out[3]
+        call["ratio"], call["iterations"] = out[3], out[2]
         return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
     named = {"first": 0, "piece 1": 0, "after a split": 0,
-             "after a ratio above RHO_HISTORY": 0, "with history": 0}
+             "after a ratio above RHO_HISTORY": 0, "with history": 0,
+             "above order 4": 0, "one order down": 0}
 
     def check(cfg, calls):
         on_step_grid = {k * cfg.dt for k in range(2 * cfg.steps + 1)}
@@ -510,11 +561,16 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
                     or before["t1"] != call["t0"] or before["ratio"] > RHO_HISTORY):
                 expected = ()
             else:
-                expected = ((before["N0"],) + before["history"])[:len(SEED_WEIGHTS) - 1]
+                keep = kept_terms(len(before["history"]), before["iterations"])
+                expected = ((before["N0"],) + before["history"])[:keep]
             history = call["history"]
             assert len(history) == len(expected), k
             for term, earlier in zip(history, expected):
                 assert np.array_equal(term, earlier), k
+            if len(history) > 3:
+                named["above order 4"] += 1
+            if history and len(history) < len(before["history"]):
+                named["one order down"] += 1
             if history:
                 named["with history"] += 1
             elif before is None:
@@ -526,14 +582,18 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
             elif call["dt"] == cfg.dt and before["dt"] < cfg.dt:
                 named["after a split"] += 1
 
-    for amplitude, picard_max, t_end in ((4.0, 5, 0.05), (6.0, 12, 0.3)):
-        cfg = base_config(make_grid(256, 40.0),
-                          v0=InitialCondition(kind="gaussian", amplitude=amplitude),
-                          dt=1e-2, t_end=t_end, picard_max=picard_max, output_stride=1)
+    configs = [base_config(make_grid(256, 40.0),
+                           v0=InitialCondition(kind="gaussian", amplitude=amplitude),
+                           dt=1e-2, t_end=t_end, picard_max=picard_max, output_stride=1)
+               for amplitude, picard_max, t_end in ((4.0, 5, 0.05), (6.0, 12, 0.3))]
+    configs.append(moving_tanh_config(make_grid(128, 40.0), dt=1e-3, t_end=0.006,
+                                      output_stride=1))
+    for cfg in configs:
         calls.clear()
-        with pytest.warns(UserWarning, match="sub-stepping engaged"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             traj = evolve(cfg)
-        assert traj.substepping_engaged
+        assert traj.substepping_engaged == (cfg.dt == 1e-2)
         resumed = len(calls)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a split resumed run warns again
@@ -543,9 +603,10 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
         assert calls[resumed]["t0"] == calls[resumed - 1]["t1"]
         assert calls[resumed]["history"] is traj.end.history
         check(cfg, list(calls))
-    assert named["first"] == 2 and named["piece 1"] >= 2
+    assert named["first"] == 3 and named["piece 1"] >= 2
     assert named["after a split"] >= 2 and named["with history"] >= 10
     assert named["after a ratio above RHO_HISTORY"] >= 5
+    assert named["above order 4"] >= 2 and named["one order down"] >= 2
 
 
 def test_retry_reuses_the_start_term(monkeypatch):
@@ -765,7 +826,20 @@ def test_restart_matches_direct_run(grid_1024):
     second = evolve(base_config(grid_1024, t_end=0.1, **kw), resume=first)
     assert_resumes_exactly([first, second], direct)
     assert second.times[-1] == pytest.approx(0.2) and second.params == direct.params
-    assert len(second.end.history) == len(SEED_WEIGHTS) - 1
+    assert len(second.end.history) == 3
+    # a resume point whose history holds 4 or 5 terms, under either
+    # equation: the moving front seeds steps 5 and 6 at orders 5 and 6
+    kw["output_stride"] = 1
+    for run in (evolve, evolve_full):
+        direct = run(base_config(grid_1024, t_end=0.02, **kw))
+        for steps in (4, 5):
+            first = run(base_config(grid_1024, t_end=steps * 1e-3, **kw))
+            second = run(base_config(grid_1024, t_end=(20 - steps) * 1e-3, **kw), resume=first)
+            assert len(first.end.history) == steps
+            assert_resumes_exactly([first, second], direct)
+            assert [a + b for a, b in zip(first.steps_by_seed_order,
+                                          second.steps_by_seed_order)] == direct.steps_by_seed_order
+            assert first.picard_iters_total + second.picard_iters_total == direct.picard_iters_total
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -778,7 +852,7 @@ def test_end_state_bands_own_their_memory(grid_1024, stepper, dealias):
                       dt=1e-3, t_end=5e-3, dealias=dealias)
     state = stepper(cfg, keep_fields=False).end
     bands = [state.vhat, state.nhat, *state.history]
-    assert len(bands) == 5
+    assert 3 <= len(state.history) <= 5
     modes = real_spectrum(grid_1024).dealias_modes if dealias else grid_1024.n // 2 + 1
     for band in bands:
         assert band.shape == (modes,) and band.base is None and band.flags.owndata

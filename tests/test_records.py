@@ -20,7 +20,8 @@ REQUIRED = inspect.Parameter.empty
 
 #: constructor parameters and defaults, as the dataclasses had them; a list
 #: the dataclass built with a default factory now defaults to None and starts
-#: empty (Trajectory's steps_by_seed_order at one zero per seed order)
+#: empty (Trajectory's steps_by_seed_order at one zero per seed order), and
+#: Trajectory's Picard maxima came later, after all the others
 SIGNATURES = {
     (grid, "Grid"): [("n", REQUIRED), ("length", REQUIRED)],
     (grid, "RealField"): [("grid", REQUIRED), ("values", REQUIRED)],
@@ -45,7 +46,8 @@ SIGNATURES = {
         ("output_stride", 10), ("linear_only", False)],
     (evolution, "Trajectory"): [
         ("fields", None), ("records", None), ("params", None), ("max_substeps", 1),
-        ("picard_iters_total", 0), ("steps_by_seed_order", None), ("end", None)],
+        ("picard_iters_total", 0), ("steps_by_seed_order", None), ("end", None),
+        ("picard_iters_max", 0), ("picard_ratio_max", 0.0)],
     (evolution, "ContractionBound"): [("M", REQUIRED), ("u_phi_norm", REQUIRED),
                                       ("t_star", REQUIRED)],
     (evolution, "_StepTables"): [("spectrum", REQUIRED), ("dt", REQUIRED), ("E", REQUIRED),
@@ -135,10 +137,10 @@ def test_frozen_records_reject_assignment(instances, name):
 
 def test_mutable_records_start_with_fresh_lists():
     first, second = evolution.Trajectory(), evolution.Trajectory()
-    assert first.fields == first.records == [] and first.steps_by_seed_order == [0, 0, 0, 0]
+    assert first.fields == first.records == [] and first.steps_by_seed_order == [0] * 6
     first.records.append(None)
     first.steps_by_seed_order[0] += 1
-    assert second.records == [] and second.steps_by_seed_order == [0, 0, 0, 0]
+    assert second.records == [] and second.steps_by_seed_order == [0] * 6
     manifest = reporting.RunManifest()
     manifest.add("a", 1)
     assert manifest.entries == [("a", "1")] and reporting.RunManifest().entries == []
