@@ -40,7 +40,13 @@ from .kernel import (
     semigroup_residual,
 )
 from .operator import apply_nonlocal_fourier, apply_nonlocal_integral
-from .reporting import CsvTable, RunManifest, contraction_bound, derived_constants, echo_config
+from .reporting import (
+    CsvTable,
+    RunManifest,
+    derived_constants,
+    echo_config,
+    picard_ratio_bound,
+)
 
 __all__ = ["main"]
 
@@ -174,14 +180,10 @@ def _run_evolution(settings: RunSettings, manifest: RunManifest, out: Path, full
     manifest.add("run.final_l2", records[-1].l2)
     manifest.add("run.max_mass_drift", max_drift)
     manifest.add("run.min_bound_margin", float(report.margins.min()))
-    try:
-        ratio_bound = contraction_bound(settings).ratio_bound(sim.dt)
-    except ArithmeticError:  # derived.t_star is nan, and derived.t_star_error says why
-        ratio_bound = math.nan
     manifest.add("stats.picard_iters_total", traj.picard_iters_total)
     manifest.add("stats.picard_iters_max", traj.picard_iters_max)
     manifest.add("stats.picard_ratio_max", traj.picard_ratio_max)
-    manifest.add("stats.picard_ratio_bound", ratio_bound)
+    manifest.add("stats.picard_ratio_bound", picard_ratio_bound(settings, sim.dt))
     manifest.add("stats.steps_by_seed_order", " ".join(map(str, traj.steps_by_seed_order)))
     manifest.check("energy_bound", report.ok, "energy bound",
                    f"min margin {report.margins.min():.3e}")

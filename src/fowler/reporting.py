@@ -18,7 +18,7 @@ from .diagnostics import c1b_norm, l2_norm
 from .evolution import K0, K1, ContractionBound, contraction_time_bound
 from .operator import A_I, ALPHA0, B_I, GAMMA_TWO_THIRDS, XI_C, XI_STAR
 
-__all__ = ["CsvTable", "RunManifest", "format_float", "contraction_bound", "derived_constants"]
+__all__ = ["CsvTable", "RunManifest", "format_float", "derived_constants", "picard_ratio_bound"]
 
 
 def format_float(x) -> str:
@@ -118,28 +118,37 @@ def echo_config(manifest: RunManifest, settings: RunSettings) -> None:
             manifest.add(f"{section}.{key}", value)
 
 
-def contraction_bound(settings: RunSettings) -> ContractionBound:
+def _contraction_bound(settings: RunSettings) -> tuple[ContractionBound | None, str]:
     """The uniqueness lemma's bound for the configured data, with the norm
     budget M = 2 ||v0|| of two iterates; t_star is inf when v0 and the
-    profile are both zero, which leaves nothing to contract.  Raises
-    ArithmeticError when the root cannot be represented."""
+    profile are both zero, which leaves nothing to contract.  The root
+    steers nothing, so one that cannot be represented gives None and the
+    reason instead of a fault."""
     sim = settings.sim
     u_norm = c1b_norm(sim.profile, sim.grid)
     v0_norm = l2_norm(settings.v0_field)
-    if v0_norm > 0.0 or u_norm > 0.0:
-        return contraction_time_bound(2.0 * v0_norm, u_norm)
-    return ContractionBound(M=0.0, u_phi_norm=0.0, t_star=np.inf)
+    if v0_norm == 0.0 and u_norm == 0.0:
+        return ContractionBound(M=0.0, u_phi_norm=0.0, t_star=np.inf), ""
+    try:
+        return contraction_time_bound(2.0 * v0_norm, u_norm), ""
+    except ArithmeticError as exc:
+        return None, str(exc)
+
+
+def picard_ratio_bound(settings: RunSettings, dt: float) -> float:
+    """The lemma's contraction ratio at steps of dt for the bound behind
+    derived.t_star; nan where t_star is nan."""
+    bound, _ = _contraction_bound(settings)
+    return np.nan if bound is None else bound.ratio_bound(dt)
 
 
 def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
     """Compute and record every constant derivable from the config alone."""
     sim = settings.sim
     c_phi = 0.5 * c1b_norm(sim.profile, sim.grid)
-    try:
-        t_star = contraction_bound(settings).t_star
-    except ArithmeticError as exc:  # t_star steers nothing: record nan and why
-        t_star = np.nan
-        manifest.add("derived.t_star_error", str(exc))
+    bound, error = _contraction_bound(settings)
+    if bound is None:
+        manifest.add("derived.t_star_error", error)
     values = {
         "a_I": A_I,
         "b_I": B_I,
@@ -150,7 +159,7 @@ def derived_constants(manifest: RunManifest, settings: RunSettings) -> dict:
         "K0": K0,
         "K1": K1,
         "C_phi": c_phi,
-        "t_star": t_star,
+        "t_star": np.nan if bound is None else bound.t_star,
     }
     for key, value in values.items():
         manifest.add(f"derived.{key}", float(value))
