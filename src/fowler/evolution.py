@@ -12,24 +12,27 @@ for the full equation.  Per spectral mode the map reads
 where E = e^{-psi dt}, D = 2 i pi xi, and phi1, phi2 are the exponential
 integrals of the two-point (endpoint) product rule in s - a second-order
 exponential-trapezoid.  The implicit N1_hat is resolved by Picard iteration
-seeded with an exponential Adams-Bashforth prediction of order q <= 6: N1_hat
+seeded with an exponential Adams-Bashforth prediction of order q <= 7: N1_hat
 is extrapolated from the step's start term N0_hat and the start terms of up
-to five earlier steps of the same size, each ending where the next starts,
-with weights (1), (2, -1), (3, -3, 1), (4, -6, 4, -1), (5, -10, 10, -5, 1) or
-(6, -15, 20, -15, 6, -1), newest first.  Order control works on evidence.
-The order climbs from 1 to 4 one step at a time.  Order 4 moves up after a
-step that took more than two Picard iterations; above it the order moves up,
-to at most 6, after a step whose seed missed the tolerance, and down, to no
-less than 4, after a step whose seed met it.  So a run whose order-4 steps
-take at most two iterations never seeds above order 4.  A step whose Picard
-iterate contracted by a ratio above RHO_HISTORY drops the history, and a
-first step, piece 1 of a split step and the step after a split have none, so
-each of them seeds with exponential Euler, N1_hat = N0_hat, and the order
-climbs back one step at a time; a resumed run continues the history of the
-run it resumes.  Only the starting iterate depends on the seed, not the fixed
-point.  A step returns the iterate w whose residual met the tolerance and
-N(w, t1), which the next step, or a retry from the same state, takes as its
-N0_hat.
+to six earlier steps of the same size, each ending where the next starts,
+with the weights (-1)^j binomial(q, j + 1) on the j-th term, newest first:
+(1), (2, -1), (3, -3, 1), ... up to (7, -21, 35, -35, 21, -7, 1).  Order
+control works on evidence.  The order climbs from 1 to 4 one step at a time.
+Order 4 moves up after a step that took more than two Picard iterations;
+above it the order moves up, to at most 7, after a step whose seed missed
+the tolerance, and down, to no less than 4, after a step whose seed met it.
+So a run whose order-4 steps take at most two iterations never seeds above
+order 4.  A step whose Picard iterate contracted by a ratio above
+RHO_HISTORY drops the history, and a first step, piece 1 of a split step and
+the step after a split have none, so each of them seeds with exponential
+Euler, N1_hat = N0_hat, and the order climbs back one step at a time; a
+resumed run continues the history of the run it resumes.  Only the
+starting iterate depends on the seed, not the fixed point.  A step returns
+the iterate w whose residual met the tolerance and N(w, t1), which the next
+step, or a retry from the same state, takes as its N0_hat.  The stepper
+carries every term as 2 N_hat, the transform of w^2 [+ 2 u_phi w], and its
+tables carry the 1/2: scaling by 2 is exact, so this saves a multiply per
+term and changes no bit.
 
 Step control works on evidence: each dt step is first tried whole and, when
 Picard contracts by a ratio above RHO_MAX, misses picard_tol or goes
@@ -92,9 +95,11 @@ RHO_MAX = 0.5
 RHO_HISTORY = 0.2
 
 #: weights of the order-q Picard seed on the start terms (N0, N_-1, ...),
-#: newest first, for q = 1..6: (-1)^j binomial(q, j + 1) on N_-j
-SEED_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
-                (5.0, -10.0, 10.0, -5.0, 1.0), (6.0, -15.0, 20.0, -15.0, 6.0, -1.0))
+#: newest first, for q = 1..7: (-1)^j binomial(q, j + 1) on N_-j, so (1),
+#: (2, -1), (3, -3, 1), ... (7, -21, 35, -35, 21, -7, 1); complex scalars,
+#: since a complex band times a float first casts the float
+SEED_WEIGHTS = tuple(tuple(np.complex128((-1) ** j * math.comb(q, j + 1)) for j in range(q))
+                     for q in range(1, 8))
 
 #: the seed's history grows one term per step up to this length (order 4),
 #: and moves on evidence above it, up to len(SEED_WEIGHTS) - 1 terms
@@ -319,9 +324,9 @@ def _phi_functions(z: np.ndarray, ez: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 class _StepTables(Record):
-    """E = e^{-psi dt}; A0 = dt D (phi1 - phi2) and A1 = dt D phi2, the
-    weights of the s = 0 and s = dt samples; the stepped band k =
-    0..modes-1, the 2/3 rule's under dealias."""
+    """E = e^{-psi dt}; A0 = dt D (phi1 - phi2) / 2 and A1 = dt D phi2 / 2,
+    the weights of the s = 0 and s = dt samples of 2 N_hat; the stepped band
+    k = 0..modes-1, the 2/3 rule's under dealias."""
 
     __slots__ = ("spectrum", "dt", "E", "A0", "A1", "modes")
 
@@ -339,25 +344,27 @@ def _step_tables(n: int, length: float, dt: float, dealias: bool) -> _StepTables
     E = np.exp(z)
     phi1, phi2 = _phi_functions(z, E)
     D = spectrum.derivative[:modes]
-    A0 = dt * D * (phi1 - phi2)
-    A1 = dt * D * phi2
+    A0 = 0.5 * dt * D * (phi1 - phi2)
+    A1 = 0.5 * dt * D * phi2
     for arr in (E, A0, A1):
         arr.setflags(write=False)
     return _StepTables(spectrum=spectrum, dt=dt, E=E, A0=A0, A1=A1, modes=modes)
 
 
-def _nonlinear_hat(coeffs: np.ndarray, u_phi_values: np.ndarray | None,
+def _nonlinear_hat(coeffs: np.ndarray, two_u: np.ndarray | None,
                    spectrum: RealSpectrum, modes: int) -> np.ndarray:
-    """F(w^2/2 [+ u_phi w]) on the band k = 0..modes-1, with the product
-    formed in physical space."""
+    """2 N_hat = F(w^2 [+ 2 u_phi w]) on the band k = 0..modes-1, with the
+    product formed in physical space; two_u holds the samples of 2 u_phi,
+    and the step tables carry the 1/2 (module docstring)."""
     w = spectrum.inverse(coeffs)
     # products in place on fresh arrays: the stepper's peak memory is its
     # live temporaries, and these run several times per Picard iteration
-    N = 0.5 * w
-    N *= w
-    if u_phi_values is not None:
-        w *= u_phi_values
-        N += w
+    if two_u is None:
+        w *= w
+        return spectrum.forward(w, modes)
+    N = w * w
+    w *= two_u
+    N += w
     del w  # not alive while the forward transform allocates its output
     return spectrum.forward(N, modes)
 
@@ -377,9 +384,10 @@ def _single_step(
     (full-equation flux).  Returns (w, N(w, t1), iterations, ratio) for the
     first iterate w with |Theta w - w| <= tol.  An unconverged iterate
     contracting by a ratio above RHO_MAX, or going non-finite, aborts the
-    loop with a PicardError.  history holds the start terms of up to five
+    loop with a PicardError.  history holds the start terms of up to six
     earlier same-size steps, newest first (see the module docstring); the
-    seed's order is 1 + len(history)."""
+    seed's order is 1 + len(history).  N0, history and the returned term are
+    2 N_hat, and u_of_t samples 2 u_phi (_nonlinear_hat)."""
     E, A0, A1 = tables.E, tables.A0, tables.A1
     spectrum, modes = tables.spectrum, tables.modes
     w = E * vhat  # the linear prediction, until the terms' parts are taken off
@@ -406,7 +414,7 @@ def _single_step(
         delta = spectrum.l2_norm(d)
         if not math.isfinite(delta):
             raise PicardError(
-                f"non-finite Picard iterate at t = {t1} (step {tables.dt:g})",
+                f"non-finite Picard iterate on [{t0}, {t1}] (step {tables.dt:g})",
                 last_ratio=ratio, iterations=iteration,
             )
         if prev_delta is not None and prev_delta > 0.0:
@@ -415,8 +423,8 @@ def _single_step(
             return w, N1, iteration, ratio
         if ratio > RHO_MAX:
             raise PicardError(
-                f"Picard contraction ratio {ratio:.3f} above {RHO_MAX} at "
-                f"t = {t0} (step {tables.dt:g})",
+                f"Picard contraction ratio {ratio:.3f} above {RHO_MAX} on "
+                f"[{t0}, {t1}] (step {tables.dt:g})",
                 last_ratio=ratio, iterations=iteration,
             )
         w -= d  # Theta w, whose end term is N1
@@ -424,8 +432,8 @@ def _single_step(
         del d  # not alive while the next iteration forms its term
     raise PicardError(
         f"Picard loop did not reach {tol:g} within {cfg.picard_max} "
-        f"iterations at t = {t0} (step {tables.dt:g}, last contraction ratio "
-        f"{ratio:.3f})",
+        f"iterations on [{t0}, {t1}] (step {tables.dt:g}, last contraction "
+        f"ratio {ratio:.3f})",
         last_ratio=ratio, iterations=cfg.picard_max,
     )
 
@@ -440,13 +448,16 @@ def _per_step_time(profile: WaveProfile, fn):
 
 
 def _profile_sampler(cfg: SimConfig, tables: _StepTables):
-    """Callable t -> physical profile samples, dealiased in step with the state."""
+    """Callable t -> physical samples of 2 u_phi(t), the coupling the
+    stepper's terms take (_nonlinear_hat), dealiased in step with the state."""
 
     def sample_at(t: float) -> np.ndarray:
         values = cfg.profile.evaluate(t, cfg.grid).values
-        if not cfg.dealias:
+        if cfg.dealias:  # doubled in place: no second n-point array at once
+            values = tables.spectrum.inverse(tables.spectrum.forward(values, tables.modes))
+            values *= 2.0
             return values
-        return tables.spectrum.inverse(tables.spectrum.forward(values, tables.modes))
+        return 2.0 * values
 
     return _per_step_time(cfg.profile, sample_at)
 
@@ -483,14 +494,13 @@ def _next_history(history: tuple[np.ndarray, ...], N0: np.ndarray | None, iters:
     return ((N0,) + history)[:keep]
 
 
-def _take_step(state: _StepState, cfg: SimConfig, u_of_t, traj: Trajectory):
-    """One dt step from state: whole first, then from the same state in 2,
-    4, 8, ... pieces while Picard reports a fault.  Returns the next state
-    and the step's largest Picard iterations and ratio; traj counts the
-    work."""
+def _take_step(state: _StepState, cfg: SimConfig, tables, u_of_t, traj: Trajectory):
+    """One dt step from state: whole first, on the caller's tables of step
+    cfg.dt, then from the same state in 2, 4, 8, ... pieces while Picard
+    reports a fault.  Returns the next state and the step's largest Picard
+    iterations and ratio; traj counts the work."""
     grid, k, pieces, first_fault = cfg.grid, state.step, 1, None
     while True:
-        tables = _step_tables(grid.n, grid.length, cfg.dt / pieces, cfg.dealias)
         # history only from earlier steps of the same size
         w, N, iters, ratio = state.vhat, state.nhat, 0, 0.0
         history = state.history if pieces == 1 else ()
@@ -514,6 +524,7 @@ def _take_step(state: _StepState, cfg: SimConfig, u_of_t, traj: Trajectory):
                 raise
             first_fault = first_fault or exc
             pieces *= 2
+            tables = _step_tables(grid.n, grid.length, cfg.dt / pieces, cfg.dealias)
             continue
         if pieces > 1:
             if not traj.substepping_engaged:
@@ -534,14 +545,16 @@ def _advance(cfg: SimConfig, v0_override: RealField | None, resume: Trajectory |
     spectrum = tables.spectrum
 
     if not profile_coupling:  # ||u - u_phi(t)|| by Parseval against the profile's spectrum
-        profile_hat = _per_step_time(
-            cfg.profile, lambda t: spectrum.forward(cfg.profile.evaluate(t, grid).values)
+        # negated once a run for a static profile: a complex copy costs less
+        # than a complex negation
+        minus_profile_hat = _per_step_time(
+            cfg.profile, lambda t: -spectrum.forward(cfg.profile.evaluate(t, grid).values)
         )
 
     def perturbation_norm(vhat: np.ndarray, t: float) -> float:
         if profile_coupling:
             return spectrum.l2_norm(vhat)
-        diff = -profile_hat(t)  # the profile's modes above the band count too
+        diff = minus_profile_hat(t).copy()  # the profile's modes above the band count too
         diff[: vhat.size] += vhat
         return spectrum.l2_norm(diff)
 
@@ -585,7 +598,7 @@ def _advance(cfg: SimConfig, v0_override: RealField | None, resume: Trajectory |
         state = state._replace(nhat=_nonlinear_hat(state.vhat, u0, spectrum, tables.modes))
     last = state.step + cfg.steps
     while state.step < last:
-        state, iters, ratio = _take_step(state, cfg, u_of_t, traj)
+        state, iters, ratio = _take_step(state, cfg, tables, u_of_t, traj)
         traj.picard_iters_max = max(traj.picard_iters_max, iters)
         traj.picard_ratio_max = max(traj.picard_ratio_max, ratio)
         t = state.step * cfg.dt

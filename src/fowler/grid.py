@@ -38,6 +38,8 @@ __all__ = [
     "real_spectrum",
 ]
 
+_COMPLEX = np.dtype(np.complex128)
+
 
 class Grid(NamedTuple):
     """Uniform periodic 1-D grid with n points on a box of length L."""
@@ -163,6 +165,9 @@ class RealSpectrum:
         for arr in (self.frequencies, self._to_coeffs, self._to_values,
                     self.derivative, self.laplacian):
             arr.setflags(write=False)
+        # the 2/3 band's phase tables, so the stepper's transforms slice none
+        self._band_to_coeffs = self._to_coeffs[: self.dealias_modes]
+        self._band_to_values = self._to_values[: self.dealias_modes]
 
     def forward(self, values: np.ndarray, modes: int | None = None) -> np.ndarray:
         """Half-spectrum coefficients dx * sum_j e^{-2 i pi x_j xi_k} f(x_j) of
@@ -175,13 +180,17 @@ class RealSpectrum:
             coeffs *= self._to_coeffs  # in place: no second temporary
             return coeffs
         # a compact band: a view of the rfft output would pin all of it
+        if modes == self.dealias_modes:
+            return coeffs[:modes] * self._band_to_coeffs
         return coeffs[:modes] * self._to_coeffs[:modes]
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Real samples of the field whose half-spectrum coefficients are
         coeffs, a leading band k = 0..len(coeffs)-1; the modes above the band
         are zero (irfft pads them)."""
-        return np.fft.irfft(coeffs * self._to_values[: coeffs.shape[-1]], self.grid.n)
+        m = coeffs.shape[-1]
+        table = self._band_to_values if m == self.dealias_modes else self._to_values[:m]
+        return np.fft.irfft(coeffs * table, self.grid.n)
 
     def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:
         """Evaluate the trigonometric interpolant with half-spectrum
@@ -235,15 +244,19 @@ class RealSpectrum:
     def l2_norm(self, coeffs: np.ndarray) -> float:
         """L2 norm by Parseval, sqrt(sum_k |coeffs(k)|^2 / L), of the field
         whose leading band is coeffs; the unpaired Nyquist entry counts once
-        when the band reaches it.  One pass (einsum: np.dot would load BLAS
-        and its buffers).  The rest is Python float arithmetic, where inf and
-        nan propagate without a floating-point warning."""
-        v = np.ascontiguousarray(coeffs, dtype=np.complex128).view(np.float64)
-        re0, im0 = float(v[0]), float(v[1])
-        energy = 2.0 * float(np.einsum("i,i->", v, v)) - re0 * re0 - im0 * im0
-        if v.size == 2 * self.size:
-            re, im = float(v[-2]), float(v[-1])
-            energy = energy - re * re - im * im
+        when the band reaches it.  One pass over the float view of the band
+        (einsum: np.dot would load BLAS and its buffers), which is copied
+        first only when it is not a contiguous complex128 array.  The rest is
+        Python float arithmetic, where inf and nan propagate without a
+        floating-point warning."""
+        if coeffs.dtype is not _COMPLEX or not coeffs.flags.c_contiguous:
+            coeffs = np.ascontiguousarray(coeffs, dtype=_COMPLEX)
+        v = coeffs.view(np.float64)
+        c0 = coeffs.item(0)
+        energy = 2.0 * float(np.einsum("i,i->", v, v)) - c0.real * c0.real - c0.imag * c0.imag
+        if coeffs.size == self.size:
+            cn = coeffs.item(-1)
+            energy = energy - cn.real * cn.real - cn.imag * cn.imag
         return math.sqrt(energy / self.grid.length)
 
 

@@ -743,7 +743,7 @@ def test_evolve_reports_picard_work(tmp_path, command):
     out = tmp_path / "out"
     assert main([command, cfg, "--out", str(out)]) == 0
     manifest = _manifest(out)
-    assert manifest["stats.steps_by_seed_order"] == "1 1 1 47 0 0"
+    assert manifest["stats.steps_by_seed_order"] == "1 1 1 47 0 0 0"
     iterations = int(manifest["stats.picard_iters_total"])
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
     assert 50 <= iterations <= 60 and iterations >= rows[:, 4].sum()

@@ -137,10 +137,10 @@ def test_frozen_records_reject_assignment(instances, name):
 
 def test_mutable_records_start_with_fresh_lists():
     first, second = evolution.Trajectory(), evolution.Trajectory()
-    assert first.fields == first.records == [] and first.steps_by_seed_order == [0] * 6
+    assert first.fields == first.records == [] and first.steps_by_seed_order == [0] * 7
     first.records.append(None)
     first.steps_by_seed_order[0] += 1
-    assert second.records == [] and second.steps_by_seed_order == [0] * 6
+    assert second.records == [] and second.steps_by_seed_order == [0] * 7
     manifest = reporting.RunManifest()
     manifest.add("a", 1)
     assert manifest.entries == [("a", "1")] and reporting.RunManifest().entries == []

@@ -4,8 +4,11 @@ cache on a method, which would keep every instance and argument it saw alive
 for the whole process, no cache built inside a function body, which would be
 a new cache on every call, only the command layer importing the kernel
 module, numpy as the only runtime dependency outside the standard
-library, and no import of dataclasses, whose classes generate and exec their
-methods at every start-up (records are NamedTuple or record.Record classes)."""
+library, no import of dataclasses, whose classes generate and exec their
+methods at every start-up (records are NamedTuple or record.Record classes),
+no private numpy name, which may change or vanish in any numpy release the
+declared numpy>=1.24 admits, and no BLAS dot product in the grid or the
+stepper, which would load BLAS and its buffers for one short sum."""
 
 import ast
 import os
@@ -246,3 +249,85 @@ def test_fresh_import_leaves_dataclasses_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=path), check=True)
     assert result.stdout.strip() == "['fowler.cli']"
+
+
+
+#: private numpy names that are not underscore-prefixed where they are reached
+PRIVATE_NUMPY_NAMES = {"c_einsum"}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__") or name in PRIVATE_NUMPY_NAMES
+
+
+def private_numpy_names(tree) -> list[str]:
+    """Private numpy modules or names that tree imports or reaches through
+    the np/numpy name: a dotted part with a leading underscore (dunders such
+    as __version__ are public) or a name in PRIVATE_NUMPY_NAMES."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"
+                      and any(map(is_private, a.name.split(".")))]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] == "numpy":
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                found += [n for n in names if any(map(is_private, n.split(".")))][:1]
+        elif isinstance(node, ast.Attribute) and is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in ("np", "numpy"):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_guard_detects_private_numpy_names():
+    for source in ("from numpy._core.multiarray import c_einsum\n",
+                   "import numpy._core.multiarray as mu\n",
+                   "from numpy.core.multiarray import c_einsum\n",
+                   "from numpy.fft import _pocketfft_umath\n",
+                   "np._core.multiarray.c_einsum('i,i->', v, v)\n",
+                   "np.fft._pocketfft_umath.rfft_n_even(a, 1.0)\n",
+                   "import numpy\nnumpy.core.multiarray.c_einsum('i,i', v, v)\n",
+                   "def f():\n    from numpy._core import umath\n"):
+        assert private_numpy_names(ast.parse(source)), source
+    for source in ("import numpy as np\nnp.einsum('i,i->', v, v)\n",
+                   "print(np.__version__)\n", "from numpy.fft import rfft\n",
+                   "self._to_coeffs[:m]\n", "from ._private import x\n"):
+        assert private_numpy_names(ast.parse(source)) == [], source
+
+
+def test_no_module_reaches_a_private_numpy_name():
+    offenders = [f"{name}: {n}" for name, tree in modules() for n in private_numpy_names(tree)]
+    assert offenders == []
+
+
+def blas_dots(tree) -> list[str]:
+    """Matrix products (@, @=) and calls of dot, vdot, inner or matmul, as a
+    function or as a method."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in ("dot", "vdot", "inner", "matmul"):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_guard_detects_blas_dots():
+    source = ("np.dot(a, b)\nnp.vdot(a, b)\na.dot(b)\nnp.inner(a, b)\nnp.matmul(a, b)\n"
+              "a @ b\nc @= d\nnp.einsum('i,i->', a, b)\nx.dotted(y)\n")
+    assert sorted(blas_dots(ast.parse(source))) == sorted([
+        "np.dot(a, b)", "np.vdot(a, b)", "a.dot(b)", "np.inner(a, b)", "np.matmul(a, b)",
+        "a @ b", "c @= d",
+    ])
+
+
+def test_grid_and_stepper_make_no_blas_dot():
+    # their sums over a band run on every Picard iteration: einsum, not BLAS
+    offenders = [f"{name}: {d}" for name, tree in modules()
+                 if name in ("grid.py", "evolution.py") for d in blas_dots(tree)]
+    assert offenders == []
