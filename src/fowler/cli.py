@@ -32,13 +32,7 @@ from .config import ConfigError, RunSettings, parse_config
 from .diagnostics import energy_bound_check, l2_norm
 from .evolution import evolve, evolve_full
 from .grid import Grid, RealField, make_grid
-from .kernel import (
-    RESOLUTION_LIMIT,
-    grad_kernel_norms,
-    kernel_field,
-    nyquist_resolution_defect,
-    semigroup_residual,
-)
+from .kernel import RESOLUTION_LIMIT, kernel_report, nyquist_resolution_defect
 from .operator import apply_nonlocal_fourier, apply_nonlocal_integral
 from .reporting import (
     CsvTable,
@@ -119,14 +113,12 @@ def cmd_kernel_report(settings: RunSettings, manifest: RunManifest, out: Path) -
     t_min = min(float(min(settings.kernel_times)), float(norm_times[0]))
     grid = _resolved_grid(settings.sim.grid, t_min)
 
-    snapshots = [kernel_field(t, grid) for t in settings.kernel_times]
+    snapshots, fit, residuals = kernel_report(settings.kernel_times, norm_times, grid)
     CsvTable(
         ["x"] + [f"K_t{format(t, 'g')}" for t in settings.kernel_times],
         [grid.points] + [s.field.values for s in snapshots],
     ).write(out / "kernel_shape.csv")
 
-    fit = grad_kernel_norms(norm_times, grid)
-    residuals = [semigroup_residual(t, t, grid) for t in fit.times]
     CsvTable(
         ["t", "l1_grad", "l2_grad", "t34_l2", "t12_l1", "semigroup_residual"],
         [fit.times, fit.l1_grad, fit.l2_grad, fit.times**0.75 * fit.l2_grad,
@@ -303,7 +295,3 @@ def main(argv=None) -> int:
     except (ConfigError, MemoryError) as exc:  # a grid too large to allocate is a config error
         print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

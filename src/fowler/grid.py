@@ -139,8 +139,9 @@ class RealSpectrum:
     leading band k = 0..m-1, whose modes above the band are zero: forward,
     inverse, mode_energy and l2_norm take one, and dealias_modes is the 2/3
     rule's band.  Off-grid samples come from the same tables: `shifted`
-    translates the grid (m copies shifted by dx/m sample the m times finer
-    grid, with no transform longer than n), `evaluate` takes any points.
+    translates the grid, `shifted_copies` samples the m times finer grid as
+    m copies shifted by dx/m (with no transform longer than n), `evaluate`
+    takes any points.
     Stored tables are read-only; build instances through real_spectrum,
     which caches them.
     """
@@ -223,15 +224,36 @@ class RealSpectrum:
         nyquist = np.cos(2 * np.pi * x * xi[-1]) * coeffs[..., -1:].real
         return (coeffs[..., :1].real + 2.0 * sums + nyquist) / self.grid.length
 
+    def shift_phase(self, s: float) -> np.ndarray:
+        """The translation by s, e^{2 i pi xi_k s} for k = 0..n/2.  The phase
+        has period L in s, so s is first wrapped into the box (exactly, and
+        unchanged inside it): a finite s cannot overflow it."""
+        return np.exp(2j * np.pi * self.frequencies * math.remainder(s, self.grid.length))
+
     def shifted(self, coeffs: np.ndarray, s: float) -> np.ndarray:
         """Samples at x_j + s of the interpolant with half-spectrum
-        coefficients coeffs: the translation is the phase e^{2 i pi xi_k s}.
-        The phase has period L in s, so s is first wrapped into the box
-        (exactly, and unchanged inside it): a finite s cannot overflow it.
-        irfft keeps only the real part of the (real) Nyquist coefficient
-        times its phase, the cosine of the real interpolant."""
-        s = math.remainder(s, self.grid.length)
-        return self.inverse(coeffs * np.exp(2j * np.pi * self.frequencies * s))
+        coefficients coeffs.  irfft keeps only the real part of the (real)
+        Nyquist coefficient times its phase, the cosine of the real
+        interpolant."""
+        return self.inverse(coeffs * self.shift_phase(s))
+
+    def shifted_copies(self, coeffs: np.ndarray, m: int, phase: np.ndarray | None = None):
+        """Yield shifted(coeffs, j dx / m) for j = 0..m-1: together the m
+        n-point copies hold the nodes of the m times finer grid, fine node
+        i m + j being sample i of copy j.  Copy 0 is inverse(coeffs), and
+        each later copy steps the coefficients by one multiply with
+        phase = shift_phase(dx / m) instead of forming its own exponential;
+        a caller that shifts many spectra by the same m passes the phase in.
+        A copy is transformed only when it is asked for, and the generator
+        holds one coefficient array of its own."""
+        if phase is None:
+            phase = self.shift_phase(self.grid.spacing / m)
+        for j in range(m):
+            if j == 1:
+                coeffs = coeffs * phase  # a new array: the caller's stays as it is
+            elif j:
+                coeffs *= phase
+            yield self.inverse(coeffs)
 
     def mode_energy(self, coeffs: np.ndarray) -> np.ndarray:
         """|coeffs|^2 per entry of a leading band, interior entries counted

@@ -36,6 +36,7 @@ __all__ = [
     "convolve_kernel",
     "semigroup_residual",
     "grad_kernel_norms",
+    "kernel_report",
     "nyquist_resolution_defect",
 ]
 
@@ -90,7 +91,12 @@ def kernel_field(t: float, grid: Grid) -> KernelSnapshot:
     """
     if not (t > 0):
         raise ValueError(f"kernel time must be positive, got {t}")
-    values = real_spectrum(grid).inverse(np.exp(-float(t) * symbol_table(grid)))
+    return _sampled_kernel(t, np.exp(-float(t) * symbol_table(grid)), grid)
+
+
+def _sampled_kernel(t: float, coeffs: np.ndarray, grid: Grid) -> KernelSnapshot:
+    """K(t, .) from its half spectrum coeffs = e^{-t psi}."""
+    values = real_spectrum(grid).inverse(coeffs)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"kernel K(t = {t:g}) is not finite in double precision")
     f = RealField(grid, values)
@@ -115,21 +121,26 @@ def semigroup_residual(s: float, t: float, grid: Grid) -> float:
     check exercises the whole transform pipeline.
     """
     Ks = kernel_field(s, grid)
-    Kt = Ks if t == s else kernel_field(t, grid)
-    Kst = kernel_field(s + t, grid)
+    return _semigroup_residual(Ks, Ks if t == s else kernel_field(t, grid), grid)
+
+
+def _semigroup_residual(Ks: KernelSnapshot, Kt: KernelSnapshot, grid: Grid) -> float:
     conv = circular_convolve(Ks.field, Kt.field)
+    Kst = kernel_field(Ks.t + Kt.t, grid)
     return l2_norm(RealField(grid, conv.values - Kst.field.values)) / l2_norm(Kst.field)
 
 
-def _brackets(dF: np.ndarray, spectrum: RealSpectrum):
+def _brackets(dF: np.ndarray, spectrum: RealSpectrum, phase: np.ndarray | None = None):
     """Fine nodes after which f' changes sign, ascending, and f' at each and
     at the next fine node.  Fine node j FINE + i is sample j of the copy
-    shifted by i dx / FINE; the copy after the last is copy 0 rolled by one."""
-    dx_fine = spectrum.grid.spacing / FINE
-    first = cur = spectrum.shifted(dF, 0.0)
+    shifted by i dx / FINE; the copy after the last is copy 0 rolled by one.
+    phase is the copies' step, spectrum.shift_phase(dx / FINE), if the
+    caller holds it."""
+    copies = spectrum.shifted_copies(dF, FINE, phase)
+    first = cur = next(copies)
     found = []
     for i in range(FINE):
-        nxt = spectrum.shifted(dF, (i + 1) * dx_fine) if i + 1 < FINE else np.roll(first, -1)
+        nxt = next(copies) if i + 1 < FINE else np.roll(first, -1)
         j = np.flatnonzero((cur >= 0) != (nxt >= 0))
         found.append((j * FINE + i, cur[j], nxt[j]))
         cur = nxt
@@ -138,7 +149,8 @@ def _brackets(dF: np.ndarray, spectrum: RealSpectrum):
     return nodes[order], d_lo[order], d_hi[order]
 
 
-def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float:
+def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum,
+                 phase: np.ndarray | None = None) -> float:
     """||f'||_{L1} of the trig interpolant, as the total variation of f.
 
     Between consecutive extrema f is monotone, so int |f'| = sum |delta f|
@@ -156,7 +168,7 @@ def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float
     crossings, which for sharply peaked kernels never reaches the 1e-8
     self-convergence target.
     """
-    nodes, d_lo, d_hi = _brackets(dF, spectrum)
+    nodes, d_lo, d_hi = _brackets(dF, spectrum, phase)
     if not nodes.size:
         return 0.0
     dx_fine = spectrum.grid.spacing / FINE
@@ -196,8 +208,13 @@ def _gradient_l1(F: np.ndarray, dF: np.ndarray, spectrum: RealSpectrum) -> float
     return float(np.sum(np.abs(np.diff(vals))) + abs(vals[0] - vals[-1]))
 
 
-def grad_kernel_norms(t_samples, grid: Grid) -> KernelNormFit:
-    """Tabulate ||dK/dx(t)||_{L1,L2} over t_samples and fit the scalings."""
+def grad_kernel_norms(t_samples, grid: Grid, on_kernel=None) -> KernelNormFit:
+    """Tabulate ||dK/dx(t)||_{L1,L2} over t_samples and fit the scalings.
+
+    on_kernel, if given, is called with the sampled kernel K(t) of each
+    sample time, formed from the same e^{-t psi} as the norms; without it no
+    kernel is sampled.  One time's spectra are alive at a time, and the
+    copies' shift phase is formed once per call."""
     times = np.sort(np.asarray(t_samples, dtype=np.float64))
     if times.size < 2:
         raise ValueError("need at least two sample times")
@@ -217,12 +234,15 @@ def grad_kernel_norms(t_samples, grid: Grid) -> KernelNormFit:
         )
     spectrum = real_spectrum(grid)
     psi = symbol_table(grid)
+    phase = spectrum.shift_phase(grid.spacing / FINE)
     l1 = np.empty_like(times)
     l2 = np.empty_like(times)
     for i, t in enumerate(times):
         F = np.exp(-float(t) * psi)
+        if on_kernel is not None:
+            on_kernel(_sampled_kernel(t, F, grid))
         dF = spectrum.derivative * F
-        l1[i] = _gradient_l1(F, dF, spectrum)
+        l1[i] = _gradient_l1(F, dF, spectrum, phase)
         l2[i] = spectrum.l2_norm(dF)  # Parseval
     K0 = float(np.max(times**0.75 * l2))
     K1 = float(np.max(times**0.5 * l1))
@@ -232,3 +252,22 @@ def grad_kernel_norms(t_samples, grid: Grid) -> KernelNormFit:
         times=times, l1_grad=l1, l2_grad=l2, K0=K0, K1=K1,
         slope_l2=slope_l2, slope_l1=slope_l1,
     )
+
+
+def kernel_report(snapshot_times, norm_times, grid: Grid):
+    """(snapshots, fit, residuals): the sampled kernels at snapshot_times,
+    grad_kernel_norms over norm_times, and the semigroup residual of
+    K(t) * K(t) against K(2t) at each of its sorted times.  Each distinct
+    time's e^{-t psi} is formed once: the kernel the norm fit samples at t
+    serves the semigroup check and a snapshot at the same time."""
+    shared = dict.fromkeys(map(float, snapshot_times))
+    residuals = []
+
+    def check(K: KernelSnapshot) -> None:
+        if K.t in shared:
+            shared[K.t] = K
+        residuals.append(_semigroup_residual(K, K, grid))
+
+    fit = grad_kernel_norms(norm_times, grid, check)
+    snapshots = [shared[float(t)] or kernel_field(t, grid) for t in snapshot_times]
+    return snapshots, fit, residuals

@@ -27,6 +27,10 @@ SUP_OVERSAMPLING = 16
 SUP_CHUNK = 1 << 13
 
 
+def _abs_max(values: np.ndarray) -> float:
+    return float(np.abs(values).max())
+
+
 class WaveProfile(Record):
     """Background profile phi and its wave speed.
 
@@ -89,17 +93,15 @@ class WaveProfile(Record):
         SUP_OVERSAMPLING shifted copies of the grid, n points each."""
         if self.kind == "sampled":
             spectrum = real_spectrum(grid)
-            F = spectrum.forward(self.samples.values)
-            step = grid.spacing / SUP_OVERSAMPLING
-            return tuple(
-                max(float(np.abs(spectrum.shifted(coeffs, i * step)).max())
-                    for i in range(SUP_OVERSAMPLING))
-                for coeffs in (F, spectrum.derivative * F)
-            )
+            coeffs = spectrum.forward(self.samples.values)
+            # map drops each copy before the next is formed
+            sup = max(map(_abs_max, spectrum.shifted_copies(coeffs, SUP_OVERSAMPLING)))
+            coeffs *= spectrum.derivative  # phi' in place: one spectrum alive at a time
+            return sup, max(map(_abs_max, spectrum.shifted_copies(coeffs, SUP_OVERSAMPLING)))
         m = grid.n * SUP_OVERSAMPLING
         sups = [0.0, 0.0]
         for start in range(0, m, SUP_CHUNK):
             x = -0.5 * grid.length + (grid.length / m) * np.arange(start, min(start + SUP_CHUNK, m))
             for order in (0, 1):
-                sups[order] = max(sups[order], float(np.abs(self._analytic(x, order)).max()))
+                sups[order] = max(sups[order], _abs_max(self._analytic(x, order)))
         return tuple(sups)

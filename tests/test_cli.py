@@ -1,5 +1,6 @@
 """Config parsing contract, CLI exit codes, and bit-stable outputs."""
 
+import gc
 import os
 import re
 import subprocess
@@ -909,14 +910,14 @@ def test_byte_identical_reruns(tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
 
 
-def run_module(*args):
-    """`python -m fowler ARGS` in a child process that imports the package
-    from where this process did, so it also runs from a checkout without an
-    install."""
+def run_module(*args, launch=("-m", "fowler")):
+    """`python -m fowler ARGS` (or `python LAUNCH ARGS`) in a child process
+    that imports the package from where this process did, so it also runs
+    from a checkout without an install."""
     package_root = os.path.dirname(os.path.dirname(fowler.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "fowler", *args],
+    return subprocess.run([sys.executable, *launch, *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -925,6 +926,64 @@ def test_console_entry_point_runs(tmp_path):
     proc = run_module("evolve", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "energy bound" in proc.stdout
+
+
+#: a zero field, one step: the quickest passing run
+ZERO_RUN = "[initial]\nkind = zero\n\n[time]\nt_end = 0.01\ndt = 1e-2\n"
+
+
+@pytest.mark.parametrize("command, text, code, line", [
+    ("evolve", ZERO_RUN, 0, "manifest: "),
+    ("evolve", "[time]\ndt = 0\n", 1, "config error: "),
+    ("operator-check", MINIMAL + "\n[quadrature]\nz_min = 0.5\npanels = 16\n", 2, "manifest: "),
+    ("evolve", "[initial]\namplitude = 1e160\n\n[time]\nt_end = 0.01\ndt = 1e-3\n", 3,
+     "numerical fault: "),
+], ids=["pass", "config-error", "check-failed", "numerical-fault"])
+def test_launch_path_exits_with_every_line_written(tmp_path, capsys, command, text, code, line):
+    # the launch path freezes the heap before it exits: a child run must
+    # still exit with main's code and flush every line main printed, here
+    # to pipes, where the streams are block-buffered until shutdown
+    cfg = write_cfg(tmp_path, text)
+    argv = [command, cfg, "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    printed = capsys.readouterr()
+    proc = run_module(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout, proc.stderr) == (printed.out, printed.err)
+    assert line in (printed.err if code in (1, 3) else printed.out)
+
+
+@pytest.mark.parametrize("route", [
+    "import runpy; runpy.run_module('fowler', run_name='__main__')",  # python -m fowler
+    "import sys; from fowler.__main__ import run; sys.exit(run())",  # the fowler script
+], ids=["module", "script"])
+def test_both_launch_routes_freeze_the_heap_before_exit(tmp_path, route):
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n" + route)
+    proc = run_module("evolve", write_cfg(tmp_path, ZERO_RUN), "--out", str(tmp_path / "o"),
+                      launch=("-c", code))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [f"manifest: {tmp_path / 'o' / 'manifest.txt'}",
+                                             "frozen: True"]
+
+
+def test_script_entry_is_the_launch_path():
+    pyproject = Path(fowler.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("not run from a checkout")
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"fowler": "fowler.__main__:run"}
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    # only the launch path freezes: in process, main's garbage stays
+    # collectable however often it runs
+    cfg = write_cfg(tmp_path, ZERO_RUN)
+    before = gc.get_freeze_count()
+    for command in ("evolve", "operator-check"):
+        assert main([command, cfg, "--out", str(tmp_path / command)]) == 0
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("text", [

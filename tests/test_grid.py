@@ -182,6 +182,41 @@ def test_shifted_translates_the_samples(n):
         assert np.abs(spectrum.shifted(coeffs, k * g.spacing) - np.roll(f, -k)).max() <= 1e-13
 
 
+def assert_copies_are_the_shifts(spectrum, coeffs, m):
+    # copy j is shifted(coeffs, j dx / m) to roundoff (the stepped phase
+    # drifts by a few eps over m steps), copy 0 is inverse(coeffs) bit for
+    # bit, and the caller's coefficients are left as they were
+    kept = coeffs.copy()
+    copies = list(spectrum.shifted_copies(coeffs, m))
+    assert len(copies) == m
+    assert np.array_equal(copies[0], spectrum.inverse(coeffs))
+    for j, copy in enumerate(copies):
+        want = spectrum.shifted(coeffs, j * spectrum.grid.spacing / m)
+        assert np.abs(copy - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(coeffs, kept)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("n", [64, 1024, 16384])
+def test_shifted_copies_step_the_shift_phase(n, m):
+    g = make_grid(n, 40.0)
+    spectrum = real_spectrum(g)
+    rng = np.random.default_rng(n + m)
+    for values in (np.exp(-g.points**2), rng.standard_normal(n)):
+        assert_copies_are_the_shifts(spectrum, spectrum.forward(values), m)
+
+
+def test_shifted_copies_take_the_callers_phase():
+    # a caller that holds shift_phase(dx / m) gets the same copies
+    g = make_grid(256, 40.0)
+    spectrum = real_spectrum(g)
+    coeffs = spectrum.forward(np.random.default_rng(3).standard_normal(256))
+    given_phase = spectrum.shifted_copies(coeffs, 8, spectrum.shift_phase(g.spacing / 8))
+    for copy in spectrum.shifted_copies(coeffs, 8):
+        assert np.array_equal(next(given_phase), copy)
+    assert next(given_phase, None) is None
+
+
 def test_circular_convolve_gaussians():
     # e^{-pi x^2} * e^{-pi x^2} = 2^{-1/2} e^{-pi x^2 / 2}
     g = make_grid(1024, 40.0)
@@ -326,6 +361,16 @@ def test_forward_returns_arrays_that_own_their_memory(modes):
 #: random even n >= 8, box length and field seed; no draw allocates much
 GRID_CASES = st.tuples(st.integers(4, 1024).map(lambda half: 2 * half),
                        st.floats(1.0, 100.0), st.integers(0, 2**32 - 1))
+
+
+@given(case=GRID_CASES, band=st.integers(1, 513), m=st.integers(1, 16))
+def test_shifted_copies_of_random_bands(case, band, m):
+    # random band-limited fields: the leading band of modes kept, up to all
+    n, length, seed = case
+    spectrum = real_spectrum(make_grid(n, length))
+    coeffs = spectrum.forward(np.random.default_rng(seed).standard_normal(n))
+    coeffs[band:] = 0.0
+    assert_copies_are_the_shifts(spectrum, coeffs, m)
 
 
 @given(case=GRID_CASES)

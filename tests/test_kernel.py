@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import fowler.kernel
 from fowler.grid import RealField, RealSpectrum, circular_convolve, make_grid, real_spectrum
 from fowler.kernel import (
     FINE,
     _gradient_l1,
     grad_kernel_norms,
     kernel_field,
+    kernel_report,
     convolve_kernel,
     nyquist_resolution_defect,
     semigroup_residual,
@@ -176,12 +178,45 @@ def test_grad_norms_l2_by_parseval(fine_grid, monkeypatch):
         spectrum.derivative * spectrum.forward(kernel_field(t, fine_grid).field.values))))
         for t in times]
     calls = spy_transforms(monkeypatch)
-    shifted = RealSpectrum.shifted
-    monkeypatch.setattr(RealSpectrum, "shifted",
-                        lambda self, *args: calls.append("shifted") or shifted(self, *args))
+    copies = RealSpectrum.shifted_copies
+    monkeypatch.setattr(RealSpectrum, "shifted_copies",
+                        lambda self, *args: calls.append("copies") or copies(self, *args))
     fit = grad_kernel_norms(times, fine_grid)
-    assert calls == ["shifted", "inverse"] * (FINE * len(times))
+    assert calls == (["copies"] + ["inverse"] * FINE) * len(times)
     assert fit.l2_grad == pytest.approx(sampled, rel=1e-12)
+
+
+def test_kernel_report_is_the_separate_computations(fine_grid):
+    # sharing each time's exponential moves no bit of any result
+    times, snapshot_times = [3e-4, 1e-4, 0.1], (0.5, 0.1)
+    snapshots, fit, residuals = kernel_report(snapshot_times, times, fine_grid)
+    for t, snap in zip(snapshot_times, snapshots):
+        alone = kernel_field(t, fine_grid)
+        assert (snap.t, snap.mass) == (alone.t, alone.mass)
+        assert np.array_equal(snap.field.values, alone.field.values)
+    alone = grad_kernel_norms(times, fine_grid)
+    for name in alone.__slots__:
+        assert np.array_equal(getattr(fit, name), getattr(alone, name)), name
+    assert residuals == [semigroup_residual(t, t, fine_grid) for t in alone.times]
+
+
+def test_kernel_report_forms_each_exponential_once(fine_grid, monkeypatch):
+    # e^{-t psi} for t, 2t and the snapshot times, once each, with the
+    # snapshot at a norm time taken from the norm fit
+    formed = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            if np.size(x) == real_spectrum(fine_grid).size:
+                formed.append(np.asarray(x).tobytes())
+            return np.exp(x)
+
+    monkeypatch.setattr(fowler.kernel, "np", CountingNumpy())
+    kernel_report((0.5, 0.1), [1e-4, 3e-4, 0.1], fine_grid)
+    assert len(formed) == len(set(formed)) == 7  # 1e-4, 3e-4, 0.1, their doubles, 0.5
 
 
 def test_grad_norms_need_two_times_in_fitting_decade(fine_grid):

@@ -7,8 +7,10 @@ module, numpy as the only runtime dependency outside the standard
 library, no import of dataclasses, whose classes generate and exec their
 methods at every start-up (records are NamedTuple or record.Record classes),
 no private numpy name, which may change or vanish in any numpy release the
-declared numpy>=1.24 admits, and no BLAS dot product in the grid or the
-stepper, which would load BLAS and its buffers for one short sum."""
+declared numpy>=1.24 admits, no BLAS dot product in the grid or the
+stepper, which would load BLAS and its buffers for one short sum, and no
+gc.freeze outside the launch path, where a frozen heap is the process's last
+state and not garbage that an in-process caller keeps for good."""
 
 import ast
 import os
@@ -331,3 +333,35 @@ def test_grid_and_stepper_make_no_blas_dot():
     offenders = [f"{name}: {d}" for name, tree in modules()
                  if name in ("grid.py", "evolution.py") for d in blas_dots(tree)]
     assert offenders == []
+
+
+def gc_freezes(tree) -> list[str]:
+    """Calls of freeze on the gc module, by any name it is imported as, and
+    imports of freeze from it."""
+    names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names if a.name == "gc"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "gc":
+            found += [f"from gc import {a.name}" for a in node.names if a.name == "freeze"]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "freeze" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in names):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_guard_detects_gc_freezes():
+    for source in ("import gc\ngc.freeze()\n", "import gc as g\ng.freeze()\n",
+                   "from gc import freeze\n", "from gc import collect, freeze as f\nf()\n",
+                   "def f():\n    import gc\n    gc.freeze()\n"):
+        assert gc_freezes(ast.parse(source)), source
+    for source in ("import gc\ngc.collect()\ngc.get_freeze_count()\n", "gc.freeze()\n",
+                   "import numpy as np\nnp.freeze()\n", "from .gc import freeze\n",
+                   "import gc\nx.freeze()\n"):
+        assert gc_freezes(ast.parse(source)) == [], source
+
+
+def test_only_the_launch_path_freezes_the_heap():
+    offenders = [name for name, tree in modules() if gc_freezes(tree)]
+    assert offenders == ["__main__.py"]
