@@ -10,12 +10,22 @@ The freeze is safe at this point: every output file is closed by its `with`
 block before main returns, shutdown still flushes the standard streams, and
 the OS reclaims the frozen heap.  main itself never freezes: an in-process
 caller would keep its garbage alive for good.
+
+The launch asks OpenBLAS for one thread, before anything imports numpy,
+unless the caller set OPENBLAS_NUM_THREADS.  The package's only BLAS and
+LAPACK calls are the integral route's few vector-matrix products and one
+small eigh; a helper thread only spins idle, about 120 ms of CPU per launch,
+and its share of those products made operator-check's last bits depend on
+the machine's core count.
 """
 
 import gc
+import os
 import sys
 
-from .cli import main
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .cli import main  # noqa: E402  (after the thread count, which numpy reads at import)
 
 
 def run() -> None:

@@ -17,30 +17,29 @@ represented is recorded as nan, with its reason, and is no fault.  Every
 command writes its CSV tables plus a manifest of the resolved config,
 derived constants, and per-check results; the run's result follows from the
 checks it recorded.
+
+Each command imports the package modules it runs, so a launch loads only
+its command's code.  main imports the command's own module first
+(COMMAND_MODULES), then config and reporting, which every command uses: so
+the stepper, the largest module, is compiled on the smallest heap, where its
+compile peak adds least to the process's peak memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ConfigError, RunSettings, parse_config
-from .diagnostics import energy_bound_check, l2_norm
-from .evolution import evolve, evolve_full
-from .grid import Grid, RealField, make_grid
-from .kernel import RESOLUTION_LIMIT, kernel_report, nyquist_resolution_defect
-from .operator import apply_nonlocal_fourier, apply_nonlocal_integral
-from .reporting import (
-    CsvTable,
-    RunManifest,
-    derived_constants,
-    echo_config,
-    picard_ratio_bound,
-)
+if TYPE_CHECKING:
+    from .config import RunSettings
+    from .grid import Grid
+    from .reporting import RunManifest
 
 __all__ = ["main"]
 
@@ -78,6 +77,9 @@ def _fault(manifest: RunManifest, out: Path, exc: Exception) -> int:
 
 def cmd_operator_check(settings: RunSettings, manifest: RunManifest, out: Path) -> None:
     """Cross-validate the Fourier and integral routes on the configured field."""
+    from .operator import apply_nonlocal_fourier, apply_nonlocal_integral
+    from .reporting import CsvTable
+
     f = settings.v0_field
     by_fourier = apply_nonlocal_fourier(f)
     by_integral = apply_nonlocal_integral(f, settings.quadrature)
@@ -97,6 +99,10 @@ def cmd_operator_check(settings: RunSettings, manifest: RunManifest, out: Path) 
 
 
 def _resolved_grid(base: Grid, t_min: float) -> Grid:
+    from .config import ConfigError
+    from .grid import make_grid
+    from .kernel import RESOLUTION_LIMIT, nyquist_resolution_defect
+
     n = base.n
     while nyquist_resolution_defect(t_min, make_grid(n, base.length)) > RESOLUTION_LIMIT:
         n *= 2
@@ -109,6 +115,9 @@ def _resolved_grid(base: Grid, t_min: float) -> Grid:
 
 def cmd_kernel_report(settings: RunSettings, manifest: RunManifest, out: Path) -> None:
     """Kernel snapshots, gradient-norm scalings, and the semigroup law."""
+    from .kernel import kernel_report
+    from .reporting import CsvTable
+
     norm_times = np.logspace(-4, 0, 17)
     t_min = min(float(min(settings.kernel_times)), float(norm_times[0]))
     grid = _resolved_grid(settings.sim.grid, t_min)
@@ -146,6 +155,10 @@ def cmd_kernel_report(settings: RunSettings, manifest: RunManifest, out: Path) -
 
 
 def _run_evolution(settings: RunSettings, manifest: RunManifest, out: Path, full: bool) -> None:
+    from .diagnostics import energy_bound_check
+    from .evolution import evolve, evolve_full
+    from .reporting import CsvTable, picard_ratio_bound
+
     sim = settings.sim
     traj = (evolve_full if full else evolve)(sim, v0_override=settings.v0_field,
                                              keep_fields=settings.snapshots)
@@ -194,6 +207,12 @@ def cmd_evolve_full(settings: RunSettings, manifest: RunManifest, out: Path) -> 
 
 def cmd_convergence(settings: RunSettings, manifest: RunManifest, out: Path) -> None:
     """Self-convergence order of the integrator against a fine reference."""
+    from .config import ConfigError
+    from .diagnostics import l2_norm
+    from .evolution import evolve
+    from .grid import RealField
+    from .reporting import CsvTable
+
     sim = settings.sim
     dts = [4 * sim.dt, 2 * sim.dt, sim.dt]
     # all runs must land on a common final time: the largest multiple of the
@@ -245,6 +264,10 @@ COMMANDS = {
     "convergence": cmd_convergence,
 }
 
+#: the package module each command runs, which main imports first
+COMMAND_MODULES = {"operator-check": "operator", "kernel-report": "kernel",
+                   "evolve": "evolution", "evolve-full": "evolution", "convergence": "evolution"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """One parser: the command is a positional choice, and the commands'
@@ -275,6 +298,10 @@ def main(argv=None) -> int:
         # argparse uses code 2 for usage errors; that slot is reserved for
         # check failures here
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
+    importlib.import_module(f".{COMMAND_MODULES[args.command]}", __package__)
+    from .config import ConfigError, parse_config
+    from .reporting import RunManifest, derived_constants, echo_config
+
     try:
         settings = parse_config(args.config)
         if args.snapshots:

@@ -3,7 +3,9 @@
 `CONFIG_SCHEMA` declares every section, key, type and default; every key is
 optional.  Each section's values go to their constructor as keywords
 (`make_grid`, `WaveProfile`, `InitialCondition`, `SimConfig`,
-`QuadratureSpec`), which validates them.  `quadrature.z_max` defaults to
+`QuadratureSpec`), which validates them.  The run's description,
+`InitialCondition` and `SimConfig`, is defined here, next to the config it
+describes.  `quadrature.z_max` defaults to
 length/2.  `profile.samples_file` is needed for kind = sampled and
 `initial.file` for kind = file.
 
@@ -18,12 +20,15 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .evolution import InitialCondition, SimConfig
-from .grid import RealField, load_samples, make_grid
+import numpy as np
+
+from .grid import Grid, RealField, load_samples, make_grid
 from .operator import QuadratureSpec
 from .profiles import WaveProfile
+from .record import Record
 
-__all__ = ["ConfigError", "RunSettings", "parse_config", "CONFIG_SCHEMA"]
+__all__ = ["ConfigError", "InitialCondition", "SimConfig", "RunSettings", "parse_config",
+           "CONFIG_SCHEMA"]
 
 
 class ConfigError(ValueError):
@@ -71,6 +76,86 @@ CONFIG_SCHEMA = {
         "kernel_times": (_times, (0.1, 0.5)), "seed": (int, 0),
     },
 }
+
+
+class InitialCondition(NamedTuple):
+    """Initial perturbation: a preset shape or samples read from a file."""
+
+    kind: str = "gaussian"
+    amplitude: float = 0.1
+    width: float = 1.0
+    offset: float = 0.0
+    mode_k: int = 12
+    seed: int = 0
+    file: str | None = None
+
+    def build(self, grid: Grid) -> RealField:
+        x = grid.points
+        if self.kind == "zero":
+            return RealField(grid, np.zeros(grid.n))
+        if self.kind == "constant":
+            return RealField(grid, np.full(grid.n, self.amplitude))
+        if self.kind == "gaussian":
+            u = (x - self.offset) / self.width
+            return RealField(grid, self.amplitude * np.exp(-(u**2)))
+        if self.kind == "mode":
+            if abs(self.mode_k) >= grid.n // 2:
+                raise ValueError(
+                    f"mode_k = {self.mode_k} aliases on n = {grid.n}: need |mode_k| < {grid.n // 2}"
+                )
+            xi = self.mode_k / grid.length
+            return RealField(grid, self.amplitude * np.cos(2 * np.pi * xi * (x - self.offset)))
+        if self.kind == "white-noise":
+            rng = np.random.default_rng(self.seed)
+            return RealField(grid, self.amplitude * rng.standard_normal(grid.n))
+        if self.kind == "file":
+            if not self.file:
+                raise ValueError("file initial condition requires a path")
+            return load_samples(self.file, grid)
+        raise ValueError(f"unknown initial condition kind {self.kind!r}")
+
+
+class SimConfig(Record):
+    """Complete description of one evolution run.  linear_only is a test
+    hook: it drops the nonlinear term entirely."""
+
+    __slots__ = ("grid", "profile", "v0", "t_end", "dt", "picard_tol", "picard_max",
+                 "dealias", "output_stride", "linear_only")
+
+    def __init__(self, grid: Grid, profile: WaveProfile, v0: InitialCondition,
+                 t_end: float = 1.0, dt: float = 1e-3, picard_tol: float = 1e-10,
+                 picard_max: int = 25, dealias: bool = True, output_stride: int = 10,
+                 linear_only: bool = False):
+        self._fill(grid, profile, v0, t_end, dt, picard_tol, picard_max, dealias,
+                   output_stride, linear_only)
+        if not (self.dt > 0):
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
+        if not math.isfinite(self.profile.speed * self.t_end):
+            raise ValueError(f"t_end must keep profile.speed * t_end finite, got "
+                             f"{self.profile.speed} * {self.t_end}")
+        if self.t_end < self.dt:
+            raise ValueError(f"t_end must be at least dt, got {self.t_end} < {self.dt}")
+        if not (0 < self.picard_tol <= 1e-2):
+            raise ValueError(f"picard_tol must lie in (0, 1e-2], got {self.picard_tol}")
+        if self.picard_max < 1:
+            raise ValueError(f"picard_max must be >= 1, got {self.picard_max}")
+        if self.output_stride < 1:
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        # beyond 2**53 steps, step indices and step times are no longer exact
+        # floats; a step count that large would also never finish
+        if not self.t_end / self.dt <= 2**53:
+            raise ValueError(f"dt must leave a finite step count of at most 2**53, got "
+                             f"t_end / dt = {self.t_end} / {self.dt}")
+        if abs(self.steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end must be a whole number of dt steps, got {self.t_end} "
+                             f"= {self.t_end / self.dt:.12g} * {self.dt}")
+
+    @property
+    def steps(self) -> int:
+        """Number of dt steps from 0 to t_end."""
+        return round(self.t_end / self.dt)
 
 
 class RunSettings(NamedTuple):

@@ -1,4 +1,5 @@
-"""Norms, growth bounds, and residual reports for trajectories and fields.
+"""Norms, the paper's two a-priori estimates, and residual reports for
+trajectories and fields.
 
 The central a-priori estimate is the L2 growth bound
 
@@ -7,7 +8,8 @@ The central a-priori estimate is the L2 growth bound
 with alpha0 the maximal linear growth rate and C_phi half the C^1_b norm of
 the background profile.  The bound holds exactly for true solutions, so the
 checker treats a violation (beyond a 1e-8 roundoff allowance) as a solver
-bug, not as physics.
+bug, not as physics.  The other is the uniqueness lemma's contraction bound
+(ContractionBound), whose root t_star is the step size the lemma makes safe.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ __all__ = [
     "l2_norm",
     "energy_bound_check",
     "c1b_norm",
+    "ContractionBound",
+    "contraction_time_bound",
+    "K0",
+    "K1",
 ]
 
 # violations beyond this fraction of the bound are hard failures
@@ -107,3 +113,56 @@ def c1b_norm(p: WaveProfile, grid: Grid) -> float:
     """
     s0, s1 = p.sup_values(grid)
     return s0 + s1
+
+
+class ContractionBound(NamedTuple):
+    """Safe step size from the uniqueness lemma's contraction constant.
+
+    t_star solves ratio_bound(t) = 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1 in
+    closed form, where M is the norm budget of the two iterates being
+    compared and u the C^1_b norm of the profile.
+    """
+
+    M: float
+    u_phi_norm: float
+    t_star: float
+
+    def equation_residual(self) -> float:
+        return abs(self.ratio_bound(self.t_star) - 1.0)
+
+    def ratio_bound(self, dt: float) -> float:
+        """Contraction factor the lemma guarantees for steps of size dt."""
+        return (
+            2.0 * self.M * K0 * dt**0.25
+            + 2.0 * K1 * math.sqrt(dt) * self.u_phi_norm
+        )
+
+
+#: kernel constants of the contraction bound, max t^{3/4} ||dK/dx||_L2 and
+#: max t^{1/2} ||dK/dx||_L1 over t in [1e-4, 1e-2], the dt scale (they grow
+#: with the horizon); constants of the continuous kernel, so pinned
+K0 = 0.34418969225222185
+K1 = 0.808638649332362
+
+
+def contraction_time_bound(M: float, u_phi_norm: float) -> ContractionBound:
+    """Closed-form positive root of 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1.
+
+    In y = t^{1/4} this is a y^2 + b y - 1 = 0, whose positive root is taken
+    in the rationalized form y = 2 / (b + sqrt(b^2 + 4 a)): it covers a = 0
+    and never subtracts nearly equal numbers, which the textbook form
+    (-b + sqrt(b^2 + 4 a)) / (2 a) does whenever 4 a << b^2.
+    """
+    if M < 0 or u_phi_norm < 0:
+        raise ValueError("norm budgets cannot be negative")
+    a = 2.0 * K1 * u_phi_norm  # quadratic coefficient in y = t^{1/4}
+    b = 2.0 * M * K0
+    if a == 0.0 and b == 0.0:
+        raise ValueError("all-zero inputs: no contraction constraint to solve")
+    t_star = (2.0 / (b + math.sqrt(b * b + 4.0 * a))) ** 4
+    bound = ContractionBound(M=M, u_phi_norm=u_phi_norm, t_star=t_star)
+    if not bound.equation_residual() <= 1e-10:  # a NaN residual fails too
+        raise ArithmeticError(
+            f"contraction root lost precision: residual {bound.equation_residual():.2e}"
+        )
+    return bound

@@ -37,8 +37,9 @@ term and changes no bit.
 Step control works on evidence: each dt step is first tried whole and, when
 Picard contracts by a ratio above RHO_MAX, misses picard_tol or goes
 non-finite, retried from the same state in 2, 4, 8, ... equal pieces, up to
-MAX_SUBSTEPS.  The lemma's closed-form step t_star (contraction_time_bound)
-is a worst case: it is reported and is a test oracle, but does not steer.
+MAX_SUBSTEPS.  The lemma's closed-form step t_star
+(diagnostics.contraction_time_bound) is a worst case: it is reported and is
+a test oracle, but does not steer.
 
 Nonlinear products are formed in physical space and dealiased with the 2/3
 rule by default, so quadratic aliasing cannot contaminate the energy-bound
@@ -57,29 +58,20 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from typing import NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, EnergyBoundParams, c1b_norm
-from .grid import Grid, RealField, RealSpectrum, load_samples, make_grid, real_spectrum
+from .grid import RealField, RealSpectrum, make_grid, real_spectrum
 from .operator import ALPHA0, symbol_table
 from .profiles import WaveProfile
 from .record import Record
 
-__all__ = [
-    "InitialCondition",
-    "SimConfig",
-    "Trajectory",
-    "ContractionBound",
-    "BlowUpError",
-    "PicardError",
-    "contraction_time_bound",
-    "K0",
-    "K1",
-    "evolve",
-    "evolve_full",
-]
+if TYPE_CHECKING:  # the run's description; the stepper only reads its fields
+    from .config import SimConfig
+
+__all__ = ["Trajectory", "BlowUpError", "PicardError", "evolve", "evolve_full"]
 
 #: the a-priori bound is exact for true solutions; exceeding it by this
 #: factor can only be a numerical fault
@@ -123,86 +115,6 @@ class PicardError(ArithmeticError):
         self.iterations = iterations  # nonlinear terms the failed loop evaluated
 
 
-class InitialCondition(NamedTuple):
-    """Initial perturbation: a preset shape or samples read from a file."""
-
-    kind: str = "gaussian"
-    amplitude: float = 0.1
-    width: float = 1.0
-    offset: float = 0.0
-    mode_k: int = 12
-    seed: int = 0
-    file: str | None = None
-
-    def build(self, grid: Grid) -> RealField:
-        x = grid.points
-        if self.kind == "zero":
-            return RealField(grid, np.zeros(grid.n))
-        if self.kind == "constant":
-            return RealField(grid, np.full(grid.n, self.amplitude))
-        if self.kind == "gaussian":
-            u = (x - self.offset) / self.width
-            return RealField(grid, self.amplitude * np.exp(-(u**2)))
-        if self.kind == "mode":
-            if abs(self.mode_k) >= grid.n // 2:
-                raise ValueError(
-                    f"mode_k = {self.mode_k} aliases on n = {grid.n}: need |mode_k| < {grid.n // 2}"
-                )
-            xi = self.mode_k / grid.length
-            return RealField(grid, self.amplitude * np.cos(2 * np.pi * xi * (x - self.offset)))
-        if self.kind == "white-noise":
-            rng = np.random.default_rng(self.seed)
-            return RealField(grid, self.amplitude * rng.standard_normal(grid.n))
-        if self.kind == "file":
-            if not self.file:
-                raise ValueError("file initial condition requires a path")
-            return load_samples(self.file, grid)
-        raise ValueError(f"unknown initial condition kind {self.kind!r}")
-
-
-class SimConfig(Record):
-    """Complete description of one evolution run.  linear_only is a test
-    hook: it drops the nonlinear term entirely."""
-
-    __slots__ = ("grid", "profile", "v0", "t_end", "dt", "picard_tol", "picard_max",
-                 "dealias", "output_stride", "linear_only")
-
-    def __init__(self, grid: Grid, profile: WaveProfile, v0: InitialCondition,
-                 t_end: float = 1.0, dt: float = 1e-3, picard_tol: float = 1e-10,
-                 picard_max: int = 25, dealias: bool = True, output_stride: int = 10,
-                 linear_only: bool = False):
-        self._fill(grid, profile, v0, t_end, dt, picard_tol, picard_max, dealias,
-                   output_stride, linear_only)
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not math.isfinite(self.t_end):
-            raise ValueError(f"t_end must be finite, got {self.t_end}")
-        if not math.isfinite(self.profile.speed * self.t_end):
-            raise ValueError(f"t_end must keep profile.speed * t_end finite, got "
-                             f"{self.profile.speed} * {self.t_end}")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end must be at least dt, got {self.t_end} < {self.dt}")
-        if not (0 < self.picard_tol <= 1e-2):
-            raise ValueError(f"picard_tol must lie in (0, 1e-2], got {self.picard_tol}")
-        if self.picard_max < 1:
-            raise ValueError(f"picard_max must be >= 1, got {self.picard_max}")
-        if self.output_stride < 1:
-            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        # beyond 2**53 steps, step indices and step times are no longer exact
-        # floats; a step count that large would also never finish
-        if not self.t_end / self.dt <= 2**53:
-            raise ValueError(f"dt must leave a finite step count of at most 2**53, got "
-                             f"t_end / dt = {self.t_end} / {self.dt}")
-        if abs(self.steps * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise ValueError(f"t_end must be a whole number of dt steps, got {self.t_end} "
-                             f"= {self.t_end / self.dt:.12g} * {self.dt}")
-
-    @property
-    def steps(self) -> int:
-        """Number of dt steps from 0 to t_end."""
-        return round(self.t_end / self.dt)
-
-
 class Trajectory:
     """Recorded time series: diagnostics at each record time, the fields
     appended with them, and the run's Picard work.  A list left None starts
@@ -226,7 +138,7 @@ class Trajectory:
         # accepted step or piece
         self.picard_iters_max = picard_iters_max
         self.picard_ratio_max = picard_ratio_max
-        # accepted steps and pieces by the order of their Picard seed, 1..6
+        # accepted steps and pieces by the order of their Picard seed, 1..7
         self.steps_by_seed_order = ([0] * len(SEED_WEIGHTS) if steps_by_seed_order is None
                                     else steps_by_seed_order)
         # the state after the last step, which evolve(..., resume=) continues from
@@ -246,59 +158,6 @@ class Trajectory:
         if f is not None:
             self.fields.append(f)
         self.records.append(record)
-
-
-class ContractionBound(NamedTuple):
-    """Safe step size from the uniqueness lemma's contraction constant.
-
-    t_star solves ratio_bound(t) = 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1 in
-    closed form, where M is the norm budget of the two iterates being
-    compared and u the C^1_b norm of the profile.
-    """
-
-    M: float
-    u_phi_norm: float
-    t_star: float
-
-    def equation_residual(self) -> float:
-        return abs(self.ratio_bound(self.t_star) - 1.0)
-
-    def ratio_bound(self, dt: float) -> float:
-        """Contraction factor the lemma guarantees for steps of size dt."""
-        return (
-            2.0 * self.M * K0 * dt**0.25
-            + 2.0 * K1 * math.sqrt(dt) * self.u_phi_norm
-        )
-
-
-#: kernel constants of the contraction bound, max t^{3/4} ||dK/dx||_L2 and
-#: max t^{1/2} ||dK/dx||_L1 over t in [1e-4, 1e-2], the dt scale (they grow
-#: with the horizon); constants of the continuous kernel, so pinned
-K0 = 0.34418969225222185
-K1 = 0.808638649332362
-
-
-def contraction_time_bound(M: float, u_phi_norm: float) -> ContractionBound:
-    """Closed-form positive root of 2 M K0 t^{1/4} + 2 K1 t^{1/2} u = 1.
-
-    In y = t^{1/4} this is a y^2 + b y - 1 = 0, whose positive root is taken
-    in the rationalized form y = 2 / (b + sqrt(b^2 + 4 a)): it covers a = 0
-    and never subtracts nearly equal numbers, which the textbook form
-    (-b + sqrt(b^2 + 4 a)) / (2 a) does whenever 4 a << b^2.
-    """
-    if M < 0 or u_phi_norm < 0:
-        raise ValueError("norm budgets cannot be negative")
-    a = 2.0 * K1 * u_phi_norm  # quadratic coefficient in y = t^{1/4}
-    b = 2.0 * M * K0
-    if a == 0.0 and b == 0.0:
-        raise ValueError("all-zero inputs: no contraction constraint to solve")
-    t_star = (2.0 / (b + math.sqrt(b * b + 4.0 * a))) ** 4
-    bound = ContractionBound(M=M, u_phi_norm=u_phi_norm, t_star=t_star)
-    if not bound.equation_residual() <= 1e-10:  # a NaN residual fails too
-        raise ArithmeticError(
-            f"contraction root lost precision: residual {bound.equation_residual():.2e}"
-        )
-    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import __version__
 from .config import CONFIG_SCHEMA, ConfigError, RunSettings
-from .diagnostics import c1b_norm, l2_norm
-from .evolution import K0, K1, ContractionBound, contraction_time_bound
+from .diagnostics import K0, K1, ContractionBound, c1b_norm, contraction_time_bound, l2_norm
 from .operator import A_I, ALPHA0, B_I, GAMMA_TWO_THIRDS, XI_C, XI_STAR
 
 __all__ = ["CsvTable", "RunManifest", "format_float", "derived_constants", "picard_ratio_bound"]

@@ -91,14 +91,14 @@ def grid_2048():
     return make_grid(2048, 40.0)
 
 
-#: the small-time window over which evolution.K0 and K1 are pinned: the dt
+#: the small-time window over which diagnostics.K0 and K1 are pinned: the dt
 #: scale, where the per-step contraction bound needs them
 CONTROL_WINDOW = (1e-4, 1e-2)
 
 
 @pytest.fixture(scope="session")
 def stepping_norm_fit():
-    """The refit that evolution.K0 and K1 pin: 9 log-spaced times over
+    """The refit that diagnostics.K0 and K1 pin: 9 log-spaced times over
     CONTROL_WINDOW, on a grid fine enough to resolve the smallest."""
     times = np.logspace(math.log10(CONTROL_WINDOW[0]), math.log10(CONTROL_WINDOW[1]), 9)
     return grad_kernel_norms(times, make_grid(8192, 40.0))

@@ -12,14 +12,9 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from fowler.diagnostics import c1b_norm, energy_bound_check, l2_norm
-from fowler.evolution import (
-    InitialCondition,
-    SimConfig,
-    contraction_time_bound,
-    evolve,
-    evolve_full,
-)
+from fowler.config import InitialCondition, SimConfig
+from fowler.diagnostics import c1b_norm, contraction_time_bound, energy_bound_check, l2_norm
+from fowler.evolution import evolve, evolve_full
 from fowler.grid import RealField, make_grid
 from reference_spectrum import forward_transform
 from fowler.kernel import (

@@ -14,8 +14,8 @@ import pytest
 import fowler
 from fowler.cli import COMMANDS, main
 from fowler.config import CONFIG_SCHEMA, ConfigError, parse_config
-from fowler.diagnostics import c1b_norm, l2_norm
-from fowler.evolution import RHO_HISTORY, contraction_time_bound
+from fowler.diagnostics import c1b_norm, contraction_time_bound, l2_norm
+from fowler.evolution import RHO_HISTORY
 from fowler.reporting import RunManifest, echo_config
 
 
@@ -378,7 +378,7 @@ def test_moving_profile_sampled_once_per_step_time(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["evolve", "operator-check"])
 def test_initial_condition_built_once_per_command(tmp_path, monkeypatch, command):
-    from fowler.evolution import InitialCondition
+    from fowler.config import InitialCondition
 
     calls = []
     original = InitialCondition.build
@@ -637,7 +637,7 @@ def test_overflowing_energy_bound_is_no_fault(tmp_path, command):
     assert _manifest(out)["result"] == "pass"
 
 
-@pytest.mark.parametrize("builder", ["fowler.config.make_grid", "fowler.cli.evolve"])
+@pytest.mark.parametrize("builder", ["fowler.config.make_grid", "fowler.evolution.evolve"])
 def test_unallocatable_grid_exits_1(tmp_path, monkeypatch, capsys, builder):
     # no huge array is allocated: the builder raises as numpy would
     def unallocatable(*args, **kwargs):
@@ -910,15 +910,21 @@ def test_byte_identical_reruns(tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
 
 
-def run_module(*args, launch=("-m", "fowler")):
+def run_module(*args, launch=("-m", "fowler"), env=None):
     """`python -m fowler ARGS` (or `python LAUNCH ARGS`) in a child process
     that imports the package from where this process did, so it also runs
-    from a checkout without an install."""
+    from a checkout without an install.  env sets variables in the child's
+    environment, or with the value None removes them."""
     package_root = os.path.dirname(os.path.dirname(fowler.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    child = dict(os.environ, PYTHONPATH=path)
+    for name, value in (env or {}).items():
+        if value is None:
+            child.pop(name, None)
+        else:
+            child[name] = value
     return subprocess.run([sys.executable, *launch, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child)
 
 
 def test_console_entry_point_runs(tmp_path):
@@ -965,6 +971,57 @@ def test_both_launch_routes_freeze_the_heap_before_exit(tmp_path, route):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == [f"manifest: {tmp_path / 'o' / 'manifest.txt'}",
                                              "frozen: True"]
+
+
+#: a `python -m fowler` child that prints, at exit, the package modules it
+#: loaded and the OPENBLAS_NUM_THREADS it ran with, one line each
+REPORTING_LAUNCH = (
+    "import atexit, os, sys\n"
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('fowler.')),"
+    " os.environ.get('OPENBLAS_NUM_THREADS'), sep='\\n'))\n"
+    "import runpy; runpy.run_module('fowler', run_name='__main__')"
+)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_launch_loads_only_its_commands_modules(tmp_path, command):
+    # the checks never import the stepper, the stepping commands never
+    # import the kernel, and BLAS gets one thread unless the caller chose
+    proc = run_module(command, write_cfg(tmp_path, ZERO_RUN), "--out", str(tmp_path / "o"),
+                      launch=("-c", REPORTING_LAUNCH), env={"OPENBLAS_NUM_THREADS": None})
+    assert proc.returncode == 0, proc.stderr
+    modules, threads = proc.stdout.splitlines()[-2:]
+    stepping = command in ("evolve", "evolve-full", "convergence")
+    assert ("'fowler.evolution'" in modules) == stepping, modules
+    assert ("'fowler.kernel'" in modules) == (command == "kernel-report"), modules
+    assert threads == "1"
+
+
+def test_launch_keeps_the_callers_blas_thread_count(tmp_path):
+    proc = run_module("evolve", write_cfg(tmp_path, ZERO_RUN), "--out", str(tmp_path / "o"),
+                      launch=("-c", REPORTING_LAUNCH), env={"OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "2"
+
+
+def test_importing_the_package_loads_no_numpy():
+    # so the launch path sets the BLAS thread count before numpy loads, and
+    # fowler.cli loads no other package module
+    code = ("import sys, fowler; print('numpy' in sys.modules); import fowler.cli;"
+            " print(sorted(m for m in sys.modules if m.startswith('fowler')))")
+    proc = run_module(launch=("-c", code))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "['fowler', 'fowler.cli']"]
+
+
+def test_package_namespace_keeps_its_public_names():
+    # each resolves, on first use, to the name in the module that defines it
+    assert fowler.evolve is sys.modules["fowler.evolution"].evolve
+    assert fowler.SimConfig is sys.modules["fowler.config"].SimConfig
+    assert fowler.K0 is sys.modules["fowler.diagnostics"].K0
+    assert len(fowler.__all__) == 40 and all(hasattr(fowler, name) for name in fowler.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fowler.no_such_name
 
 
 def test_script_entry_is_the_launch_path():

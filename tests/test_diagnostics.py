@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fowler.config import InitialCondition, SimConfig
 from fowler.diagnostics import (
     DiagnosticsRecord,
     EnergyBoundParams,
@@ -13,8 +14,9 @@ from fowler.diagnostics import (
     energy_bound_check,
     l2_norm,
 )
-from fowler.evolution import InitialCondition, SimConfig, Trajectory, evolve
+from fowler.evolution import Trajectory, evolve
 from fowler.grid import RealField, make_grid
+from fowler.operator import ALPHA0
 from fowler.profiles import WaveProfile
 
 
@@ -72,6 +74,44 @@ def test_energy_bound_check_passes_and_fails():
     report = energy_bound_check(bad_traj)
     assert not report.ok
     assert report.first_violation == 0
+
+
+def _records_at(params, times, factor):
+    """A trajectory whose norm at each time is factor times params' bound."""
+    traj = Trajectory(params=params)
+    for t in times:
+        bound = params.bound(t)
+        traj.append(None, DiagnosticsRecord(
+            t=t, l2=factor * bound, energy_bound=bound, mass=0.0, mass_drift=0.0,
+            picard_iters=1, picard_ratio=0.0, spectral_tail=0.0,
+        ))
+    return traj
+
+
+def test_energy_bound_check_fails_just_over_the_bound_and_passes_at_it():
+    # criterion 8 allows the check roundoff and nothing more: the bound holds
+    # exactly for true solutions, so a norm 1e-6 relative over it is a fault
+    params = EnergyBoundParams(alpha0=ALPHA0, c_phi=0.75, v0_norm=0.3)
+    times = [0.0, 0.25, 0.5, 1.0]
+    at = energy_bound_check(_records_at(params, times, 1.0))
+    assert at.ok and at.first_violation is None
+    assert np.all(at.margins == 0.0)
+    over = energy_bound_check(_records_at(params, times, 1.0 + 1e-6))
+    assert not over.ok and over.first_violation == 0
+    traj = _records_at(params, times, 1.0)
+    traj.records[2] = traj.records[2]._replace(l2=(1.0 + 1e-6) * traj.records[2].energy_bound)
+    report = energy_bound_check(traj)
+    assert not report.ok and report.first_violation == 2
+
+
+def test_energy_bound_is_its_closed_form():
+    # ||v0|| e^{(alpha0 + C_phi) t}; with alpha0 + C_phi = ln 2 it doubles
+    # per unit time
+    params = EnergyBoundParams(alpha0=0.25 * math.log(2.0), c_phi=0.75 * math.log(2.0),
+                               v0_norm=3.0)
+    for t, expected in [(0.0, 3.0), (0.5, 3.0 * math.sqrt(2.0)), (1.0, 6.0), (3.0, 24.0),
+                        (10.0, 3072.0)]:
+        assert params.bound(t) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_energy_bound_zero_trajectory(grid_1024):

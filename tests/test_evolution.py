@@ -11,21 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from fowler import evolution
-from fowler.diagnostics import c1b_norm, energy_bound_check, l2_norm
-from fowler.evolution import (
+from fowler import diagnostics, evolution
+from fowler.config import InitialCondition, SimConfig
+from fowler.diagnostics import (
     K0,
     K1,
+    c1b_norm,
+    contraction_time_bound,
+    energy_bound_check,
+    l2_norm,
+)
+from fowler.evolution import (
     MAX_SUBSTEPS,
     RHO_HISTORY,
     RHO_MAX,
     SEED_WEIGHTS,
     BlowUpError,
-    InitialCondition,
     PicardError,
-    SimConfig,
     _nonlinear_hat,
-    contraction_time_bound,
     evolve,
     evolve_full,
 )
@@ -37,8 +40,8 @@ from fowler.profiles import WaveProfile
 @pytest.fixture
 def unit_constants(monkeypatch):
     """K0 = K1 = 1 in the contraction bound, for closed-form oracles."""
-    monkeypatch.setattr(evolution, "K0", 1.0)
-    monkeypatch.setattr(evolution, "K1", 1.0)
+    monkeypatch.setattr(diagnostics, "K0", 1.0)
+    monkeypatch.setattr(diagnostics, "K1", 1.0)
 
 
 def base_config(grid, profile=None, v0=None, **kw):
@@ -779,6 +782,30 @@ def test_phi_functions_on_their_own_entries_are_the_whole_band_form():
                 assert np.array_equal(tables.A1, 0.5 * dt * D * phi2)
                 bands.add("series only" if np.all(np.abs(z) < 0.25) else "mixed")
     assert bands == {"series only", "mixed"}  # z = 0 at k = 0 is always series
+
+
+def phi_series(z, p, terms=30):
+    """phi_p(z) = sum_k z^k / (k + p)!, by Horner from the smallest term: an
+    evaluation written apart from _phi_functions' 13-term forward sum."""
+    total = np.zeros_like(z)
+    for k in reversed(range(terms)):
+        total = total * z + 1.0 / math.factorial(k + p)
+    return total
+
+
+def test_phi_functions_match_a_longer_series_where_they_sum_theirs():
+    # on |z| < 0.25 _phi_functions sums its own series; a truncated series
+    # or a wrong coefficient there misses the 30-term values by far more
+    # than roundoff
+    rng = np.random.default_rng(7)
+    radius, angle = 0.25 * np.sqrt(rng.uniform(size=4000)), 2.0 * np.pi * rng.uniform(size=4000)
+    disk = radius * np.exp(1j * angle)
+    z = -1e-3 * symbol_table(make_grid(1024, 40.0))
+    z = np.concatenate([disk, z[np.abs(z) < 0.25],
+                        [0.0, 1e-300, 1e-12, 0.2499999, -0.2499999, 0.2499999j]]).astype(complex)
+    phi1, phi2 = evolution._phi_functions(z, np.exp(z))
+    np.testing.assert_allclose(phi1, phi_series(z, 1), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(phi2, phi_series(z, 2), rtol=1e-15, atol=0.0)
 
 
 # --- contraction_time_bound -------------------------------------------------

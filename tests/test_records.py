@@ -37,10 +37,10 @@ SIGNATURES = {
                                          ("v0_norm", REQUIRED)],
     (diagnostics, "EnergyBoundReport"): [("margins", REQUIRED), ("ok", REQUIRED),
                                          ("first_violation", REQUIRED)],
-    (evolution, "InitialCondition"): [("kind", "gaussian"), ("amplitude", 0.1), ("width", 1.0),
-                                      ("offset", 0.0), ("mode_k", 12), ("seed", 0),
-                                      ("file", None)],
-    (evolution, "SimConfig"): [
+    (config, "InitialCondition"): [("kind", "gaussian"), ("amplitude", 0.1), ("width", 1.0),
+                                  ("offset", 0.0), ("mode_k", 12), ("seed", 0),
+                                  ("file", None)],
+    (config, "SimConfig"): [
         ("grid", REQUIRED), ("profile", REQUIRED), ("v0", REQUIRED), ("t_end", 1.0),
         ("dt", 1e-3), ("picard_tol", 1e-10), ("picard_max", 25), ("dealias", True),
         ("output_stride", 10), ("linear_only", False)],
@@ -48,8 +48,8 @@ SIGNATURES = {
         ("fields", None), ("records", None), ("params", None), ("max_substeps", 1),
         ("picard_iters_total", 0), ("steps_by_seed_order", None), ("end", None),
         ("picard_iters_max", 0), ("picard_ratio_max", 0.0)],
-    (evolution, "ContractionBound"): [("M", REQUIRED), ("u_phi_norm", REQUIRED),
-                                      ("t_star", REQUIRED)],
+    (diagnostics, "ContractionBound"): [("M", REQUIRED), ("u_phi_norm", REQUIRED),
+                                        ("t_star", REQUIRED)],
     (evolution, "_StepTables"): [("spectrum", REQUIRED), ("dt", REQUIRED), ("E", REQUIRED),
                                  ("A0", REQUIRED), ("A1", REQUIRED), ("modes", REQUIRED)],
     (evolution, "_StepState"): [("vhat", REQUIRED), ("nhat", REQUIRED), ("history", REQUIRED),
@@ -96,8 +96,8 @@ def instances():
     g = make_grid(16, 4.0)
     field = RealField(g, np.linspace(0.0, 1.0, 16))
     profile = WaveProfile("tanh-front", amplitude=0.5)
-    v0 = evolution.InitialCondition()
-    sim = evolution.SimConfig(grid=g, profile=profile, v0=v0, t_end=0.01, dt=1e-3)
+    v0 = config.InitialCondition()
+    sim = config.SimConfig(grid=g, profile=profile, v0=v0, t_end=0.01, dt=1e-3)
     quadrature = QuadratureSpec(z_max=2.0, z_min=1e-4, panels=48)
     state = evolution._StepState(np.zeros(6, complex), None, (), 0, 1e-3, 0.0, True)
     return {
@@ -110,7 +110,7 @@ def instances():
         "EnergyBoundReport": diagnostics.EnergyBoundReport(np.zeros(3), True, None),
         "InitialCondition": v0,
         "SimConfig": sim,
-        "ContractionBound": evolution.contraction_time_bound(1.0, 1.0),
+        "ContractionBound": diagnostics.contraction_time_bound(1.0, 1.0),
         "_StepTables": evolution._step_tables(16, 4.0, 1e-3, True),
         "_StepState": state,
         "KernelSnapshot": kernel.kernel_field(0.1, g),

@@ -8,14 +8,17 @@ library, no import of dataclasses, whose classes generate and exec their
 methods at every start-up (records are NamedTuple or record.Record classes),
 no private numpy name, which may change or vanish in any numpy release the
 declared numpy>=1.24 admits, no BLAS dot product in the grid or the
-stepper, which would load BLAS and its buffers for one short sum, and no
+stepper, which would load BLAS and its buffers for one short sum, no
 gc.freeze outside the launch path, where a frozen heap is the process's last
-state and not garbage that an in-process caller keeps for good."""
+state and not garbage that an in-process caller keeps for good, and no
+module of TOKEN_LIMIT parser tokens or more."""
 
 import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import fowler
@@ -108,9 +111,10 @@ def test_guard_detects_module_imports():
 
 def test_only_the_command_layer_imports_kernel():
     # the stepper and the rest of the package use the pinned constants of
-    # evolution, not the kernel's norm fit
+    # diagnostics, not the kernel's norm fit; the package namespace names
+    # kernel's exports without importing it
     importers = [name for name, tree in modules() if "kernel" in package_imports(tree)]
-    assert importers == ["__init__.py", "cli.py"]
+    assert importers == ["cli.py"]
 
 
 def is_cache(expr) -> bool:
@@ -365,3 +369,31 @@ def test_guard_detects_gc_freezes():
 def test_only_the_launch_path_freezes_the_heap():
     offenders = [name for name, tree in modules() if gc_freezes(tree)]
     assert offenders == ["__main__.py"]
+
+
+#: every launch compiles the modules it imports; compiling one of this many
+#: parser tokens or more peaked about 229 KiB higher (CPython 3.11, the
+#: parser's token array doubling), more than a launch's memory may move
+TOKEN_LIMIT = 4096
+
+
+def parser_tokens(source: str) -> int:
+    """Tokens the parser reads from source: all but comments, the NL ending
+    a blank or continued line, and the encoding marker."""
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    tokens = tokenize.tokenize(io.BytesIO(source.encode()).readline)
+    return sum(1 for token in tokens if token.type not in skipped)
+
+
+def test_guard_counts_parser_tokens():
+    # NAME OP NUMBER NEWLINE per line, one ENDMARKER
+    assert parser_tokens("x = 1\n") == 5
+    assert parser_tokens("x = 1  # note\n\n# more\ny = (1,\n     2)\n") == 13
+    assert parser_tokens("x = 1\n" * 1023 + "x\n") == TOKEN_LIMIT - 1
+    assert parser_tokens("x = 1\n" * 1023 + "-x\n") == TOKEN_LIMIT
+
+
+def test_every_module_stays_under_the_token_limit():
+    counts = {p.name: parser_tokens(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert counts["evolution.py"] > 0
+    assert {name: n for name, n in counts.items() if n >= TOKEN_LIMIT} == {}
