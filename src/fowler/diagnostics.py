@@ -6,10 +6,11 @@ The central a-priori estimate is the L2 growth bound
     ||v(t)|| <= e^{(alpha0 + C_phi) t} ||v0||,
 
 with alpha0 the maximal linear growth rate and C_phi half the C^1_b norm of
-the background profile.  The bound holds exactly for true solutions, so the
-checker treats a violation (beyond a 1e-8 roundoff allowance) as a solver
-bug, not as physics.  The other is the uniqueness lemma's contraction bound
-(ContractionBound), whose root t_star is the step size the lemma makes safe.
+the background profile the stepper steps (profiles.sup_values).  The bound
+holds exactly for true solutions, so the checker treats a violation (beyond
+a 1e-8 roundoff allowance) as a solver bug, not as physics.  The other is
+the uniqueness lemma's contraction bound (ContractionBound), whose root
+t_star is the step size the lemma makes safe.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def energy_bound_check(traj) -> EnergyBoundReport:
 
 @functools.lru_cache(maxsize=1)
 def c1b_norm(p: WaveProfile, grid: Grid) -> float:
-    """sup|phi| + sup|phi'|, sups over the 16x finer box (profiles.sup_values).
+    """sup|phi| + sup|phi'| of the stepped profile's interpolant over the 16x
+    finer box (profiles.sup_values).
 
     Sampling the finer box is the cost, and a run asks twice (its
     derived constants and its stepping loop), so the norm is kept for the

@@ -3,7 +3,9 @@
 A profile phi moving at speed c enters the dynamics as phi(x - c t),
 periodized over the box.  Profiles are inputs here: constants, tanh fronts,
 Gaussian bumps, or arbitrary sampled fields; nothing in this package
-constructs travelling waves.
+constructs travelling waves.  A tanh front is a periodic front pair, which
+does not jump where the box wraps, and every kind's C^1_b norm is read from
+the samples the stepper steps (sup_values).
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ PROFILE_KINDS = ("constant", "tanh-front", "gaussian-bump", "sampled")
 
 #: sup_values samples the profile on a box this many times finer than the grid
 SUP_OVERSAMPLING = 16
-
-#: sup_values evaluates an analytic kind this many points (64 KiB arrays) at a
-#: time: its temporaries stay cache-sized and never set a command's peak memory
-SUP_CHUNK = 1 << 13
 
 
 def _abs_max(values: np.ndarray) -> float:
@@ -55,25 +53,11 @@ class WaveProfile(Record):
         if self.kind in ("tanh-front", "gaussian-bump") and not (self.width > 0):
             raise ValueError(f"profile width must be positive, got {self.width}")
 
-    def _analytic(self, y: np.ndarray, derivative: int) -> np.ndarray:
-        """phi (derivative 0) or phi' (derivative 1) of an analytic kind."""
-        A, w = self.amplitude, self.width
-        if self.kind == "constant":
-            return np.full_like(y, A) if derivative == 0 else np.zeros_like(y)
-        u = (y - self.offset) / w
-        if self.kind == "tanh-front":
-            if derivative == 0:
-                return A * np.tanh(u)
-            with np.errstate(over="ignore"):  # cosh overflows where sech^2 is 0
-                return (A / w) * (1.0 / np.cosh(u) ** 2)
-        # gaussian-bump
-        bump = A * np.exp(-(u**2))
-        if derivative == 0:
-            return bump
-        return bump * (-2.0 * u / w)
-
     def evaluate(self, t: float, grid: Grid) -> RealField:
-        """Samples of phi(x - c t) on the grid, argument wrapped into the box."""
+        """Samples of phi(x - c t) on the grid, argument wrapped into the box.
+        A tanh front is the front at the offset (wrapped too) plus a return
+        front at the box edge: periodic to 2e^{-2d/w}, d the front's distance
+        to the edge, with slope A/w at both fronts."""
         if self.kind == "sampled":
             if self.samples.grid != grid:
                 raise ValueError("sampled profile lives on a different grid")
@@ -82,26 +66,37 @@ class WaveProfile(Record):
             spectrum = real_spectrum(grid)
             coeffs = spectrum.forward(self.samples.values)
             return RealField(grid, spectrum.shifted(coeffs, -self.speed * t))
+        A, w = self.amplitude, self.width
+        if self.kind == "constant":
+            return RealField(grid, np.full(grid.n, A))
         y = grid.points - self.speed * t
         half = 0.5 * grid.length
         y = (y + half) % grid.length - half
-        return RealField(grid, self._analytic(y, 0))
+        if self.kind == "gaussian-bump":
+            return RealField(grid, A * np.exp(-(((y - self.offset) / w) ** 2)))
+        x0 = (self.offset + half) % grid.length - half
+        pair = np.tanh((y - x0) / w) - np.tanh((y - half) / w) - np.tanh((y + half) / w)
+        return RealField(grid, A * pair)
 
     def sup_values(self, grid: Grid) -> tuple[float, float]:
-        """(sup|phi|, sup|phi'|) over a SUP_OVERSAMPLING x finer box: the two
-        terms of the C^1_b norm.  A sampled profile's finer box is
-        SUP_OVERSAMPLING shifted copies of the grid, n points each."""
-        if self.kind == "sampled":
-            spectrum = real_spectrum(grid)
-            coeffs = spectrum.forward(self.samples.values)
-            # map drops each copy before the next is formed
-            sup = max(map(_abs_max, spectrum.shifted_copies(coeffs, SUP_OVERSAMPLING)))
-            coeffs *= spectrum.derivative  # phi' in place: one spectrum alive at a time
-            return sup, max(map(_abs_max, spectrum.shifted_copies(coeffs, SUP_OVERSAMPLING)))
-        m = grid.n * SUP_OVERSAMPLING
-        sups = [0.0, 0.0]
-        for start in range(0, m, SUP_CHUNK):
-            x = -0.5 * grid.length + (grid.length / m) * np.arange(start, min(start + SUP_CHUNK, m))
-            for order in (0, 1):
-                sups[order] = max(sups[order], _abs_max(self._analytic(x, order)))
-        return tuple(sups)
+        """(sup|phi|, sup|phi'|), the C^1_b norm's terms, of the interpolant of
+        evaluate(0.0, grid) over a SUP_OVERSAMPLING x finer box: that many
+        shifted n-point copies of the grid.  Samples near the double range
+        are scaled by a power of two first and the sups back: exact, and a
+        sup past the double range is inf, never nan."""
+        values = self.evaluate(0.0, grid).values
+        # the spectrum reaches |phi| L, and phi' on the grid |phi| n^3 / L
+        # before the transform's 1/n: the scaling keeps both below 2^1000
+        exponent = max(math.frexp(_abs_max(values))[1] + abs(math.frexp(grid.length)[1])
+                       + 3 * grid.n.bit_length() - 1000, 0)
+        if exponent:
+            values = np.ldexp(values, -exponent)
+        spectrum = real_spectrum(grid)
+        # each pass's spectrum is referenced by its generator alone, which steps
+        # a copy of it, and map drops each copy before the next is formed
+        sup = max(map(_abs_max, spectrum.shifted_copies(
+            spectrum.forward(values), SUP_OVERSAMPLING)))
+        slope = max(map(_abs_max, spectrum.shifted_copies(
+            spectrum.forward(values) * spectrum.derivative, SUP_OVERSAMPLING)))
+        half = exponent // 2  # 2^exponent itself may be past the double range
+        return tuple(s * 2.0**half * 2.0 ** (exponent - half) for s in (sup, slope))

@@ -352,9 +352,11 @@ def order4_tanh_config(grid):
 def test_order4_seed_takes_one_picard_iteration(grid_1024, monkeypatch):
     # the tanh front of the ETD2 test: steps 1-3 climb through seed orders
     # 1-3, every later step is seeded at order 4, whose steps take at most
-    # two iterations, so the order never moves above 4, and from step 6 on
+    # two iterations, so the order never moves above 4, and from step 3 on
     # each step meets the tolerance with its seed, one nonlinear term per
-    # step (2.28 transforms per step with the record fields, 4.18 with ETD2)
+    # step (2.22 transforms per step with the record fields)
+    cfg = order4_tanh_config(grid_1024)
+    c1b_norm(cfg.profile, cfg.grid)  # cached: the norm's transforms are not the stepper's
     transforms = count_transforms(monkeypatch)
     iterations = []
     original = evolution._single_step
@@ -365,9 +367,9 @@ def test_order4_seed_takes_one_picard_iteration(grid_1024, monkeypatch):
         return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
-    traj = evolve(order4_tanh_config(grid_1024))
+    traj = evolve(cfg)
     assert traj.steps_by_seed_order == [1, 1, 1, 97, 0, 0, 0]
-    assert max(iterations[3:]) == 2 and set(iterations[5:]) == {1}
+    assert iterations[:2] == [3, 2] and set(iterations[2:]) == {1}
     assert len(transforms) <= 2.3 * 100
 
 
@@ -482,9 +484,8 @@ def test_picard_iters_total_counts_every_nonlinear_term(grid_1024, monkeypatch, 
     # Picard iteration, except the start state's term
     seen = count_nonlinear_terms(monkeypatch)
     if config == "moving-tanh":
-        cfg = moving_tanh_config(grid_1024, t_end=0.05, dt=1e-3)
-        traj = evolve(cfg)
-        assert traj.steps_by_seed_order == [1, 1, 1, 39, 2, 2, 4]
+        traj = evolve(climbing_tanh_config(grid_1024, t_end=0.08))
+        assert traj.steps_by_seed_order == [1, 1, 1, 1, 1, 1, 14]
     else:
         with pytest.warns(UserWarning, match="sub-stepping engaged"):
             traj = evolve(large_gaussian_config(make_grid(256, 40.0), t_end=0.02))
@@ -498,6 +499,7 @@ def test_records_without_fields_match(grid_1024, monkeypatch, run):
     # keep_fields off: the same records, bit for bit, no fields, and one
     # inverse transform fewer per record
     cfg = moving_tanh_config(grid_1024, t_end=0.02, dt=1e-3, output_stride=5)
+    c1b_norm(cfg.profile, cfg.grid)  # cached before counting: each run then reads it
     transforms = count_transforms(monkeypatch)
     kept = run(cfg)
     with_fields = len(transforms)
@@ -529,10 +531,20 @@ def count_nonlinear_terms(monkeypatch) -> list[bytes]:
     return seen
 
 
+MOVING_TANH = WaveProfile(kind="tanh-front", amplitude=0.8, width=1.5, speed=0.7)
+
+
 def moving_tanh_config(grid, **kw):
-    return base_config(grid, profile=WaveProfile(kind="tanh-front", amplitude=0.8, width=1.5,
-                                                 speed=0.7),
+    return base_config(grid, profile=MOVING_TANH,
                        v0=InitialCondition(kind="gaussian", amplitude=0.1), **kw)
+
+
+def climbing_tanh_config(grid, **kw):
+    """The moving front with data 10x larger at dt = 4e-3: steps 1-6 each
+    take three or more iterations (n = 1024, either equation), so step k + 1
+    is seeded at order k + 1 up to 7."""
+    return base_config(grid, profile=MOVING_TANH,
+                       v0=InitialCondition(kind="gaussian", amplitude=1.0), dt=4e-3, **kw)
 
 
 def test_unsplit_run_evaluates_one_nonlinear_term_per_iteration(grid_1024, monkeypatch):
@@ -573,7 +585,7 @@ def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
         return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
-    cfg = moving_tanh_config(grid_1024, t_end=0.02, dt=1e-3, output_stride=1)
+    cfg = climbing_tanh_config(grid_1024, t_end=0.08, output_stride=1)
     run(cfg)
     assert len(steps) == 20
     assert max(len(step[8]) for step in steps) == 6  # the order reaches 7
@@ -624,9 +636,9 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
     # splits every step in 8 pieces, most seeded at order 4; amplitude 6
     # with picard_max = 12 takes 12-13 iterations per whole step at ratios
     # near 0.3, so some whole steps miss picard_max and split in 2.  The
-    # moving front splits nothing: its order climbs on each of steps 1-6, so
-    # the resume after step 6 starts at order 7 and falls back to order 4
-    # one order at a time
+    # moving front, on mode data, splits nothing: its order climbs on each of
+    # steps 1-6, so the resume after step 6 starts at order 7, and from there
+    # the order moves between 6 and 7
     calls = []
     original = evolution._single_step
 
@@ -676,18 +688,19 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
                            v0=InitialCondition(kind="gaussian", amplitude=amplitude),
                            dt=1e-2, t_end=t_end, picard_max=picard_max, output_stride=1)
                for amplitude, picard_max, t_end in ((4.0, 5, 0.05), (6.0, 12, 0.3))]
-    configs.append(moving_tanh_config(make_grid(128, 40.0), dt=1e-3, t_end=0.006,
-                                      output_stride=1))
+    configs.append(base_config(make_grid(128, 40.0), profile=MOVING_TANH,
+                               v0=InitialCondition(kind="mode", amplitude=0.3), dt=4e-3,
+                               t_end=0.024, output_stride=1))
     for cfg in configs:
         calls.clear()
-        if cfg.dt == 1e-2:
+        if cfg.profile is not MOVING_TANH:
             with pytest.warns(UserWarning, match="sub-stepping engaged"):
                 traj = evolve(cfg)
         else:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # the moving front splits nothing
                 traj = evolve(cfg)
-        assert traj.substepping_engaged == (cfg.dt == 1e-2)
+        assert traj.substepping_engaged == (cfg.profile is not MOVING_TANH)
         resumed = len(calls)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a split resumed run warns again
@@ -946,13 +959,13 @@ def test_restart_matches_direct_run(grid_1024):
     assert second.times[-1] == pytest.approx(0.2) and second.params == direct.params
     assert len(second.end.history) == 3
     # a resume point whose history holds 4, 5 or 6 terms, under either
-    # equation: the moving front seeds steps 5, 6 and 7 at orders 5, 6 and 7
-    kw["output_stride"] = 1
+    # equation: the climbing front seeds steps 5, 6 and 7 at orders 5, 6 and 7
     for run in (evolve, evolve_full):
-        direct = run(base_config(grid_1024, t_end=0.02, **kw))
+        direct = run(climbing_tanh_config(grid_1024, t_end=0.08, output_stride=1))
         for steps in (4, 5, 6):
-            first = run(base_config(grid_1024, t_end=steps * 1e-3, **kw))
-            second = run(base_config(grid_1024, t_end=(20 - steps) * 1e-3, **kw), resume=first)
+            first = run(climbing_tanh_config(grid_1024, t_end=steps * 4e-3, output_stride=1))
+            second = run(climbing_tanh_config(grid_1024, t_end=(20 - steps) * 4e-3,
+                                              output_stride=1), resume=first)
             assert len(first.end.history) == steps
             assert_resumes_exactly([first, second], direct)
             assert [a + b for a, b in zip(first.steps_by_seed_order,
@@ -964,18 +977,55 @@ def test_restart_matches_direct_run(grid_1024):
 @pytest.mark.parametrize("stepper", [evolve, evolve_full])
 def test_end_state_bands_own_their_memory(grid_1024, stepper, dealias):
     # a band that is a view of a transform's output would keep all n/2 + 1
-    # entries alive for as long as the state holds it.  After five steps the
-    # perturbation equation holds three history terms; the full equation,
-    # whose order-4 step takes four iterations, holds five
-    cfg = base_config(grid_1024, profile=WaveProfile(kind="tanh-front", amplitude=0.8),
-                      v0=InitialCondition(kind="gaussian", amplitude=0.1),
-                      dt=1e-3, t_end=5e-3, dealias=dealias)
+    # entries alive for as long as the state holds it.  After five steps of
+    # the climbing front, either equation holds five history terms
+    cfg = climbing_tanh_config(grid_1024, t_end=0.02, dealias=dealias)
     state = stepper(cfg, keep_fields=False).end
     bands = [state.vhat, state.nhat, *state.history]
-    assert len(state.history) == (3 if stepper is evolve else 5)
+    assert len(state.history) == 5
     modes = real_spectrum(grid_1024).dealias_modes if dealias else grid_1024.n // 2 + 1
     for band in bands:
         assert band.shape == (modes,) and band.base is None and band.flags.owndata
+
+
+def test_front_at_the_box_edge_satisfies_bound(grid_1024):
+    # data on the box edge, where a wrapped tanh front of amplitude 20 used to
+    # jump by 2A: the periodic front pair has no jump, and the bound, whose
+    # C_phi is read from the profile stepped, holds (the wrapped front's ran
+    # 1.34x over its analytic bound, at every resolution)
+    cfg = base_config(
+        grid_1024,
+        profile=WaveProfile(kind="tanh-front", amplitude=20.0),
+        v0=InitialCondition(kind="gaussian", amplitude=1e-3, width=1.0, offset=19.9),
+        t_end=0.1, dt=1e-3, output_stride=10,
+    )
+    traj = evolve(cfg)
+    assert traj.params.c_phi == pytest.approx(20.0, rel=1e-6)
+    assert energy_bound_check(traj).ok and traj.max_substeps == 1
+
+
+@pytest.mark.parametrize("speed", [1.3, -0.9])
+@pytest.mark.parametrize("profile", [
+    WaveProfile(kind="tanh-front", amplitude=0.8, offset=-3.0),
+    WaveProfile(kind="gaussian-bump", amplitude=0.5, width=2.0, offset=4.0),
+    "sampled",
+], ids=["front-pair", "gaussian-bump", "sampled"])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_moving_profile_moves_forward(profile, speed, n):
+    # the coupling at time t is twice the t = 0 samples translated by +c t:
+    # the spectral shift of their dealiased band, to roundoff
+    grid = make_grid(n, 40.0)
+    if profile == "sampled":
+        values = np.exp(-(grid.points / 3.0) ** 2) * np.cos(grid.points)
+        profile = WaveProfile(kind="sampled", samples=RealField(grid, values))
+    cfg = base_config(grid, profile=profile._replace(speed=speed), dt=1e-3, t_end=1e-3)
+    tables = evolution._step_tables(n, grid.length, cfg.dt, cfg.dealias)
+    spectrum = tables.spectrum
+    band = spectrum.forward(profile.evaluate(0.0, grid).values, tables.modes)
+    sampler = evolution._profile_sampler(cfg, tables)
+    for t in (0.37, 2.9, 11.0):
+        want = 2.0 * spectrum.inverse(band * spectrum.shift_phase(-speed * t)[: band.size])
+        assert np.abs(sampler(t) - want).max() <= 1e-12
 
 
 def test_moving_profile_run_satisfies_bound(grid_1024):

@@ -1,4 +1,5 @@
-"""Profile kinds, validation, and moving-frame evaluation."""
+"""Profile kinds, validation, moving-frame evaluation, and the C^1_b norm
+terms read from the samples the stepper steps."""
 
 import math
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from fowler.grid import RealField, make_grid, real_spectrum
-from fowler.profiles import SUP_CHUNK, SUP_OVERSAMPLING, WaveProfile
+from fowler.diagnostics import c1b_norm
+from fowler.profiles import SUP_OVERSAMPLING, WaveProfile
 
 from conftest import traced_peak
 from reference_spectrum import forward_transform, reference_oversample, spectral_derivative
@@ -39,11 +41,15 @@ def test_moving_front_translates():
     p = WaveProfile(kind="tanh-front", amplitude=1.0, width=1.0, speed=2.0)
     t = 1.25
     values = p.evaluate(t, g).values
-    # interior matches the unwrapped translate; the far side wraps around
-    interior = g.points > -17.0
+    # 14 widths from the return front, the profile is the unwrapped
+    # translate; the return front carries it back to 0 at the translated box
+    # edge, so no step between neighbours, the one across the box edge
+    # included, exceeds the slope A/w
+    interior = np.abs(g.points) < 3.5
     assert np.allclose(values[interior], np.tanh(g.points[interior] - 2.5), atol=1e-12)
     wrapped = g.points < -17.5
-    assert np.all(values[wrapped] > 0.9)
+    assert np.all((values[wrapped] > 0.0) & (values[wrapped] < 1.0))
+    assert np.abs(np.diff(values, append=values[0])).max() <= g.spacing
 
 
 def test_moving_profile_wraps_periodically():
@@ -97,32 +103,16 @@ def test_sup_values_orders():
     assert s1 == pytest.approx(4.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("n", [512, 1000, 16384])
-def test_sup_values_in_chunks_match_one_pass(n):
-    # one chunk at n = 512, a partial last chunk at 1000, 32 chunks at
-    # 16384: the same nodes, so the same maxima to the bit
-    g = make_grid(n, 40.0)
-    m = n * SUP_OVERSAMPLING
-    assert (m + SUP_CHUNK - 1) // SUP_CHUNK == {512: 1, 1000: 2, 16384: 32}[n]
-    assert m % SUP_CHUNK == (0 if n != 1000 else 16000 - SUP_CHUNK)
-    x = -0.5 * g.length + (g.length / m) * np.arange(m)
-    for kind in ("tanh-front", "gaussian-bump", "constant"):
-        p = WaveProfile(kind=kind, amplitude=1.3, width=0.7, offset=0.31)
-        assert p.sup_values(g) == tuple(
-            float(np.abs(p._analytic(x, order)).max()) for order in (0, 1)
-        )
-
-
 @pytest.mark.parametrize("kind", ["tanh-front", "gaussian-bump", "constant", "sampled"])
 def test_sup_values_memory_is_a_few_chunks(kind):
-    # 16 n = 262144 points are sampled in chunks of SUP_CHUNK, so the peak
-    # is a few 64 KiB temporaries, not one array per sampled point; a
-    # sampled profile's chunks are its SUP_OVERSAMPLING shifted n-point copies
+    # 16 n = 262144 points are sampled as SUP_OVERSAMPLING shifted n-point
+    # copies of the grid, so the peak is a few 128 KiB arrays, not one array
+    # per sampled point; every kind takes the same path
     g = make_grid(16384, 40.0)
     p = WaveProfile(kind=kind, amplitude=1.3, width=0.7, offset=0.31,
                     samples=RealField(g, np.exp(-g.points**2)))
     p.sup_values(g)  # the grid's spectral tables are built outside the peak
-    assert traced_peak(p.sup_values, g) <= (0.75 if kind == "sampled" else 0.5) * 2**20
+    assert traced_peak(p.sup_values, g) <= 0.75 * 2**20
 
 
 @pytest.mark.parametrize("n", [64, 1000, 16384])
@@ -136,3 +126,98 @@ def test_sampled_sup_values_match_the_oversampled_grid(n):
     sups = WaveProfile(kind="sampled", samples=RealField(g, values)).sup_values(g)
     for got, want in zip(sups, fine):
         assert abs(got - want) <= 4 * np.spacing(want)
+
+
+def interpolant_sups(values: np.ndarray, grid) -> tuple[float, float]:
+    """(sup|phi|, sup|phi'|) of the trigonometric interpolant of values on the
+    SUP_OVERSAMPLING x finer box, by the full-spectrum reference transforms."""
+    F = forward_transform(RealField(grid, values))
+    return tuple(float(np.abs(reference_oversample(c, SUP_OVERSAMPLING)).max())
+                 for c in (F, spectral_derivative(F, 1)))
+
+
+#: (kind, offset, speed): a front and a bump well inside the box, one
+#: moving; the closed forms of their two sups
+PERIODIC = [("tanh-front", 0.0, 0.0), ("tanh-front", -6.3, 1.3), ("gaussian-bump", 2.1, 0.0),
+            ("constant", 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("kind, offset, speed", PERIODIC + [("gaussian-bump", 17.0, -0.4),
+                                                            ("sampled", 0.0, 0.7)])
+@pytest.mark.parametrize("n", [256, 2048])
+def test_c_phi_is_half_the_norm_of_the_stepped_profile(kind, offset, speed, n):
+    # every kind: the C^1_b norm is read from the samples the stepper steps,
+    # through their interpolant on the SUP_OVERSAMPLING x finer box; a bump
+    # that the box edge cuts (offset 17) gets the norm of what is stepped
+    g = make_grid(n, 40.0)
+    samples = RealField(g, np.tanh(g.points) + 0.1 * np.sin(2 * np.pi * 3 * g.points / 40.0))
+    p = WaveProfile(kind=kind, amplitude=1.3, width=0.8, offset=offset, speed=speed,
+                    samples=samples)
+    want = interpolant_sups(p.evaluate(0.0, g).values, g)
+    got = p.sup_values(g)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-13 * max(b, 1.0)
+    assert c1b_norm(p, g) == sum(got)
+
+
+@pytest.mark.parametrize("kind, offset, speed", PERIODIC)
+def test_periodic_profiles_meet_their_closed_forms(kind, offset, speed):
+    # where the profile is periodic, the interpolant's sups are the closed
+    # forms: A and A/w for the front pair, A and A sqrt(2/e)/w for a bump,
+    # A and 0 for a constant
+    g = make_grid(2048, 40.0)
+    A, w = 1.3, 0.8
+    p = WaveProfile(kind=kind, amplitude=A, width=w, offset=offset, speed=speed)
+    slope = {"tanh-front": A / w, "gaussian-bump": A * math.sqrt(2.0 / math.e) / w,
+             "constant": 0.0}[kind]
+    s0, s1 = p.sup_values(g)
+    assert abs(s0 - A) <= 1e-6 and abs(s1 - slope) <= 1e-6
+
+
+def test_an_edge_cut_bump_has_a_larger_norm_than_its_closed_form():
+    # a bump that the box edge cuts jumps where the box wraps: the stepped
+    # profile's slope is far above the whole-line A sqrt(2/e)/w
+    g = make_grid(1024, 40.0)
+    p = WaveProfile(kind="gaussian-bump", amplitude=1.3, width=3.0, offset=17.0)
+    assert p.sup_values(g)[1] > 10 * 1.3 * math.sqrt(2.0 / math.e) / 3.0
+
+
+@pytest.mark.parametrize("length", [40.0, 1e-100, 1e300])
+@pytest.mark.parametrize("amplitude", [1e154, 1e308])
+def test_sup_values_of_huge_samples_are_not_nan(length, amplitude):
+    # samples that are finite but near the double range, on an ordinary,
+    # a tiny and a huge box: the transforms of the samples scaled by a power
+    # of two do not overflow, and the scaling back is exact, so sup|phi| is
+    # finite and close to the samples' peak, and C_phi is a number or inf,
+    # never nan
+    g = make_grid(64, length)
+    values = amplitude * np.tanh(np.linspace(-20.0, 20.0, 64, endpoint=False))
+    for p in (WaveProfile(kind="sampled", samples=RealField(g, values)),
+              WaveProfile(kind="tanh-front", amplitude=amplitude, width=length / 40.0),
+              WaveProfile(kind="gaussian-bump", amplitude=amplitude, width=length / 40.0)):
+        s0, s1 = p.sup_values(g)
+        assert amplitude * 0.9 <= s0 <= amplitude * 1.3 and not math.isnan(s1)
+        assert not math.isnan(c1b_norm(p, g))
+    huge = WaveProfile(kind="sampled", samples=RealField(make_grid(64, 40.0), 1e308 * np.tanh(
+        np.linspace(-20.0, 20.0, 64, endpoint=False))))
+    assert c1b_norm(huge, huge.samples.grid) == math.inf
+
+
+@pytest.mark.parametrize("power", [-900, -3, 5, 1000])
+def test_sup_values_scale_exactly_with_the_samples(power):
+    # scaling the samples by a power of two scales both sups by it, bit for
+    # bit, also where sup_values scales samples of 2^1000 down itself
+    g = make_grid(256, 40.0)
+    values = np.exp(-g.points**2) + 0.1 * np.random.default_rng(7).standard_normal(256)
+    base = WaveProfile(kind="sampled", samples=RealField(g, values)).sup_values(g)
+    scaled = WaveProfile(kind="sampled", samples=RealField(g, np.ldexp(values, power)))
+    assert scaled.sup_values(g) == tuple(math.ldexp(s, power) for s in base)
+
+
+def test_sampled_profile_on_another_grid_is_refused():
+    # the norm is read through evaluate, which refuses samples of another
+    # grid instead of reading them as if they lived on it
+    samples = RealField(make_grid(64, 40.0), np.tanh(np.linspace(-20.0, 20.0, 64, endpoint=False)))
+    p = WaveProfile(kind="sampled", samples=samples)
+    with pytest.raises(ValueError, match="different grid"):
+        p.sup_values(make_grid(64, 20.0))

@@ -10,7 +10,8 @@ no private numpy name, which may change or vanish in any numpy release the
 declared numpy>=1.24 admits, no BLAS dot product in the grid or the
 stepper, which would load BLAS and its buffers for one short sum, no
 gc.freeze outside the launch path, where a frozen heap is the process's last
-state and not garbage that an in-process caller keeps for good, and no
+state and not garbage that an in-process caller keeps for good, numpy's
+errstate only where the README's floating-point policy names it, and no
 module of TOKEN_LIMIT parser tokens or more."""
 
 import ast
@@ -369,6 +370,45 @@ def test_guard_detects_gc_freezes():
 def test_only_the_launch_path_freezes_the_heap():
     offenders = [name for name, tree in modules() if gc_freezes(tree)]
     assert offenders == ["__main__.py"]
+
+
+def errstate_uses(tree) -> list[str]:
+    """The function each use of numpy's errstate sits in, '' at module level:
+    np.errstate or numpy.errstate as a call, a with item or a decorator (which
+    counts for the function it decorates), and imports of the name."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "errstate"
+                    and isinstance(child.value, ast.Name) and child.value.id in ("np", "numpy")):
+                found.append(where)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0 and child.module == "numpy":
+                found.extend(where for a in child.names if a.name == "errstate")
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if function else where)
+
+    visit(tree, "")
+    return found
+
+
+def test_guard_detects_errstate_uses():
+    source = ("import numpy as np\n@np.errstate(over='ignore')\ndef main():\n    pass\n"
+              "def g(x):\n    def h():\n        with np.errstate(divide='ignore'):\n"
+              "            return 1 / x\n    return h\n"
+              "from numpy import errstate\nnumpy.errstate(all='ignore')\n")
+    assert errstate_uses(ast.parse(source)) == ["main", "h", "", ""]
+    for source in ("np.seterr(all='ignore')\n", "x.errstate()\n", "from .numpy import errstate\n",
+                   "import warnings\nwarnings.catch_warnings()\n"):
+        assert errstate_uses(ast.parse(source)) == [], source
+
+
+def test_errstate_only_where_the_policy_names_it():
+    # cli.main silences numpy's floating-point warnings for the command
+    # line; a library caller sees them everywhere but in the Newton step of
+    # the kernel's L1 norm
+    uses = [(name, where) for name, tree in modules() for where in errstate_uses(tree)]
+    assert uses == [("cli.py", "main"), ("kernel.py", "_gradient_l1")]
 
 
 #: every launch compiles the modules it imports; compiling one of this many
