@@ -216,7 +216,8 @@ def cmd_convergence(settings: RunSettings, manifest: RunManifest, out: Path) -> 
     sim = settings.sim
     dts = [4 * sim.dt, 2 * sim.dt, sim.dt]
     # all runs must land on a common final time: the largest multiple of the
-    # coarsest step that fits in t_end
+    # coarsest step 4 dt that fits in t_end, and at least 4 dt, so a t_end
+    # below 4 dt runs past it; convergence.horizon records the time reached
     blocks = max(1, int(math.floor(sim.t_end / dts[0])))
     horizon = blocks * dts[0]
     manifest.add("convergence.horizon", horizon)

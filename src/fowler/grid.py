@@ -63,7 +63,9 @@ def make_grid(n: int, length: float) -> Grid:
     """Build a Grid, validating the point count and box length.
 
     n must be even (the FFT layout pairs +k with -k and keeps a single
-    Nyquist slot) and at least 8; length must be positive and finite.
+    Nyquist slot) and at least 8; length must be positive and finite, and
+    large enough that the spectral tables are: the Laplacian's Nyquist entry
+    (pi n / L)^2 is their largest.
     """
     if n != int(n) or n % 2 != 0:
         raise ValueError(f"n must be even, got {n}")
@@ -71,6 +73,10 @@ def make_grid(n: int, length: float) -> Grid:
         raise ValueError(f"n must be at least 8, got {n}")
     if not (0 < length < math.inf):
         raise ValueError(f"length must be positive and finite, got {length}")
+    nyquist = math.pi * int(n) / float(length)  # Python floats: inf, not a warning
+    if not math.isfinite(nyquist * nyquist):
+        raise ValueError(f"length {length} is too small for n = {n}: the spectral "
+                         f"tables' largest entry, (pi n / length)^2, overflows")
     return Grid(n=int(n), length=float(length))
 
 

@@ -196,6 +196,8 @@ def test_config_error_exits_1(tmp_path, capsys):
     [
         ("[time]\nt_end = inf\n", "t_end must be finite"),
         ("[grid]\nlength = inf\n", "length must be positive and finite"),
+        ("[grid]\nn = 64\nlength = 1e-308\n\n[quadrature]\nz_min = 1e-320\n",
+         "grid: length 1e-308 is too small for n = 64"),
         ("[initial]\namplitude = nan\n", "initial: field values must be finite"),
         ("[grid]\nn = 64\n\n[initial]\nkind = mode\nmode_k = -32\n", "mode_k = -32 aliases"),
         ("[profile]\nkind = tanh-front\nspeed = inf\n", "speed must be finite"),

@@ -36,6 +36,8 @@ from fowler.grid import RealField, RealSpectrum, make_grid, real_spectrum
 from fowler.operator import ALPHA0, XI_STAR, psi_symbol, symbol_table
 from fowler.profiles import WaveProfile
 
+import picard_sweep
+
 
 @pytest.fixture
 def unit_constants(monkeypatch):
@@ -351,10 +353,10 @@ def order4_tanh_config(grid):
 
 def test_order4_seed_takes_one_picard_iteration(grid_1024, monkeypatch):
     # the tanh front of the ETD2 test: steps 1-3 climb through seed orders
-    # 1-3, every later step is seeded at order 4, whose steps take at most
-    # two iterations, so the order never moves above 4, and from step 3 on
-    # each step meets the tolerance with its seed, one nonlinear term per
-    # step (2.22 transforms per step with the record fields)
+    # 1-3, and from step 3 on each step meets the tolerance with its seed,
+    # one nonlinear term per step, so every later step is seeded at order 4
+    # and the order never moves above it (2.22 transforms per step with the
+    # record fields)
     cfg = order4_tanh_config(grid_1024)
     c1b_norm(cfg.profile, cfg.grid)  # cached: the norm's transforms are not the stepper's
     transforms = count_transforms(monkeypatch)
@@ -374,8 +376,8 @@ def test_order4_seed_takes_one_picard_iteration(grid_1024, monkeypatch):
 
 
 def test_order4_run_is_the_order4_stepper(grid_1024, monkeypatch):
-    # where order 4 meets the tolerance within two iterations, the stepper
-    # is the one whose seed stops at order 4, bit for bit: the same records,
+    # where order 4 meets the tolerance in one iteration, the stepper is
+    # the one whose seed stops at order 4, bit for bit: the same records,
     # fields, end state and Picard work, and no step seeded above order 4
     cfg = order4_tanh_config(grid_1024)
     traj = evolve(cfg)
@@ -384,6 +386,19 @@ def test_order4_run_is_the_order4_stepper(grid_1024, monkeypatch):
     assert traj.steps_by_seed_order == order4.steps_by_seed_order + [0, 0, 0]
     assert traj.picard_iters_total == order4.picard_iters_total
     assert_resumes_exactly([traj], order4)
+
+
+def test_order4_steps_of_two_iterations_climb():
+    # the same front at dt = 4e-3 and n = 256: its order-4 steps take two
+    # iterations, so the order climbs, and from step 5 on it moves between
+    # 5 and 6, each order-6 step taking one iteration (156 in all); a rule
+    # that climbs from order 4 only after three iterations holds the run at
+    # order 4 and two iterations per step (204)
+    cfg = order4_tanh_config(make_grid(256, 40.0))._replace(t_end=0.4, dt=4e-3)
+    traj = evolve(cfg, keep_fields=False)
+    assert traj.max_substeps == 1
+    assert traj.picard_iters_total <= 170
+    assert sum(traj.steps_by_seed_order[4:]) >= 1
 
 
 def test_higher_seed_orders_cut_the_picard_work_of_a_full_run():
@@ -460,6 +475,19 @@ def test_evidence_driven_seed_ends_where_order4_does(n, kind, speed, amplitude, 
     assert gap <= 4.0 * cfg.picard_tol * steps * max(spectrum.l2_norm(order4.end.vhat), 1.0)
     for traj in (evidence, order4):
         assert all(r.mass_drift == 0.0 for r in traj.records)
+
+
+def test_picard_sweep_runs(capsys):
+    # the sweep script (tests/picard_sweep.py) on two of its configs, one of
+    # which splits: a line per config, and the family's total
+    families = picard_sweep.FAMILIES
+    assert [len(configs) for configs in families.values()] == [160, 96, 96]
+    totals = picard_sweep.main({"smoke": [families["seed"][0], families["split"][1]]})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[2] == f"smoke: 2 configs, {totals['smoke']} iterations"
+    counts = [re.search(r": (\d+) iterations, max_substeps (\d+)$", line) for line in lines[:2]]
+    assert [int(m.group(2)) for m in counts] == [1, 2]
+    assert totals["smoke"] == sum(int(m.group(1)) for m in counts) > 0
 
 
 def test_slow_contraction_drops_history_and_splits_nothing(monkeypatch):
@@ -556,32 +584,19 @@ def test_unsplit_run_evaluates_one_nonlinear_term_per_iteration(grid_1024, monke
     assert len(seen) == 1 + sum(r.picard_iters for r in traj.records)
 
 
-def kept_terms(size: int, iterations: int) -> int:
-    """The seed order rule on the history length: after a step seeded from
-    size terms that took iterations at a ratio of at most RHO_HISTORY, one
-    term more up to 3; at 3, one more after more than two iterations; above
-    3, one more after more than one iteration and one fewer after one; 3 to
-    6 terms."""
-    if size < 3:
-        return size + 1
-    if iterations > (2 if size == 3 else 1):
-        return min(size + 1, 6)
-    return max(size - 1, 3) if iterations == 1 else size
-
-
 @pytest.mark.parametrize("run", [evolve, evolve_full])
 def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
     # a moving profile under evolve, no coupling under evolve_full: every
     # step's start term is the previous step's end term, and both equal a
     # fresh evaluation at the state and time they belong to, bit for bit;
     # the seed's history is the start terms of the previous steps, newest
-    # first, as many as the order rule keeps (kept_terms)
+    # first, as many as the order rule keeps (_next_history)
     steps = []
     original = evolution._single_step
 
     def spy(vhat, N0, t0, t1, cfg, tables, u_of_t, history=()):
         out = original(vhat, N0, t0, t1, cfg, tables, u_of_t, history)
-        steps.append((vhat, N0, t0, out[0], out[1], t1, tables, u_of_t, history, out[2]))
+        steps.append((vhat, N0, t0, out[0], out[1], t1, tables, u_of_t, history, out[2:]))
         return out
 
     monkeypatch.setattr(evolution, "_single_step", spy)
@@ -596,8 +611,10 @@ def test_carried_term_is_a_fresh_evaluation(grid_1024, monkeypatch, run):
                                    tables.spectrum, tables.modes)
             assert np.array_equal(term, fresh), (k, t)
         if k:
-            assert N0 is steps[k - 1][4] and t0 == steps[k - 1][5]
-            assert len(history) == kept_terms(len(steps[k - 1][8]), steps[k - 1][9]), k
+            previous = steps[k - 1]
+            assert N0 is previous[4] and t0 == previous[5]
+            kept = evolution._next_history(previous[8], previous[1], *previous[9])
+            assert len(history) == len(kept), k
         else:
             assert history == ()
         for i, term in enumerate(history):
@@ -624,21 +641,45 @@ def test_steps_carry_only_the_retained_band(grid_1024, monkeypatch, run, dealias
     assert shapes == {(n // 3 + 1,) if dealias else (n // 2 + 1,)}
 
 
+@pytest.mark.parametrize("size, iterations, ratio, start, kept", [
+    (0, 1, 0.0, True, 1),  # the ramp climbs one term per step to 3, whatever the work
+    (1, 5, 0.1, True, 2),
+    (2, 1, 0.0, True, 3),
+    (3, 1, 0.0, True, 3),  # the floor: order 4 stays after a step its seed met
+    (3, 2, RHO_HISTORY, True, 4),  # a step that iterated climbs, order 4 included
+    (4, 3, 0.1, True, 5),
+    (6, 2, 0.1, True, 6),  # the cap: order 7
+    (6, 1, 0.0, True, 5),  # a step its seed met descends
+    (4, 1, 0.0, True, 3),
+    (5, 2, 0.21, True, 0),  # a ratio above RHO_HISTORY drops the history
+    (3, 2, 0.0, False, 0),  # as does a step without a term
+], ids=["ramp-0", "ramp-1", "ramp-2", "floor", "climb-4", "climb-5", "cap", "descend-7",
+        "descend-5", "ratio", "no-term"])
+def test_seed_order_rule(size, iterations, ratio, start, kept):
+    # the history after a step is its start term followed by the history it
+    # started from, cut to kept terms
+    terms = tuple(np.full(3, float(i)) for i in range(8))
+    N0 = terms[0] if start else None
+    history = evolution._next_history(terms[1:1 + size], N0, iterations, ratio)
+    assert len(history) == kept
+    assert all(term is terms[i] for i, term in enumerate(history))
+
+
 def test_history_is_the_previous_same_size_start_term(monkeypatch):
     # the history passed to a step is the start terms of the calls just
     # before it, newest first and as many as the order rule keeps
-    # (kept_terms), while each had the same size,
-    # ended where the next starts and contracted by a ratio of at most
-    # RHO_HISTORY; it is empty on the first step, on piece 1 of a split step,
-    # on the whole step after a split and after a step whose ratio exceeded
-    # RHO_HISTORY, and a resumed run continues the history of the run it
-    # resumes, as if the two were one run.  Amplitude 4 with picard_max = 5
-    # splits every step in 8 pieces, most seeded at order 4; amplitude 6
-    # with picard_max = 12 takes 12-13 iterations per whole step at ratios
-    # near 0.3, so some whole steps miss picard_max and split in 2.  The
-    # moving front, on mode data, splits nothing: its order climbs on each of
-    # steps 1-6, so the resume after step 6 starts at order 7, and from there
-    # the order moves between 6 and 7
+    # (_next_history, which test_seed_order_rule checks), while each had the
+    # same size and ended where the next starts; it is empty on the first
+    # step, on piece 1 of a split step, on the whole step after a split and
+    # after a step whose ratio exceeded RHO_HISTORY, and a resumed run
+    # continues the history of the run it resumes, as if the two were one
+    # run.  Amplitude 4 with picard_max = 5 splits every step in 8 pieces,
+    # most seeded at order 4; amplitude 6 with picard_max = 12 takes 12-13
+    # iterations per whole step at ratios near 0.3, so some whole steps miss
+    # picard_max and split in 2.  The moving front, on mode data, splits
+    # nothing: its order climbs on each of steps 1-6, so the resume after
+    # step 6 starts at order 7, and from there the order moves between 6
+    # and 7
     calls = []
     original = evolution._single_step
 
@@ -660,11 +701,11 @@ def test_history_is_the_previous_same_size_start_term(monkeypatch):
         for k, call in enumerate(calls):
             before = calls[k - 1] if k else None
             if (before is None or "ratio" not in before or before["dt"] != call["dt"]
-                    or before["t1"] != call["t0"] or before["ratio"] > RHO_HISTORY):
+                    or before["t1"] != call["t0"]):
                 expected = ()
             else:
-                keep = kept_terms(len(before["history"]), before["iterations"])
-                expected = ((before["N0"],) + before["history"])[:keep]
+                expected = evolution._next_history(before["history"], before["N0"],
+                                                   before["iterations"], before["ratio"])
             history = call["history"]
             assert len(history) == len(expected), k
             for term, earlier in zip(history, expected):

@@ -50,6 +50,21 @@ def test_make_grid_rejects(n, length, match):
         make_grid(n, length)
 
 
+@pytest.mark.parametrize("n", [64, 2**17])
+def test_make_grid_accepts_a_box_iff_its_tables_are_finite(n):
+    # the Laplacian's Nyquist entry (pi n / L)^2 is the largest table entry,
+    # finite down to L = pi n / sqrt(max double): 1.5e-152 at n = 64
+    limit = math.pi * n / math.sqrt(np.finfo(float).max)
+    for length in (1e-308, limit * (1 - 1e-9)):
+        with pytest.raises(ValueError, match="too small"):
+            make_grid(n, length)
+    for length in (limit * (1 + 1e-9), 1e-144):
+        spectrum = real_spectrum(make_grid(n, length))  # RuntimeWarnings are errors here
+        for table in (spectrum.frequencies, spectrum.derivative, spectrum.laplacian):
+            assert np.all(np.isfinite(table))
+        assert np.all(np.isfinite(spectrum.inverse(spectrum.forward(np.ones(n)))))
+
+
 def test_grid_points_and_frequencies():
     g = make_grid(16, 8.0)
     assert np.allclose(g.points, -4.0 + 0.5 * np.arange(16))
